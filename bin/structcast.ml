@@ -22,31 +22,6 @@ open Cmdliner
 (* Inputs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load_source (spec : string) : string * string =
-  (* a corpus program name, or a path to a C file *)
-  match Suite.find spec with
-  | Some p -> (p.Suite.name, p.Suite.source)
-  | None ->
-      if Sys.file_exists spec then (Filename.basename spec, read_file spec)
-      else
-        failwith
-          (Printf.sprintf
-             "%s: not a file and not a corpus program (try 'structcast corpus')"
-             spec)
-
-let resolve_includes path rel =
-  (* #include "x.h" resolves relative to the input file's directory *)
-  let dir = Filename.dirname path in
-  let candidate = Filename.concat dir rel in
-  if Sys.file_exists candidate then Some (read_file candidate) else None
-
 let layout_of_name = function
   | "ilp32" -> Layout.ilp32
   | "lp64" -> Layout.lp64
@@ -90,10 +65,13 @@ let strategy_of_name name : (module Core.Strategy.S) =
         (Printf.sprintf "unknown strategy %s (have: %s)" name
            (String.concat ", " Core.Analysis.strategy_ids))
 
+(* a corpus program name, or a path to a C file *)
 let compile_spec ~layout ~diags spec : string * Nast.program =
-  let name, source = load_source spec in
-  let resolve = resolve_includes spec in
-  (name, Lower.compile ~layout ~resolve ~diags ~file:name source)
+  let src = Server.Source.load spec in
+  let name = src.Server.Source.name in
+  ( name,
+    Lower.compile ~layout ~resolve:(Server.Source.resolve src) ~diags
+      ~file:name src.Server.Source.text )
 
 (* ------------------------------------------------------------------ *)
 (* Budgets and exit codes                                              *)
@@ -292,12 +270,15 @@ let print_dot_callgraph (r : Core.Analysis.result) =
     (Clients.Queries.call_graph q);
   Fmt.pr "}@."
 
-(* analyze, routed through the fixpoint store (--store DIR): an exact
-   repeat of (program, strategy, engine, layout, budget, diagnostics)
-   is served from the cached snapshot without solving; a near-repeat
-   warm-starts from the nearest cached ancestor. JSON output is the
-   stats-free rendering (a pure function of the input, byte-identical
-   whatever the cache did) with the store counter block spliced in. *)
+(* analyze, routed through the fixpoint store (--store DIR). JSON mode
+   is the same request a --store serve job makes (Server.Answer): an
+   exact repeat of (source bytes, includes, configuration) is answered
+   from its report record before any front-end work, a repeat of the
+   normalized program from its snapshot, a near-repeat warm-starts from
+   the nearest cached ancestor. The output is the stats-free rendering
+   (a pure function of the input, byte-identical whatever the cache
+   did) with the store counter block spliced in. Text mode needs a live
+   solver, so it restores the snapshot instead. *)
 let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
     what var budget engine domains format =
   ignore (strategy_of_name strategy);
@@ -319,52 +300,47 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       ~log:(fun m -> Fmt.epr "store: %s@." m)
       dir
   in
-  let diags = Diag.create () in
-  let name, prog = compile_spec ~layout ~diags spec in
-  let want = if format = "json" then `Json else `Solver in
-  (* --engine summary composes the two caches: the snapshot store still
-     short-circuits exact repeats and additive edits; a genuinely cold
-     solve consults the per-function summary cache under DIR/summaries *)
-  let sumcache =
-    if engine = "summary" then
-      Some
-        (Summary.Sumcache.open_cache
-           ~log:(fun m -> Fmt.epr "summary: %s@." m)
-           (Filename.concat dir "summaries"))
-    else None
-  in
-  let served =
-    match sumcache with
-    | Some cache ->
-        Summary.Engine.serve ~store:st ~cache ~want
-          ~diags:(Diag.diagnostics diags) ~name ~strategy_id:strategy ~layout
-          ~layout_id ~budget prog
-    | None ->
-        Store.serve st ~want ~diags:(Diag.diagnostics diags) ~name
-          ~strategy_id:strategy
-          ~engine:(engine_of_name ~domains engine)
-          ~layout ~layout_id ~budget prog
-  in
-  let degraded =
-    match served.Store.sv_result with
-    | Some r -> r.Core.Analysis.degraded
-    | None -> []
-  in
-  (match format with
+  let engine = engine_of_name ~domains engine in
+  match format with
   | "json" ->
-      let json = Store.with_counters st served.Store.sv_json in
-      let json =
-        match sumcache with
-        | Some c -> Summary.Engine.with_counters c json
-        | None -> json
+      let a =
+        Server.Answer.run st ~layout ~layout_id ~strategy_id:strategy ~engine
+          ~budget (Server.Source.load spec)
       in
-      print_string json;
-      print_newline ()
+      print_string a.Server.Answer.json;
+      print_newline ();
+      if a.Server.Answer.degraded then 2
+      else if a.Server.Answer.diag_errors then 1
+      else 0
   | "text" ->
+      let diags = Diag.create () in
+      let name, prog = compile_spec ~layout ~diags spec in
+      (* --engine summary composes the two caches: the snapshot store
+         still short-circuits exact repeats and additive edits; a
+         genuinely cold solve consults the per-function summary cache
+         under DIR/summaries *)
+      let sumcache =
+        if engine = `Summary then
+          Some
+            (Summary.Sumcache.open_cache
+               ~log:(fun m -> Fmt.epr "summary: %s@." m)
+               (Filename.concat dir "summaries"))
+        else None
+      in
+      let served =
+        match sumcache with
+        | Some cache ->
+            Summary.Engine.serve ~store:st ~cache ~want:`Solver
+              ~diags:(Diag.diagnostics diags) ~name ~strategy_id:strategy
+              ~layout ~layout_id ~budget prog
+        | None ->
+            Store.serve st ~want:`Solver ~diags:(Diag.diagnostics diags) ~name
+              ~strategy_id:strategy ~engine ~layout ~layout_id ~budget prog
+      in
       let r =
         match served.Store.sv_result with
         | Some r -> r
-        | None -> assert false (* text mode always asks for the solver *)
+        | None -> assert false (* `Solver mode always builds a solver *)
       in
       (match what with
       | "points-to" -> print_points_to r ~only_var:var
@@ -388,9 +364,10 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       | Some c ->
           Fmt.epr "%a@." Core.Metrics.pp_sumcache (Summary.Sumcache.counters c)
       | None -> ());
-      report_degradation degraded
-  | f -> failwith (Printf.sprintf "unknown --format %s (text|json)" f));
-  exit_code ~diags ~degraded:(degraded <> [])
+      let degraded = r.Core.Analysis.degraded in
+      report_degradation degraded;
+      exit_code ~diags ~degraded:(degraded <> [])
+  | f -> failwith (Printf.sprintf "unknown --format %s (text|json)" f)
 
 let analyze_cmd spec strategy layout what var budget engine domains format
     store store_max_mb store_faults =
@@ -1233,13 +1210,17 @@ let store_arg =
     & info [ "store" ] ~docv:"DIR"
         ~doc:
           "Content-addressed fixpoint store: serve exact repeats from \
-           cached snapshots (no solving), warm-start near-repeats from \
-           the nearest cached ancestor, and cache clean results. A \
-           corrupt store can cost time but never change a report: \
-           snapshots are checksum-verified and quarantined on any \
-           mismatch, degrading to a scratch solve. With --format json \
-           the report is the stats-free rendering plus a 'store' \
-           counter block.")
+           cache (no solving), warm-start near-repeats from the nearest \
+           cached ancestor, and cache clean results. With --format json \
+           an exact repeat of the source bytes and configuration is \
+           answered from a report record before any front-end work, \
+           once every #include it lists is re-checked against its \
+           recorded MD5; otherwise the compiled program is looked up \
+           among the snapshots. A corrupt store can cost time but never \
+           change a report: records and snapshots are checksum-verified \
+           and quarantined on any mismatch, degrading to a scratch \
+           solve. With --format json the report is the stats-free \
+           rendering plus a 'store' counter block.")
 
 let store_max_mb_arg =
   Arg.(
@@ -1254,9 +1235,10 @@ let store_faults_arg =
     value & opt (some string) None
     & info [ "store-faults" ] ~docv:"PLAN"
         ~doc:
-          "Store-I/O fault-injection plan, e.g. 'shortwrite\\@2,enospc\\@1' \
-           (kinds: shortwrite, bitflip, enospc, crash; N is the 1-based \
-           store write ordinal); merged with \\$STRUCTCAST_STORE_FAULTS. \
+          "Store-I/O fault-injection plan: comma-separated KIND@N \
+           entries, e.g. 'shortwrite@2,enospc@1' (KIND is one of \
+           shortwrite, bitflip, enospc, crash; N is the 1-based store \
+           write ordinal); merged with \\$STRUCTCAST_STORE_FAULTS. \
            Testing only.")
 
 let watch_journal_arg =

@@ -4,31 +4,6 @@
 open Cfront
 
 (* ------------------------------------------------------------------ *)
-(* Input loading (mirrors the CLI: corpus program name or file path)   *)
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load_source (spec : string) : string * string =
-  match Suite.find spec with
-  | Some p -> (p.Suite.name, p.Suite.source)
-  | None ->
-      if Sys.file_exists spec then (Filename.basename spec, read_file spec)
-      else
-        failwith
-          (Printf.sprintf "%s: not a file and not a corpus program" spec)
-
-let resolve_includes spec rel =
-  let dir = Filename.dirname spec in
-  let candidate = Filename.concat dir rel in
-  if Sys.file_exists candidate then Some (read_file candidate) else None
-
-(* ------------------------------------------------------------------ *)
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -37,65 +12,24 @@ let sanitize s =
 
 (* The job's final output line: what batch prints, what the journal
    stores. Timing is omitted (Report ~timing:false) so the line is a
-   pure function of the input — the byte-identical-resume guarantee. *)
-(* With a store attached, the worker keys the compiled program into the
-   store before solving: an exact repeat is served from the snapshot
-   (zero solver visits), a near-repeat warm-starts from the nearest
-   cached ancestor, and either way the emitted report JSON is the
-   stats-free rendering a scratch solve would produce, with the store's
+   pure function of the input — the byte-identical-resume guarantee.
+   With a store attached the job goes through {!Answer.run}: a report
+   record or snapshot answers repeats, and the emitted report is still
+   the stats-free rendering a scratch solve produces, with the store's
    counter block spliced alongside. Store-I/O faults come from
    [STRUCTCAST_STORE_FAULTS]; write ordinals count per job. *)
-let run_store ~store_dir ~layout ~layout_id ~strategy_id ~budget ~engine
-    ~engine_id ~name ~spec source : string * bool * bool =
+let run_store ~store_dir ~layout ~layout_id ~strategy_id ~budget ~engine src
+    : string * bool * bool =
   let store =
     Store.open_store
       ~inject:(Faults.store_hook (Faults.store_of_env ()))
       ~log:(fun m -> prerr_endline ("store: " ^ m))
       store_dir
   in
-  let diags = Diag.create () in
-  let prog =
-    Norm.Lower.compile ~layout ~resolve:(resolve_includes spec) ~diags
-      ~file:name source
+  let a =
+    Answer.run store ~layout ~layout_id ~strategy_id ~engine ~budget src
   in
-  let dlist = Diag.diagnostics diags in
-  (* a summary job layers the per-function cache under the snapshot
-     store: exact repeats and additive edits still short-circuit at the
-     whole-program level, a cold solve reuses unchanged summary chains *)
-  let sumcache =
-    if engine_id = "summary" then
-      Some
-        (Summary.Sumcache.open_cache
-           ~log:(fun m -> prerr_endline ("summary: " ^ m))
-           (Filename.concat store_dir "summaries"))
-    else None
-  in
-  let served =
-    match sumcache with
-    | Some cache ->
-        Summary.Engine.serve ~store ~cache ~want:`Json ~diags:dlist ~name
-          ~strategy_id ~layout ~layout_id ~budget prog
-    | None ->
-        Store.serve store ~want:`Json ~diags:dlist ~name ~strategy_id ~engine
-          ~layout ~layout_id ~budget prog
-  in
-  let degraded =
-    match served.Store.sv_result with
-    | Some r -> r.Core.Analysis.degraded <> []
-    | None -> false
-  in
-  let diag_errors =
-    List.exists
-      (fun (p : Diag.payload) -> p.Diag.severity = Diag.Error_sev)
-      dlist
-  in
-  let json = Store.with_counters store served.Store.sv_json in
-  let json =
-    match sumcache with
-    | Some c -> Summary.Engine.with_counters c json
-    | None -> json
-  in
-  (json, degraded, diag_errors)
+  (a.Answer.json, a.Answer.degraded, a.Answer.diag_errors)
 
 let run_job (job : Job.t) ~attempt ~rung :
     (string * bool * bool, string) result =
@@ -113,19 +47,19 @@ let run_job (job : Job.t) ~attempt ~rung :
     in
     let budget = Job.budget_for_rung job.Job.budget rung in
     let engine = Job.engine_of job in
-    let name, source = load_source job.Job.spec in
+    let src = Source.load job.Job.spec in
+    let name = src.Source.name in
     let result_json, solve_degraded, diag_errors =
       match job.Job.store_dir with
       | Some store_dir ->
           run_store ~store_dir ~layout ~layout_id:job.Job.layout_id
-            ~strategy_id ~budget ~engine ~engine_id:job.Job.engine ~name
-            ~spec:job.Job.spec source
+            ~strategy_id ~budget ~engine src
       | None ->
           let diags = Diag.create () in
           let r =
             Core.Analysis.run_source ~layout ~budget ~engine ~diags
-              ~resolve:(resolve_includes job.Job.spec) ~strategy ~file:name
-              source
+              ~resolve:(Source.resolve src) ~strategy ~file:name
+              src.Source.text
           in
           let diag_errors =
             List.exists

@@ -114,6 +114,28 @@ let enc_str (s : string) : string =
 
 exception Bad of string
 
+(* The integrity trailer shared by every store file: a final line
+   [sum <md5 hex>] over all bytes before it. *)
+let seal (payload : string) : string =
+  payload ^ Printf.sprintf "sum %s\n" (Digest.to_hex (Digest.string payload))
+
+let unseal (bytes : string) : (string, string) result =
+  let n = String.length bytes in
+  if n = 0 then Error "empty file"
+  else if bytes.[n - 1] <> '\n' then Error "truncated (no final newline)"
+  else
+    match String.rindex_from_opt bytes (n - 2) '\n' with
+    | None -> Error "truncated"
+    | Some i -> (
+        let payload = String.sub bytes 0 (i + 1) in
+        match
+          String.split_on_char ' ' (String.sub bytes (i + 1) (n - i - 2))
+        with
+        | [ "sum"; hex ] when String.length hex = 32 ->
+            if Digest.to_hex (Digest.string payload) = hex then Ok payload
+            else Error "checksum mismatch"
+        | _ -> Error "missing checksum line")
+
 let dec_str (s : string) : string =
   match String.index_opt s '%' with
   | None -> s
@@ -459,10 +481,7 @@ let encode (t : Solver.t) ~(config : config) ~(name : string)
     pair_lines "scopies" scopies;
     line "report";
     line "%s" report_json;
-    let payload = Buffer.contents b in
-    Ok
-      (payload
-      ^ Printf.sprintf "sum %s\n" (Digest.to_hex (Digest.string payload)))
+    Ok (seal (Buffer.contents b))
   with Refuse why -> Error why
 
 (* ------------------------------------------------------------------ *)
@@ -471,20 +490,9 @@ let encode (t : Solver.t) ~(config : config) ~(name : string)
 
 let decode (bytes : string) : (decoded, string) result =
   try
-    let n = String.length bytes in
-    if n = 0 then raise (Bad "empty snapshot");
-    if bytes.[n - 1] <> '\n' then raise (Bad "truncated (no final newline)");
-    let i =
-      match String.rindex_from_opt bytes (n - 2) '\n' with
-      | Some i -> i
-      | None -> raise (Bad "truncated")
+    let payload =
+      match unseal bytes with Ok p -> p | Error why -> raise (Bad why)
     in
-    let payload = String.sub bytes 0 (i + 1) in
-    (match String.split_on_char ' ' (String.sub bytes (i + 1) (n - i - 2)) with
-    | [ "sum"; hex ] when String.length hex = 32 ->
-        if Digest.to_hex (Digest.string payload) <> hex then
-          raise (Bad "checksum mismatch")
-    | _ -> raise (Bad "missing checksum line"));
     let lines = Array.of_list (String.split_on_char '\n' payload) in
     (* split leaves one trailing "" for the final newline *)
     let nlines = Array.length lines - 1 in

@@ -77,6 +77,14 @@ val enc_str : string -> string
 val dec_str_opt : string -> string option
 (** Inverse of {!enc_str}; [None] on a malformed escape. *)
 
+val seal : string -> string
+(** Append the integrity trailer — a final line [sum <md5 hex>] over
+    every byte before it. Snapshots and report records share it. *)
+
+val unseal : string -> (string, string) result
+(** Verify and strip the {!seal} trailer; [Error] on truncation, a
+    missing trailer, or a checksum mismatch. *)
+
 type decoded
 (** A checksum- and range-verified snapshot, not yet bound to a
     program. *)

@@ -19,20 +19,32 @@ type row = { r_key : string; r_cfg : string; r_size : int }
 type t = {
   dir : string;
   snaps_dir : string;
+  records_dir : string;
   quarantine_dir : string;
   index_path : string;
   max_bytes : int;
   inject : int -> fault option;
   mutable write_ops : int;
-  mutable rows : row list;  (** live snapshots, most recent first *)
+  mutable rows : row list;  (** live snapshots and records, most recent first *)
   mutable index_lines : int;  (** physical lines, for compaction *)
   counters : Metrics.store;
   log : string -> unit;
 }
 
 let counters st = st.counters
+let dir st = st.dir
 let snap_path st key = Filename.concat st.snaps_dir (key ^ ".snap")
+let record_path st key = Filename.concat st.records_dir (key ^ ".rec")
 let quarantine_path st key = Filename.concat st.quarantine_dir (key ^ ".snap")
+
+(* Index rows of report records carry this marker where a snapshot row
+   carries its configuration digest (32 hex digits), so the ancestor
+   scan never mistakes a record for a snapshot. *)
+let record_cfg = "record"
+
+let row_path st r =
+  if r.r_cfg = record_cfg then record_path st r.r_key else snap_path st r.r_key
+
 let live st = List.map (fun r -> (r.r_key, r.r_size)) st.rows
 
 (* ------------------------------------------------------------------ *)
@@ -83,7 +95,9 @@ let atomic_write st ~temp ~dest (data : string) : unit =
   if crash then raise Crashed;
   Sys.rename temp dest
 
-let append_index st (line : string) : unit =
+(* [sync:false] is for [touch] lines: losing one costs eviction order,
+   never an answer, so a hit does not pay for an fsync. *)
+let append_index ?(sync = true) st (line : string) : unit =
   let data, crash = mangle st (line ^ "\n") in
   if crash then raise Crashed;
   let fd =
@@ -95,14 +109,14 @@ let append_index st (line : string) : unit =
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       write_fd fd data;
-      Unix.fsync fd);
+      if sync then Unix.fsync fd);
   st.index_lines <- st.index_lines + 1
 
 (* Index bookkeeping must never fail an operation that already
    succeeded on the snapshot files themselves: a lost index line only
    costs recency/size accounting, which the next open rebuilds. *)
-let append_index_soft st line =
-  try append_index st line
+let append_index_soft ?sync st line =
+  try append_index ?sync st line
   with Crashed | Sys_error _ | Unix.Unix_error _ ->
     st.log "index append failed (snapshot state unaffected)"
 
@@ -170,24 +184,28 @@ let open_store ?(max_bytes = 256 * 1024 * 1024) ?(inject = fun _ -> None)
     ?(log = ignore) dir : t =
   mkdir_p dir;
   let snaps_dir = Filename.concat dir "snaps" in
+  let records_dir = Filename.concat dir "records" in
   let quarantine_dir = Filename.concat dir "quarantine" in
-  mkdir_p snaps_dir;
-  mkdir_p quarantine_dir;
+  List.iter mkdir_p [ snaps_dir; records_dir; quarantine_dir ];
   let index_path = Filename.concat dir "index.log" in
   let rows, lines =
     if Sys.file_exists index_path then parse_index (read_file index_path)
     else ([], 0)
   in
   (* a crash between fsync and rename leaves a durable temp: discard *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".tmp" then
-        try Sys.remove (Filename.concat snaps_dir f) with Sys_error _ -> ())
-    (try Sys.readdir snaps_dir with Sys_error _ -> [||]);
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".tmp" then
+            try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+        (try Sys.readdir d with Sys_error _ -> [||]))
+    [ snaps_dir; records_dir ];
   let st =
     {
       dir;
       snaps_dir;
+      records_dir;
       quarantine_dir;
       index_path;
       max_bytes;
@@ -206,54 +224,64 @@ let open_store ?(max_bytes = 256 * 1024 * 1024) ?(inject = fun _ -> None)
 (* Quarantine, eviction, put                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Corrupt snapshots are moved, never deleted: the bytes stay available
-   for a post-mortem, and the store stops consulting them. *)
-let quarantine st key ~why =
-  (try Sys.rename (snap_path st key) (quarantine_path st key)
+(* Corrupt snapshots and records are moved, never deleted: the bytes
+   stay available for a post-mortem, and the store stops consulting
+   them. *)
+let quarantine_file st key ~path ~what ~why =
+  (try
+     Sys.rename path
+       (Filename.concat st.quarantine_dir (Filename.basename path))
    with Sys_error _ -> ());
   append_index_soft st (Printf.sprintf "v1\tdel\t%s\tcorrupt" key);
   drop_row st key;
   st.counters.Metrics.corrupt_quarantined <-
     st.counters.Metrics.corrupt_quarantined + 1;
-  st.log (Printf.sprintf "quarantined snapshot %s: %s" key why)
+  st.log (Printf.sprintf "quarantined %s %s: %s" what key why)
+
+let quarantine st key ~why =
+  quarantine_file st key ~path:(snap_path st key) ~what:"snapshot" ~why
 
 let rec evict st =
   let total = List.fold_left (fun a r -> a + r.r_size) 0 st.rows in
   if total > st.max_bytes && List.length st.rows > 1 then begin
     match List.rev st.rows with
     | oldest :: _ ->
-        (try Sys.remove (snap_path st oldest.r_key) with Sys_error _ -> ());
+        (try Sys.remove (row_path st oldest) with Sys_error _ -> ());
         append_index_soft st
           (Printf.sprintf "v1\tdel\t%s\tevict" oldest.r_key);
         drop_row st oldest.r_key;
         st.counters.Metrics.evictions <- st.counters.Metrics.evictions + 1;
-        st.log (Printf.sprintf "evicted snapshot %s" oldest.r_key);
+        st.log
+          (Printf.sprintf "evicted %s" (Filename.basename (row_path st oldest)));
         evict st
     | [] -> ()
   end
 
-let put st ~key ~cfg_digest (bytes : string) : unit =
-  let dest = snap_path st key in
-  let temp = dest ^ ".tmp" in
-  match atomic_write st ~temp ~dest bytes with
+(* One file per key, snapshot or record: [true] once it is durable,
+   indexed and counted against the byte budget. *)
+let put_file st ~key ~cfg ~dest (bytes : string) : bool =
+  match atomic_write st ~temp:(dest ^ ".tmp") ~dest bytes with
   | () ->
-      st.counters.Metrics.snapshots_written <-
-        st.counters.Metrics.snapshots_written + 1;
       append_index_soft st
-        (Printf.sprintf "v1\tadd\t%s\t%s\t%d" key cfg_digest
-           (String.length bytes));
+        (Printf.sprintf "v1\tadd\t%s\t%s\t%d" key cfg (String.length bytes));
       drop_row st key;
       st.rows <-
-        { r_key = key; r_cfg = cfg_digest; r_size = String.length bytes }
-        :: st.rows;
-      evict st
+        { r_key = key; r_cfg = cfg; r_size = String.length bytes } :: st.rows;
+      evict st;
+      true
   | exception (Crashed | Sys_error _ | Unix.Unix_error _) ->
       (* not stored; the answer this run computed is unaffected *)
       st.counters.Metrics.write_failures <-
         st.counters.Metrics.write_failures + 1;
-      st.log (Printf.sprintf "snapshot write failed for %s" key)
+      st.log (Printf.sprintf "write failed for %s" (Filename.basename dest));
+      false
 
-let touch st key = append_index_soft st ("v1\ttouch\t" ^ key)
+let put st ~key ~cfg_digest (bytes : string) : unit =
+  if put_file st ~key ~cfg:cfg_digest ~dest:(snap_path st key) bytes then
+    st.counters.Metrics.snapshots_written <-
+      st.counters.Metrics.snapshots_written + 1
+
+let touch st key = append_index_soft ~sync:false st ("v1\ttouch\t" ^ key)
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
@@ -423,6 +451,126 @@ let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
                 sv_result = Some r;
                 sv_origin = `Hit;
               }))
+
+(* ------------------------------------------------------------------ *)
+(* Report records (direct mode)                                        *)
+(* ------------------------------------------------------------------ *)
+
+let record_version = "structcast-report v1"
+
+(* Everything a request has before its frontend runs. The included
+   files are not in the key — the record lists them, and a hit
+   re-checks each one — so an edited header is a plain miss whose
+   answer then overwrites the record. *)
+let record_key (cfg : Codec.config) ~name ~source =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [
+            record_version;
+            Codec.config_line cfg;
+            Codec.enc_str name;
+            Digest.to_hex (Digest.string source);
+          ]))
+
+type record = {
+  rc_key : string;
+  rc_includes : (string * string option) list;
+  rc_diag_errors : bool;
+  rc_report : string;
+}
+
+let encode_record r =
+  let b = Buffer.create (String.length r.rc_report + 256) in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  line record_version;
+  line ("key " ^ r.rc_key);
+  List.iter
+    (fun (rel, d) ->
+      line
+        (Printf.sprintf "inc %s %s" (Codec.enc_str rel)
+           (Option.value d ~default:"absent")))
+    r.rc_includes;
+  line (if r.rc_diag_errors then "diag_errors 1" else "diag_errors 0");
+  line "report";
+  line r.rc_report;
+  Codec.seal (Buffer.contents b)
+
+let decode_record bytes : (record, string) result =
+  let include_of line =
+    match String.split_on_char ' ' line with
+    | [ "inc"; rel; d ] ->
+        Option.map
+          (fun rel -> (rel, if d = "absent" then None else Some d))
+          (Codec.dec_str_opt rel)
+    | _ -> None
+  in
+  Result.bind (Codec.unseal bytes) (fun payload ->
+      (* the report is one line, like a snapshot's *)
+      match List.rev (String.split_on_char '\n' payload) with
+      | "" :: report :: "report" :: diag :: rest -> (
+          match List.rev rest with
+          | version :: key_line :: inc_lines -> (
+              let includes = List.filter_map include_of inc_lines in
+              match (String.split_on_char ' ' key_line, diag) with
+              | _ when version <> record_version ->
+                  Error "unsupported format version"
+              | [ "key"; key ], ("diag_errors 0" | "diag_errors 1")
+                when List.length includes = List.length inc_lines ->
+                  Ok
+                    {
+                      rc_key = key;
+                      rc_includes = includes;
+                      rc_diag_errors = diag = "diag_errors 1";
+                      rc_report = report;
+                    }
+              | _ -> Error "malformed record header")
+          | _ -> Error "truncated record header")
+      | _ -> Error "malformed record")
+
+let put_record st ~key ~includes ~diag_errors report =
+  ignore
+    (put_file st ~key ~cfg:record_cfg ~dest:(record_path st key)
+       (encode_record
+          {
+            rc_key = key;
+            rc_includes = includes;
+            rc_diag_errors = diag_errors;
+            rc_report = report;
+          }))
+
+let find_record st ~key ~include_digest : (string * bool) option =
+  let path = record_path st key in
+  let quarantine why =
+    quarantine_file st key ~path ~what:"report record" ~why;
+    None
+  in
+  if not (Sys.file_exists path) then None
+  else
+    match read_file path with
+    | exception Sys_error why ->
+        st.log (Printf.sprintf "unreadable record %s: %s" key why);
+        None
+    | bytes -> (
+        match decode_record bytes with
+        | Error why -> quarantine why
+        | Ok r when r.rc_key <> key ->
+            quarantine "key does not match its content"
+        | Ok r ->
+            let unchanged (rel, d) =
+              match include_digest rel with
+              | now -> now = d
+              | exception Sys_error _ -> false
+            in
+            if List.for_all unchanged r.rc_includes then begin
+              st.counters.Metrics.hits <- st.counters.Metrics.hits + 1;
+              touch st key;
+              Some (r.rc_report, r.rc_diag_errors)
+            end
+            else None)
 
 (* Splice the counter block into a report object so a fault is visible
    in the run that saw it, without ever entering the report proper. *)

@@ -4,25 +4,40 @@
     (normalized program × strategy × engine × layout × arithmetic mode
     × budget × diagnostics): an exact repeat of an analysis is served
     in O(1) with zero solver visits, and a near-repeat warm-starts from
-    the nearest cached additive ancestor. The cache is an accelerator
-    only — the governing invariant is that {b a corrupt or adversarial
-    store can cost time but never change a report}: every snapshot is
-    verified (checksum, format version, range checks, graph audit)
-    before anything is trusted, and any failure degrades to a scratch
-    solve of the request program.
+    the nearest cached additive ancestor. Beside each clean answer sits
+    a {e report record} keyed on what a request has before its frontend
+    runs — configuration, report name and the MD5 of the raw source
+    bytes ({!record_key}) — so an exact repeat of the source skips the
+    frontend, {!Codec.key} and the snapshot decode altogether
+    ("direct mode"). The cache is an accelerator only — the governing
+    invariant is that {b a corrupt or adversarial store can cost time
+    but never change a report}: every snapshot and record is verified
+    (checksum, format version, key; for snapshots also range checks and
+    a graph audit) before anything is trusted, and any failure degrades
+    to a scratch solve of the request program.
 
-    {b Layout.} [DIR/index.log] — append-only, fsync'd recency/size
-    log whose torn tail (a write that died mid-line) is dropped on
-    load; [DIR/snaps/<key>.snap] — one snapshot per key, written
-    temp + fsync + rename so a crash never leaves a half-visible file;
-    [DIR/quarantine/] — snapshots that failed verification, moved
-    (never deleted) for post-mortem. Stray [.tmp] files — a crash
-    between fsync and rename — are removed at open.
+    {b Layout.} [DIR/index.log] — append-only recency/size log whose
+    torn tail (a write that died mid-line) is dropped on load;
+    [DIR/snaps/<key>.snap] — one snapshot per normalized-program key;
+    [DIR/records/<key>.rec] — one report record per source key: the
+    key, each [#include] the preprocessor resolved as its path plus the
+    MD5 of its text (or "absent"), the front-end error bit and the
+    rendered stats-free report, under the same [sum <md5>] trailer as a
+    snapshot. A record hit re-resolves every listed include and
+    compares digests; any difference is a plain miss, and the compiled
+    path's answer overwrites the record. [DIR/quarantine/] — snapshots
+    and records that failed verification, moved (never deleted) for
+    post-mortem.
 
-    {b Eviction.} Least-recently-used by total snapshot bytes against
-    [max_bytes]; recency is index-log line order (an exact hit appends
-    a [touch] line). The log compacts at open once dead lines
-    accumulate.
+    {b Durability.} Snapshots and records are written temp + fsync +
+    rename so a crash never leaves a half-visible file; stray [.tmp]
+    files — a crash between fsync and rename — are removed at open.
+    [add] and [del] index lines are fsync'd; the [touch] line every hit
+    appends is not: losing one costs eviction order, never an answer.
+
+    {b Eviction.} Least-recently-used by total snapshot and record
+    bytes against [max_bytes]; recency is index-log line order. The
+    log compacts at open once dead lines accumulate.
 
     {b Faults.} Every physical write draws an ordinal from the
     injection hook, letting tests deterministically tear a write, flip
@@ -108,17 +123,53 @@ val serve :
 val counters : t -> Metrics.store
 (** This handle's counters (hits, misses, ancestor warm starts,
     quarantines, evictions, write failures), accumulated across
-    {!serve} calls. *)
+    {!serve} and {!find_record} calls. *)
 
 val with_counters : t -> string -> string
 (** Splice [,"store":{...}] into a report JSON object, after all report
     fields: the counter block is observability, not part of the
     report's determinism contract. *)
 
+val dir : t -> string
+(** The store directory this handle was opened on. *)
+
+(** {2 Report records (direct mode)} *)
+
+val record_key : Codec.config -> name:string -> source:string -> string
+(** The record key: digest of the record-format version, the
+    {!Codec.config_line}, the report name and the MD5 of the raw source
+    bytes — everything a request has before its frontend runs. *)
+
+val find_record :
+  t ->
+  key:string ->
+  include_digest:(string -> string option) ->
+  (string * bool) option
+(** [Some (report, diag_errors)] when the record at [key] verifies and
+    every [#include] it lists still has its recorded digest
+    ([include_digest path], [None] for a file that was and is absent):
+    the stored stats-free report and the front-end error bit. Counts a
+    hit and appends a [touch]. A changed include is a plain [None]; a
+    record that fails its checksum, version or key check is quarantined
+    first. *)
+
+val put_record :
+  t ->
+  key:string ->
+  includes:(string * string option) list ->
+  diag_errors:bool ->
+  string ->
+  unit
+(** Store the stats-free report of a clean answer under [key], with
+    each include the preprocessor resolved as (path, digest of its
+    text, or [None] when it was absent). Write failures are contained
+    and counted like a snapshot's. *)
+
 (** {2 Test access} *)
 
 val snap_path : t -> string -> string
+val record_path : t -> string -> string
 val quarantine_path : t -> string -> string
 
 val live : t -> (string * int) list
-(** Live (key, size) rows, most recent first. *)
+(** Live (key, size) rows — snapshots and records — most recent first. *)

@@ -22,14 +22,14 @@ let run_capture args : int * string =
   in
   (code, Buffer.contents buf)
 
-let check_contains name out needle =
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
+  go 0
+
+let check_contains name out needle =
   if not (contains out needle) then
     Alcotest.failf "%s: output lacks %S:\n%s" name needle out
 
@@ -165,6 +165,90 @@ let test_json_format_keeps_exit_code () =
       check_contains "json" out "\"degraded\"")
 
 (* ------------------------------------------------------------------ *)
+(* --store: the exit code and the stats-free bytes on a miss and a hit *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [cmd] (a shell command line) with stdout and stderr captured
+   apart. *)
+let run_split cmd : int * string * string =
+  let out = Filename.temp_file "structcast-cli" ".out" in
+  let err = Filename.temp_file "structcast-cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s > %s 2> %s" cmd (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let o = read out and e = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+(* Drop the ,"store":{...} counter block: observability, outside the
+   determinism contract. *)
+let strip_store json =
+  let marker = ",\"store\":{" in
+  let m = String.length marker in
+  let rec find i =
+    if i + m > String.length json then None
+    else if String.sub json i m = marker then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> json
+  | Some i ->
+      let close = String.index_from json (i + m) '}' in
+      String.sub json 0 i
+      ^ String.sub json (close + 1) (String.length json - close - 1)
+
+let fresh_store () =
+  let d = Filename.temp_file "structcast-cli" ".store" in
+  Sys.remove d;
+  d
+
+let test_store_analyze_miss_then_hit () =
+  with_temp_source diag_src (fun path ->
+      let store = fresh_store () in
+      let cmd =
+        Filename.quote_command exe
+          [ "analyze"; path; "--store"; store; "--format"; "json" ]
+      in
+      let code1, out1, _ = run_split cmd in
+      let code2, out2, _ = run_split cmd in
+      Alcotest.(check int) "miss: diagnostics exit" 1 code1;
+      Alcotest.(check int) "hit: same exit code" code1 code2;
+      check_contains "hit" out2 "\"hits\":1";
+      Alcotest.(check string) "same stats-free bytes" (strip_store out1)
+        (strip_store out2))
+
+let test_store_serve_miss_then_hit () =
+  with_temp_source diag_src (fun path ->
+      let store = fresh_store () in
+      (* one request per serve process: its exit code is that job's
+         degraded / diag_errors wire flags (2 / 1 / 0) *)
+      let cmd =
+        Printf.sprintf "echo %s | %s" (Filename.quote path)
+          (Filename.quote_command exe
+             [ "serve"; "--store"; store; "--workers"; "1"; "--backoff-ms"; "1" ])
+      in
+      let code1, out1, _ = run_split cmd in
+      let code2, out2, _ = run_split cmd in
+      Alcotest.(check int) "miss: diag_errors set, not degraded" 1 code1;
+      Alcotest.(check int) "hit: the same flags" code1 code2;
+      check_contains "hit" out2 "\"hits\":1";
+      Alcotest.(check string) "same stats-free bytes" (strip_store out1)
+        (strip_store out2))
+
+let test_store_faults_help () =
+  let code, out, err =
+    run_split (Filename.quote_command exe [ "analyze"; "--help=plain" ])
+  in
+  Alcotest.(check int) "help exits 0" 0 code;
+  Alcotest.(check bool) "no cmdliner error on stderr" false
+    (contains err "cmdliner error");
+  check_contains "help" out "shortwrite@2"
+
+(* ------------------------------------------------------------------ *)
 (* batch / serve                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,6 +311,11 @@ let suite =
       Helpers.tc "batch smoke" test_batch_smoke;
       Helpers.tc "batch crash fault exits 3" test_batch_crash_fault_exits_3;
       Helpers.tc "serve smoke" test_serve_smoke;
+      Helpers.tc "--store analyze: miss and hit agree"
+        test_store_analyze_miss_then_hit;
+      Helpers.tc "--store serve: miss and hit agree"
+        test_store_serve_miss_then_hit;
+      Helpers.tc "--store-faults help renders" test_store_faults_help;
     ]
   else
     [ Alcotest.test_case "cli binary not built; skipped" `Quick (fun () -> ()) ]

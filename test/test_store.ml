@@ -133,6 +133,43 @@ let rewrite path f =
   output_string oc (f bytes);
   close_out oc
 
+(* Requests the way [analyze --store --format json] and a [--store]
+   serve job make them: from a file, through {!Server.Answer.run}. *)
+let write_source dir file src =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = Filename.concat dir file in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  path
+
+let answer ?inject ~dir path =
+  let st = Store.open_store ?inject (Filename.concat dir "store") in
+  let a =
+    Server.Answer.run st ~layout ~layout_id ~strategy_id:sid ~engine:`Delta
+      ~budget (Server.Source.load path)
+  in
+  (st, a)
+
+(* The scratch oracle for a file request: its own report name, its own
+   includes, its own diagnostics. *)
+let scratch_file path =
+  let src = Server.Source.load path in
+  let name = src.Server.Source.name in
+  let diags = Diag.create () in
+  let r =
+    Core.Analysis.run_source ~layout ~budget ~engine:`Delta ~diags
+      ~resolve:(Server.Source.resolve src) ~strategy:(strategy sid) ~file:name
+      src.Server.Source.text
+  in
+  Core.Report.json_of_result ~timing:false ~solver_stats:false ~name r
+
+let check_direct label expected (a : Server.Answer.t) =
+  Alcotest.(check bool) label expected a.Server.Answer.direct
+
+let record_key_of path =
+  let src = Server.Source.load path in
+  Store.record_key (cfg `Delta) ~name:src.Server.Source.name
+    ~source:src.Server.Source.text
+
 (* ------------------------------------------------------------------ *)
 (* Determinism of the codec                                            *)
 (* ------------------------------------------------------------------ *)
@@ -344,6 +381,150 @@ let test_version_skew_quarantined () =
   check_json "answer unaffected" src_a s2
 
 (* ------------------------------------------------------------------ *)
+(* Report records (direct mode)                                        *)
+(* ------------------------------------------------------------------ *)
+
+let src_inc =
+  {|
+    #include "node.h"
+    struct node g1, g2;
+    struct node *head;
+    void main(void) { head = &g1; g1.next = &g2; }
+  |}
+
+(** An exact repeat of the source bytes is answered from the report
+    record, byte-identical to scratch, counted as one hit. *)
+let test_direct_hit () =
+  let dir = fresh_dir () in
+  let path = write_source dir "a.c" src_a in
+  let _, a1 = answer ~dir path in
+  check_direct "first request compiles" false a1;
+  let st2, a2 = answer ~dir path in
+  check_direct "repeat is a direct hit" true a2;
+  Alcotest.(check int) "hit counted" 1 (Store.counters st2).Core.Metrics.hits;
+  Alcotest.(check int) "no miss" 0 (Store.counters st2).Core.Metrics.misses;
+  Alcotest.(check string) "direct hit == scratch" (scratch_file path)
+    a2.Server.Answer.report;
+  Alcotest.(check string) "counter block spliced"
+    (Store.with_counters st2 a2.Server.Answer.report)
+    a2.Server.Answer.json
+
+(** The key holds the main source only; each include is re-checked
+    against its recorded digest. Editing a header or deleting it is a
+    miss that answers the program as it now reads. *)
+let test_direct_include_changes () =
+  let dir = fresh_dir () in
+  let header = {|struct node { struct node *next; int v; };|} in
+  ignore (write_source dir "node.h" header);
+  let path = write_source dir "m.c" src_inc in
+  let _, _ = answer ~dir path in
+  let _, a = answer ~dir path in
+  check_direct "unchanged header: direct hit" true a;
+  Alcotest.(check string) "== scratch" (scratch_file path) a.Server.Answer.report;
+  ignore
+    (write_source dir "node.h"
+       {|struct node { int v; struct node *next; int *w; };|});
+  let _, a = answer ~dir path in
+  check_direct "edited header: miss" false a;
+  Alcotest.(check string) "edited header: the new program" (scratch_file path)
+    a.Server.Answer.report;
+  let _, a = answer ~dir path in
+  check_direct "then a direct hit again" true a;
+  Alcotest.(check string) "still == scratch" (scratch_file path)
+    a.Server.Answer.report;
+  Sys.remove (Filename.concat dir "node.h");
+  let fatal f =
+    match f () with
+    | _ -> None
+    | exception Diag.Error p -> Some (Fmt.str "%a" Diag.pp_payload p)
+  in
+  let expected = fatal (fun () -> scratch_file path) in
+  Alcotest.(check bool) "scratch fails without the header" true
+    (expected <> None);
+  Alcotest.(check (option string)) "deleted header: the same front-end error"
+    expected
+    (fatal (fun () -> answer ~dir path))
+
+(** A record lists an include that was absent when it was written; the
+    file appearing later is a miss. (The preprocessor fails on an
+    unresolvable include, so only a record written by hand lists one.) *)
+let test_direct_absent_include () =
+  let dir = fresh_dir () in
+  let st = Store.open_store dir in
+  let path = write_source dir "a.c" src_a in
+  let src = Server.Source.load path in
+  let key = record_key_of path in
+  Store.put_record st ~key ~includes:[ ("extra.h", None) ] ~diag_errors:false
+    "{}";
+  let find () =
+    Store.find_record st ~key
+      ~include_digest:(Server.Source.include_digest src)
+  in
+  Alcotest.(check (option (pair string bool))) "still absent: hit"
+    (Some ("{}", false)) (find ());
+  ignore (write_source dir "extra.h" "int x;");
+  Alcotest.(check (option (pair string bool))) "now present: miss" None
+    (find ())
+
+(** The same bytes under another file name answer another report name:
+    no record is shared. *)
+let test_direct_other_name () =
+  let dir = fresh_dir () in
+  let a_path = write_source dir "a.c" src_a in
+  let b_path = write_source dir "b.c" src_a in
+  let _, _ = answer ~dir a_path in
+  let _, b = answer ~dir b_path in
+  check_direct "another name: miss" false b;
+  Alcotest.(check string) "== scratch of b.c" (scratch_file b_path)
+    b.Server.Answer.report
+
+(** A whitespace-only edit changes the source bytes but not the
+    normalized program: a direct miss served by the snapshot, whose
+    answer then writes the edited file's record. *)
+let test_direct_whitespace_edit () =
+  let dir = fresh_dir () in
+  let path = write_source dir "a.c" src_a in
+  let _, _ = answer ~dir path in
+  ignore (write_source dir "a.c" ("\n\n" ^ src_a ^ "\n"));
+  let st, a = answer ~dir path in
+  check_direct "whitespace edit: direct miss" false a;
+  Alcotest.(check int) "snapshot hit" 1 (Store.counters st).Core.Metrics.hits;
+  Alcotest.(check string) "== scratch" (scratch_file path) a.Server.Answer.report;
+  let _, a = answer ~dir path in
+  check_direct "next repeat: direct hit" true a;
+  Alcotest.(check string) "still == scratch" (scratch_file path)
+    a.Server.Answer.report
+
+(** A record that took a bit flip (its write is the third of a cold
+    request: snapshot, index line, record) or was truncated is
+    quarantined, and the answer comes from the snapshot unchanged. *)
+let test_direct_corrupt_record () =
+  let check_quarantined label ~dir path =
+    let st, a = answer ~dir path in
+    check_direct (label ^ ": not served") false a;
+    Alcotest.(check int) (label ^ ": quarantine counted") 1
+      (Store.counters st).Core.Metrics.corrupt_quarantined;
+    Alcotest.(check bool) (label ^ ": bytes kept for post-mortem") true
+      (Sys.file_exists
+         (Filename.concat
+            (Filename.concat (Filename.concat dir "store") "quarantine")
+            (record_key_of path ^ ".rec")));
+    Alcotest.(check string) (label ^ ": answer unaffected")
+      (scratch_file path) a.Server.Answer.report
+  in
+  let dir = fresh_dir () in
+  let path = write_source dir "a.c" src_a in
+  let _, _ = answer ~inject:(fun n -> if n = 3 then Some Store.Bit_flip else None) ~dir path in
+  check_quarantined "bit flip" ~dir path;
+  let dir = fresh_dir () in
+  let path = write_source dir "a.c" src_a in
+  let st, _ = answer ~dir path in
+  rewrite
+    (Store.record_path st (record_key_of path))
+    (fun bytes -> String.sub bytes 0 (String.length bytes / 2));
+  check_quarantined "truncation" ~dir path
+
+(* ------------------------------------------------------------------ *)
 (* Write faults                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,22 +576,26 @@ let test_short_write_caught_later () =
     (Store.counters st2).Core.Metrics.corrupt_quarantined;
   check_json "answer unaffected" src_a s2
 
-(** The acceptance sweep: every fault kind, injected at each of the
-    first three write ordinals (snapshot write, index append, …), over
-    a three-request sequence — the report JSON must equal the scratch
-    rendering every single time. *)
+(** The acceptance sweep: every fault kind, injected at each write
+    ordinal of a cold request made the way the CLI and the serve worker
+    make it (snapshot, its index line, report record, its index line),
+    over a three-request sequence — each request reopens the store, so
+    the same ordinal also strikes the later requests' touch,
+    quarantine and rewrite lines. The report JSON must equal the
+    scratch rendering every single time. *)
 let test_differential_under_faults () =
   let oracle = scratch_json src_a in
   List.iter
     (fun (kname, kind) ->
-      for ordinal = 1 to 3 do
+      for ordinal = 1 to 4 do
         let dir = fresh_dir () in
+        let path = write_source dir "t" src_a in
         let inject n = if n = ordinal then Some kind else None in
         for req = 1 to 3 do
-          let _, s = serve ~inject ~dir src_a in
+          let _, a = answer ~inject ~dir path in
           Alcotest.(check string)
             (Printf.sprintf "%s@%d request %d" kname ordinal req)
-            oracle s.Store.sv_json
+            oracle a.Server.Answer.report
         done
       done)
     [
@@ -491,6 +676,12 @@ let suite =
     tc "enospc contained" test_enospc_contained;
     tc "short write caught at next load" test_short_write_caught_later;
     tc "differential under all fault plans" test_differential_under_faults;
+    tc "direct hit == scratch" test_direct_hit;
+    tc "direct: include edit or deletion misses" test_direct_include_changes;
+    tc "direct: absent include appearing misses" test_direct_absent_include;
+    tc "direct: same bytes, other name misses" test_direct_other_name;
+    tc "direct: whitespace edit hits the snapshot" test_direct_whitespace_edit;
+    tc "direct: corrupt record quarantined" test_direct_corrupt_record;
     tc "index torn-tail recovery" test_index_torn_tail_recovery;
     tc "lru eviction" test_lru_eviction;
     tc "fault-plan parsing" test_fault_plan_parsing;
