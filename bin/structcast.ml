@@ -309,33 +309,18 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       in
       print_string a.Server.Answer.json;
       print_newline ();
-      if a.Server.Answer.degraded then 2
+      report_degradation a.Server.Answer.degraded;
+      if a.Server.Answer.degraded <> [] then 2
       else if a.Server.Answer.diag_errors then 1
       else 0
   | "text" ->
       let diags = Diag.create () in
       let name, prog = compile_spec ~layout ~diags spec in
-      (* --engine summary composes the two caches: the snapshot store
-         still short-circuits exact repeats and additive edits; a
-         genuinely cold solve consults the per-function summary cache
-         under DIR/summaries *)
-      let sumcache =
-        if engine = `Summary then
-          Some
-            (Summary.Sumcache.open_cache
-               ~log:(fun m -> Fmt.epr "summary: %s@." m)
-               (Filename.concat dir "summaries"))
-        else None
-      in
+      let sumcache = Server.Answer.open_sumcache st engine in
       let served =
-        match sumcache with
-        | Some cache ->
-            Summary.Engine.serve ~store:st ~cache ~want:`Solver
-              ~diags:(Diag.diagnostics diags) ~name ~strategy_id:strategy
-              ~layout ~layout_id ~budget prog
-        | None ->
-            Store.serve st ~want:`Solver ~diags:(Diag.diagnostics diags) ~name
-              ~strategy_id:strategy ~engine ~layout ~layout_id ~budget prog
+        Server.Answer.serve st ~sumcache ~want:`Solver
+          ~diags:(Diag.diagnostics diags) ~name ~strategy_id:strategy ~engine
+          ~layout ~layout_id ~budget prog
       in
       let r =
         match served.Store.sv_result with

@@ -6,10 +6,27 @@ open Cfront
 type t = {
   report : string;
   json : string;
-  degraded : bool;
+  degraded : Core.Budget.event list;
   diag_errors : bool;
-  direct : bool;
 }
+
+let open_sumcache st engine =
+  if engine = `Summary then
+    Some
+      (Summary.Sumcache.open_cache
+         ~log:(fun m -> prerr_endline ("summary: " ^ m))
+         (Filename.concat (Store.dir st) "summaries"))
+  else None
+
+let serve st ~sumcache ~want ~diags ~name ~strategy_id ~engine ~layout
+    ~layout_id ~budget prog =
+  match sumcache with
+  | Some cache ->
+      Summary.Engine.serve ~store:st ~cache ~want ~diags ~name ~strategy_id
+        ~layout ~layout_id ~budget prog
+  | None ->
+      Store.serve st ~want ~diags ~name ~strategy_id ~engine ~layout
+        ~layout_id ~budget prog
 
 let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
     t =
@@ -19,53 +36,40 @@ let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
       { Store.Codec.strategy_id; engine; layout_id; arith = `Spread; budget }
       ~name ~source:src.Source.text
   in
-  (* the summary engine layers the per-function cache under the
-     snapshot store; its counter block rides along even on a hit *)
-  let sumcache =
-    lazy
-      (Summary.Sumcache.open_cache
-         ~log:(fun m -> prerr_endline ("summary: " ^ m))
-         (Filename.concat (Store.dir st) "summaries"))
-  in
-  let answer report ~degraded ~diag_errors ~direct =
+  (* the summary cache's counter block rides along even on a hit *)
+  let sumcache = open_sumcache st engine in
+  let answer report ~degraded ~diag_errors =
     let json = Store.with_counters st report in
     let json =
-      if engine = `Summary then
-        Summary.Engine.with_counters (Lazy.force sumcache) json
-      else json
+      match sumcache with
+      | Some c -> Summary.Engine.with_counters c json
+      | None -> json
     in
-    { report; json; degraded; diag_errors; direct }
+    { report; json; degraded; diag_errors }
   in
   match
     Store.find_record st ~key ~include_digest:(Source.include_digest src)
   with
-  | Some (report, diag_errors) ->
-      answer report ~degraded:false ~diag_errors ~direct:true
+  | Some (report, diag_errors) -> answer report ~degraded:[] ~diag_errors
   | None ->
       let diags = Diag.create () in
       let prog =
         Norm.Lower.compile ~layout ~resolve:(Source.resolve src) ~diags
           ~file:name src.Source.text
       in
-      let dlist = Diag.diagnostics diags in
       let served =
-        if engine = `Summary then
-          Summary.Engine.serve ~store:st ~cache:(Lazy.force sumcache)
-            ~want:`Json ~diags:dlist ~name ~strategy_id ~layout ~layout_id
-            ~budget prog
-        else
-          Store.serve st ~want:`Json ~diags:dlist ~name ~strategy_id ~engine
-            ~layout ~layout_id ~budget prog
+        serve st ~sumcache ~want:`Json ~diags:(Diag.diagnostics diags) ~name
+          ~strategy_id ~engine ~layout ~layout_id ~budget prog
       in
       (* an exact snapshot hit carries no solver, but only clean runs
          are ever stored *)
       let degraded =
         match served.Store.sv_result with
-        | Some r -> r.Core.Analysis.degraded <> []
-        | None -> false
+        | Some r -> r.Core.Analysis.degraded
+        | None -> []
       in
       let diag_errors = Diag.has_errors diags in
-      if not degraded then
+      if degraded = [] then
         Store.put_record st ~key ~includes:(Source.includes src) ~diag_errors
           served.Store.sv_json;
-      answer served.Store.sv_json ~degraded ~diag_errors ~direct:false
+      answer served.Store.sv_json ~degraded ~diag_errors

@@ -17,10 +17,33 @@ type t = {
   json : string;
       (** [report] with the ["store"] counter block spliced in, and the
           ["summary_cache"] block under the summary engine *)
-  degraded : bool;  (** the solve gave up precision under its budget *)
+  degraded : Core.Budget.event list;
+      (** where the solve gave up precision under its budget; always
+          empty on a hit, since only clean answers are stored *)
   diag_errors : bool;  (** the front end reported errors *)
-  direct : bool;  (** answered from a report record *)
 }
+
+val open_sumcache : Store.t -> Core.Solver.engine -> Summary.Sumcache.t option
+(** The summary engine's per-function cache under [DIR/summaries];
+    [None] for every other engine. *)
+
+val serve :
+  Store.t ->
+  sumcache:Summary.Sumcache.t option ->
+  want:[ `Json | `Solver ] ->
+  diags:Cfront.Diag.payload list ->
+  name:string ->
+  strategy_id:string ->
+  engine:Core.Solver.engine ->
+  layout:Cfront.Layout.config ->
+  layout_id:string ->
+  budget:Core.Budget.limits ->
+  Norm.Nast.program ->
+  Store.served
+(** The compiled path: {!Summary.Engine.serve} when [sumcache] is
+    given (the snapshot store still answers exact repeats and additive
+    edits; a cold solve consults the per-function cache), {!Store.serve}
+    otherwise. [--format text] calls it directly with [`Solver]. *)
 
 val run :
   Store.t ->

@@ -29,7 +29,7 @@ let run_store ~store_dir ~layout ~layout_id ~strategy_id ~budget ~engine src
   let a =
     Answer.run store ~layout ~layout_id ~strategy_id ~engine ~budget src
   in
-  (a.Answer.json, a.Answer.degraded, a.Answer.diag_errors)
+  (a.Answer.json, a.Answer.degraded <> [], a.Answer.diag_errors)
 
 let run_job (job : Job.t) ~attempt ~rung :
     (string * bool * bool, string) result =

@@ -221,6 +221,27 @@ let test_store_analyze_miss_then_hit () =
       Alcotest.(check string) "same stats-free bytes" (strip_store out1)
         (strip_store out2))
 
+(* A degraded answer is never stored: the repeat solves again, exits 2
+   again and prints the same budget line on stderr. *)
+let test_store_analyze_degraded () =
+  with_temp_source heavy_src (fun path ->
+      let store = fresh_store () in
+      let cmd =
+        Filename.quote_command exe
+          [
+            "analyze"; path; "--store"; store; "--format"; "json"; "-s";
+            "offsets"; "--max-cells-per-object"; "2";
+          ]
+      in
+      let code1, out1, err1 = run_split cmd in
+      let code2, out2, err2 = run_split cmd in
+      Alcotest.(check int) "degraded exits 2" 2 code1;
+      Alcotest.(check int) "repeat exits 2" 2 code2;
+      check_contains "stderr" err1 "budget: precision degraded";
+      check_contains "repeat stderr" err2 "budget: precision degraded";
+      Alcotest.(check string) "same stats-free bytes" (strip_store out1)
+        (strip_store out2))
+
 let test_store_serve_miss_then_hit () =
   with_temp_source diag_src (fun path ->
       let store = fresh_store () in
@@ -313,6 +334,8 @@ let suite =
       Helpers.tc "serve smoke" test_serve_smoke;
       Helpers.tc "--store analyze: miss and hit agree"
         test_store_analyze_miss_then_hit;
+      Helpers.tc "--store analyze: degraded is reported, never stored"
+        test_store_analyze_degraded;
       Helpers.tc "--store serve: miss and hit agree"
         test_store_serve_miss_then_hit;
       Helpers.tc "--store-faults help renders" test_store_faults_help;

@@ -141,12 +141,33 @@ let write_source dir file src =
   Out_channel.with_open_bin path (fun oc -> output_string oc src);
   path
 
-let answer ?inject ~dir path =
+let record_key_of path =
+  let src = Server.Source.load path in
+  Store.record_key (cfg `Delta) ~name:src.Server.Source.name
+    ~source:src.Server.Source.text
+
+(* [~direct:(label, expected)] also checks whether the report record
+   answered: a direct hit leaves the record file as it found it, while
+   an answer from the compiled path rewrites it (temp + rename, so a
+   new inode). *)
+let answer ?direct ?inject ~dir path =
   let st = Store.open_store ?inject (Filename.concat dir "store") in
+  let record = Store.record_path st (record_key_of path) in
+  let inode () =
+    match Unix.stat record with
+    | s -> Some s.Unix.st_ino
+    | exception Unix.Unix_error _ -> None
+  in
+  let before = inode () in
   let a =
     Server.Answer.run st ~layout ~layout_id ~strategy_id:sid ~engine:`Delta
       ~budget (Server.Source.load path)
   in
+  Option.iter
+    (fun (label, expected) ->
+      Alcotest.(check bool) label expected
+        (before <> None && inode () = before))
+    direct;
   (st, a)
 
 (* The scratch oracle for a file request: its own report name, its own
@@ -161,14 +182,6 @@ let scratch_file path =
       src.Server.Source.text
   in
   Core.Report.json_of_result ~timing:false ~solver_stats:false ~name r
-
-let check_direct label expected (a : Server.Answer.t) =
-  Alcotest.(check bool) label expected a.Server.Answer.direct
-
-let record_key_of path =
-  let src = Server.Source.load path in
-  Store.record_key (cfg `Delta) ~name:src.Server.Source.name
-    ~source:src.Server.Source.text
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the codec                                            *)
@@ -397,10 +410,8 @@ let src_inc =
 let test_direct_hit () =
   let dir = fresh_dir () in
   let path = write_source dir "a.c" src_a in
-  let _, a1 = answer ~dir path in
-  check_direct "first request compiles" false a1;
-  let st2, a2 = answer ~dir path in
-  check_direct "repeat is a direct hit" true a2;
+  let _, _ = answer ~direct:("first request compiles", false) ~dir path in
+  let st2, a2 = answer ~direct:("repeat is a direct hit", true) ~dir path in
   Alcotest.(check int) "hit counted" 1 (Store.counters st2).Core.Metrics.hits;
   Alcotest.(check int) "no miss" 0 (Store.counters st2).Core.Metrics.misses;
   Alcotest.(check string) "direct hit == scratch" (scratch_file path)
@@ -418,18 +429,15 @@ let test_direct_include_changes () =
   ignore (write_source dir "node.h" header);
   let path = write_source dir "m.c" src_inc in
   let _, _ = answer ~dir path in
-  let _, a = answer ~dir path in
-  check_direct "unchanged header: direct hit" true a;
+  let _, a = answer ~direct:("unchanged header: direct hit", true) ~dir path in
   Alcotest.(check string) "== scratch" (scratch_file path) a.Server.Answer.report;
   ignore
     (write_source dir "node.h"
        {|struct node { int v; struct node *next; int *w; };|});
-  let _, a = answer ~dir path in
-  check_direct "edited header: miss" false a;
+  let _, a = answer ~direct:("edited header: miss", false) ~dir path in
   Alcotest.(check string) "edited header: the new program" (scratch_file path)
     a.Server.Answer.report;
-  let _, a = answer ~dir path in
-  check_direct "then a direct hit again" true a;
+  let _, a = answer ~direct:("then a direct hit again", true) ~dir path in
   Alcotest.(check string) "still == scratch" (scratch_file path)
     a.Server.Answer.report;
   Sys.remove (Filename.concat dir "node.h");
@@ -473,8 +481,7 @@ let test_direct_other_name () =
   let a_path = write_source dir "a.c" src_a in
   let b_path = write_source dir "b.c" src_a in
   let _, _ = answer ~dir a_path in
-  let _, b = answer ~dir b_path in
-  check_direct "another name: miss" false b;
+  let _, b = answer ~direct:("another name: miss", false) ~dir b_path in
   Alcotest.(check string) "== scratch of b.c" (scratch_file b_path)
     b.Server.Answer.report
 
@@ -486,12 +493,12 @@ let test_direct_whitespace_edit () =
   let path = write_source dir "a.c" src_a in
   let _, _ = answer ~dir path in
   ignore (write_source dir "a.c" ("\n\n" ^ src_a ^ "\n"));
-  let st, a = answer ~dir path in
-  check_direct "whitespace edit: direct miss" false a;
+  let st, a =
+    answer ~direct:("whitespace edit: direct miss", false) ~dir path
+  in
   Alcotest.(check int) "snapshot hit" 1 (Store.counters st).Core.Metrics.hits;
   Alcotest.(check string) "== scratch" (scratch_file path) a.Server.Answer.report;
-  let _, a = answer ~dir path in
-  check_direct "next repeat: direct hit" true a;
+  let _, a = answer ~direct:("next repeat: direct hit", true) ~dir path in
   Alcotest.(check string) "still == scratch" (scratch_file path)
     a.Server.Answer.report
 
@@ -500,8 +507,7 @@ let test_direct_whitespace_edit () =
     quarantined, and the answer comes from the snapshot unchanged. *)
 let test_direct_corrupt_record () =
   let check_quarantined label ~dir path =
-    let st, a = answer ~dir path in
-    check_direct (label ^ ": not served") false a;
+    let st, a = answer ~direct:(label ^ ": not served", false) ~dir path in
     Alcotest.(check int) (label ^ ": quarantine counted") 1
       (Store.counters st).Core.Metrics.corrupt_quarantined;
     Alcotest.(check bool) (label ^ ": bytes kept for post-mortem") true
@@ -577,16 +583,38 @@ let test_short_write_caught_later () =
   check_json "answer unaffected" src_a s2
 
 (** The acceptance sweep: every fault kind, injected at each write
-    ordinal of a cold request made the way the CLI and the serve worker
-    make it (snapshot, its index line, report record, its index line),
-    over a three-request sequence — each request reopens the store, so
-    the same ordinal also strikes the later requests' touch,
-    quarantine and rewrite lines. The report JSON must equal the
+    ordinal of a cold request, over a three-request sequence — each
+    request reopens the store, so the same ordinal also strikes the
+    later requests' touch, quarantine and rewrite lines. Two request
+    paths are swept. {!Store.serve} (what [--format text] and the bench
+    use) at ordinals 1–3 exercises snapshot restore, graph audit and
+    quarantine-then-recompute. {!Server.Answer.run} from a file (what
+    [analyze --store --format json] and a serve job use) at ordinals
+    1–4 — snapshot, its index line, report record, its index line —
+    exercises the record's writes. The report JSON must equal the
     scratch rendering every single time. *)
 let test_differential_under_faults () =
   let oracle = scratch_json src_a in
+  let kinds =
+    [
+      ("shortwrite", Store.Short_write);
+      ("bitflip", Store.Bit_flip);
+      ("enospc", Store.Enospc);
+      ("crash", Store.Crash_rename);
+    ]
+  in
   List.iter
     (fun (kname, kind) ->
+      for ordinal = 1 to 3 do
+        let dir = fresh_dir () in
+        let inject n = if n = ordinal then Some kind else None in
+        for req = 1 to 3 do
+          let _, s = serve ~inject ~dir src_a in
+          Alcotest.(check string)
+            (Printf.sprintf "%s@%d request %d" kname ordinal req)
+            oracle s.Store.sv_json
+        done
+      done;
       for ordinal = 1 to 4 do
         let dir = fresh_dir () in
         let path = write_source dir "t" src_a in
@@ -594,16 +622,11 @@ let test_differential_under_faults () =
         for req = 1 to 3 do
           let _, a = answer ~inject ~dir path in
           Alcotest.(check string)
-            (Printf.sprintf "%s@%d request %d" kname ordinal req)
+            (Printf.sprintf "answer %s@%d request %d" kname ordinal req)
             oracle a.Server.Answer.report
         done
       done)
-    [
-      ("shortwrite", Store.Short_write);
-      ("bitflip", Store.Bit_flip);
-      ("enospc", Store.Enospc);
-      ("crash", Store.Crash_rename);
-    ]
+    kinds
 
 (* ------------------------------------------------------------------ *)
 (* Index durability and eviction                                       *)
