@@ -16,6 +16,10 @@ type t = {
   mutable in_resolve : bool;
       (** paper footnote 7: [lookup] calls made from within [resolve] are
           not counted *)
+  obj_sizes : (int, int) Hashtbl.t;
+      (** object vid → layout size, memoized for this run: the Offsets
+          instance asks for it on every cell it forms, and
+          {!Layout.size_of} recurses through every nested struct *)
 }
 
 let create ?(layout = Layout.default) () =
@@ -28,6 +32,7 @@ let create ?(layout = Layout.default) () =
     resolve_struct = 0;
     resolve_mismatch = 0;
     in_resolve = false;
+    obj_sizes = Hashtbl.create 256;
   }
 
 let count_lookup ctx ~structure ~mismatch =

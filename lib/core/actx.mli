@@ -15,6 +15,10 @@ type t = {
   mutable in_resolve : bool;
       (** paper footnote 7: [lookup] calls made from within [resolve] are
           not counted *)
+  obj_sizes : (int, int) Hashtbl.t;
+      (** object vid → layout size, memoized for this run: the Offsets
+          instance asks for it on every cell it forms, and
+          {!Layout.size_of} recurses through every nested struct *)
 }
 
 val create : ?layout:Layout.config -> unit -> t

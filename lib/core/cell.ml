@@ -125,18 +125,19 @@ let whole base = v base (Path [])
 
 let id c = c.cid
 
+(* The probe is written out twice rather than shared through a local
+   closure: [of_id] runs tens of millions of times per solve, and a
+   closure capturing [i] would be allocated on every call. *)
 let of_id i =
-  let slot () =
-    let arr = Atomic.get by_id in
-    if i < Array.length arr then arr.(i) else None
-  in
-  match slot () with
+  let arr = Atomic.get by_id in
+  match if i < Array.length arr then arr.(i) else None with
   | Some c -> c
   | None -> (
       (* Cross-domain visibility of the plain slot write isn't
          guaranteed without synchronizing — retry under the lock. *)
       Mutex.lock lock;
-      let r = slot () in
+      let arr = Atomic.get by_id in
+      let r = if i < Array.length arr then arr.(i) else None in
       Mutex.unlock lock;
       match r with
       | Some c -> c

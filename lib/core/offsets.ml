@@ -22,9 +22,16 @@ let portable = false
 let graph_resolve = true
 
 let obj_size ctx (obj : Cvar.t) : int =
-  match Layout.size_of ctx.Actx.layout obj.Cvar.vty with
-  | n -> max n 1
-  | exception Diag.Error _ -> 1
+  match Hashtbl.find_opt ctx.Actx.obj_sizes obj.Cvar.vid with
+  | Some n -> n
+  | None ->
+      let n =
+        match Layout.size_of ctx.Actx.layout obj.Cvar.vty with
+        | n -> max n 1
+        | exception Diag.Error _ -> 1
+      in
+      Hashtbl.replace ctx.Actx.obj_sizes obj.Cvar.vid n;
+      n
 
 (** Canonicalize-and-clamp: fold into array representatives; merge all
     out-of-bounds offsets (Complication 1 can step past a nested object,

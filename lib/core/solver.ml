@@ -476,6 +476,24 @@ let mark_dirty t (stmt : Nast.stmt) = Itbl.replace t.dirty stmt.Nast.id ()
     edges subsumed by a later class unification stay counted). *)
 let copy_edge_count t = Hashtbl.length t.copy_mem
 
+(** Audit the copy lists of a quiescent solver: every [copy_out] key is
+    a class representative, and no entry's destination lies in its
+    key's own class. [None] when consistent; otherwise the first
+    violation found. *)
+let check_copy_lists t : string option =
+  Itbl.fold
+    (fun rid lst acc ->
+      match acc with
+      | Some _ -> acc
+      | None when canon_id t rid <> rid ->
+          Some (Printf.sprintf "copy list keyed by non-representative %d" rid)
+      | None -> (
+          match List.find_opt (fun (did, _) -> canon_id t did = rid) !lst with
+          | Some (did, _) ->
+              Some (Printf.sprintf "intra-class copy edge %d -> %d" rid did)
+          | None -> None))
+    t.copy_out None
+
 (* ------------------------------------------------------------------ *)
 (* Support tracking (incremental re-analysis)                          *)
 (* ------------------------------------------------------------------ *)
@@ -920,7 +938,10 @@ let add_edge t (c : Cell.t) (w : Cell.t) =
 
     - the losing class's copy edges move to the survivor with cursors
       reset to 0 (the merged log appended the loser's facts in a new
-      order); edges that became intra-class tautologies are dropped;
+      order); edges that became intra-class tautologies are dropped
+      (the survivor's own such edges go later: {!propagate_seq} drops
+      them when it finds them behind, {!drop_intra_edges} at
+      quiescence);
     - the losing class's cursor-consumers have their cursors translated
       when possible — a consumer that had read the loser's whole log,
       merged into an equal set, has by definition seen every fact of the
@@ -967,24 +988,36 @@ let unify_cells t (a : Cell.t) (b : Cell.t) =
     | Some lst ->
         Itbl.remove t.pointer_subs lid;
         let wl = subs_list t wid in
+        (* a consumer's cursor table holds the few cells it reads, while
+           a class can have thousands of members: scan each table
+           against the loser's members, not the members against every
+           table *)
+        let lset = Itbl.create (List.length lmembers) in
+        List.iter
+          (fun (m : Cell.t) -> Itbl.replace lset (Cell.id m) ())
+          lmembers;
         List.iter
           (fun (s : Nast.stmt) ->
             let needs = ref false in
             (match Itbl.find_opt t.cursors s.Nast.id with
             | Some tbl ->
+                let hits =
+                  Itbl.fold
+                    (fun mid k acc ->
+                      if Itbl.mem lset mid then (mid, k) :: acc else acc)
+                    tbl []
+                in
                 List.iter
-                  (fun (m : Cell.t) ->
-                    let mid = Cell.id m in
-                    match Itbl.find_opt tbl mid with
-                    | Some k when sets_eq && k >= ln ->
-                        (* caught up on an equal set: already saw every
-                           merged fact — jump to the merged log's end *)
-                        Itbl.replace tbl mid after
-                    | Some _ ->
-                        Itbl.remove tbl mid;
-                        needs := true
-                    | None -> ())
-                  lmembers
+                  (fun (mid, k) ->
+                    if sets_eq && k >= ln then
+                      (* caught up on an equal set: already saw every
+                         merged fact — jump to the merged log's end *)
+                      Itbl.replace tbl mid after
+                    else begin
+                      Itbl.remove tbl mid;
+                      needs := true
+                    end)
+                  hits
             | None -> ());
             (* a consumer with no cursor entry that still has facts to
                see (it subscribed before the class had any) is already
@@ -1448,70 +1481,81 @@ let propagate_seq t =
             match Graph.pts_ids t.graph (Cell.of_id sid) with
             | None -> ()
             | Some set ->
+                let intra = ref false in
                 List.iter
                   (fun (did, cur) ->
-                    let dc = Graph.canon t.graph (Cell.of_id did) in
-                    let dcid = Cell.id dc in
-                    if dcid <> sid && !cur < Idset.cardinal set then begin
-                      let moved0 = !cur in
-                      let grew =
-                        if moved0 = 0 && pristine t then begin
-                          (* bulk first drain: one merge pass, with a
-                             capacity hint when the destination set is
-                             created *)
-                          let total = Idset.cardinal set in
-                          let added, newly =
-                            Graph.union_pts t.graph ~dst:dc
-                              ~src:(Cell.of_id sid)
-                          in
-                          cur := total;
-                          t.facts_consumed <- t.facts_consumed + total;
-                          copied := !copied + total;
-                          if added > 0 then begin
-                            push_cell t dcid;
-                            (match Itbl.find_opt t.pointer_subs dcid with
-                            | Some l -> List.iter (enqueue t) !l
-                            | None -> ());
-                            List.iter (notify_new_source t) newly;
-                            check_cell_budgets t dc
-                          end;
-                          if !copied land 4095 = 0 then
-                            check_drain_timeout t;
-                          added > 0
-                        end
-                        else begin
-                          let before = Graph.pts_size t.graph dc in
-                          while !cur < Idset.cardinal set do
-                            let w = Cell.of_id (Idset.get_ord set !cur) in
-                            incr cur;
-                            t.facts_consumed <- t.facts_consumed + 1;
-                            incr copied;
-                            (* time budget, sampled: a long drain between
-                               two statements must not escape the
-                               timeout *)
+                    if !cur < Idset.cardinal set then begin
+                      let dc = Graph.canon t.graph (Cell.of_id did) in
+                      let dcid = Cell.id dc in
+                      if dcid = sid then begin
+                        (* a unification made the edge a tautology:
+                           mark it for removal after the walk *)
+                        cur := -1;
+                        intra := true
+                      end
+                      else begin
+                        let moved0 = !cur in
+                        let grew =
+                          if moved0 = 0 && pristine t then begin
+                            (* bulk first drain: one merge pass, with a
+                               capacity hint when the destination set is
+                               created *)
+                            let total = Idset.cardinal set in
+                            let added, newly =
+                              Graph.union_pts t.graph ~dst:dc
+                                ~src:(Cell.of_id sid)
+                            in
+                            cur := total;
+                            t.facts_consumed <- t.facts_consumed + total;
+                            copied := !copied + total;
+                            if added > 0 then begin
+                              push_cell t dcid;
+                              (match Itbl.find_opt t.pointer_subs dcid with
+                              | Some l -> List.iter (enqueue t) !l
+                              | None -> ());
+                              List.iter (notify_new_source t) newly;
+                              check_cell_budgets t dc
+                            end;
                             if !copied land 4095 = 0 then
                               check_drain_timeout t;
-                            add_edge t (Cell.of_id did) w
-                          done;
-                          Graph.pts_size t.graph dc > before
-                        end
-                      in
-                      if not grew then begin
-                        t.wasted_props <- t.wasted_props + 1;
-                        (* the sets are equal and the drain moved
-                           nothing new: the lazy-cycle-detection
-                           trigger *)
-                        if
-                          cycles_on t
-                          && Idset.cardinal set = Graph.pts_size t.graph dc
-                          && not (Hashtbl.mem t.lcd_done (sid, dcid))
-                        then begin
-                          Hashtbl.replace t.lcd_done (sid, dcid) ();
-                          lcd_pending := dcid :: !lcd_pending
+                            added > 0
+                          end
+                          else begin
+                            let before = Graph.pts_size t.graph dc in
+                            while !cur < Idset.cardinal set do
+                              let w = Cell.of_id (Idset.get_ord set !cur) in
+                              incr cur;
+                              t.facts_consumed <- t.facts_consumed + 1;
+                              incr copied;
+                              (* time budget, sampled: a long drain between
+                                 two statements must not escape the
+                                 timeout *)
+                              if !copied land 4095 = 0 then
+                                check_drain_timeout t;
+                              add_edge t (Cell.of_id did) w
+                            done;
+                            Graph.pts_size t.graph dc > before
+                          end
+                        in
+                        if not grew then begin
+                          t.wasted_props <- t.wasted_props + 1;
+                          (* the sets are equal and the drain moved
+                             nothing new: the lazy-cycle-detection
+                             trigger *)
+                          if
+                            cycles_on t
+                            && Idset.cardinal set = Graph.pts_size t.graph dc
+                            && not (Hashtbl.mem t.lcd_done (sid, dcid))
+                          then begin
+                            Hashtbl.replace t.lcd_done (sid, dcid) ();
+                            lcd_pending := dcid :: !lcd_pending
+                          end
                         end
                       end
                     end)
-                  !lst));
+                  !lst;
+                if !intra then
+                  lst := List.filter (fun (_, cur) -> !cur >= 0) !lst));
         List.iter
           (fun dcid -> try_collapse_cycle t ~from:dcid ~target:sid)
           (List.rev !lcd_pending)
@@ -1960,9 +2004,26 @@ let visit_stmt t (stmt : Nast.stmt) =
     && Hashtbl.length t.copy_mem = copies0
   then t.wasted_props <- t.wasted_props + 1
 
+(** Drop every copy edge whose destination lies in its own source
+    class. The drain drops such an edge when it finds it behind its
+    source's log; one left caught up by a merge of equal sets (the
+    common case for a collapsed cycle) waits for this sweep, which runs
+    at quiescence so a fixpoint — and any snapshot of it — holds none.
+    Dropping is safe: a class only dissolves through {!retract_cells},
+    which drops an affected class's whole [copy_out] list and replays
+    the statements that installed its edges (their install-time pairs
+    live in the attribution tables, not in these lists), and through
+    degradation, whose {!reset_deltas} clears every list. *)
+let drop_intra_edges t =
+  Itbl.iter
+    (fun rid lst ->
+      if List.exists (fun (did, _) -> canon_id t did = rid) !lst then
+        lst := List.filter (fun (did, _) -> canon_id t did <> rid) !lst)
+    t.copy_out
+
 let resume t : unit =
   Budget.start t.budget;
-  match t.engine with
+  (match t.engine with
   | `Delta_par nd when nd > 1 ->
       (* alternate statement batches with drain phases: the sequential
          engines interleave one statement per drain, which keeps the
@@ -1986,7 +2047,8 @@ let resume t : unit =
             visit_stmt t stmt;
             loop ()
       in
-      loop ()
+      loop ());
+  drop_intra_edges t
 
 (* ------------------------------------------------------------------ *)
 (* Bottom-up summary schedule (the [`Summary] engine)                  *)

@@ -238,6 +238,12 @@ val copy_edge_count : t -> int
     (cumulative — edges subsumed by a later class unification stay
     counted); 0 under [`Naive]. *)
 
+val check_copy_lists : t -> string option
+(** Audit the copy lists once {!solve} or {!resume} returned: every
+    [copy_out] key is a class representative and no entry's destination
+    lies in its key's own class. [None] when consistent; otherwise a
+    description of the first violation. *)
+
 val solve : t -> unit
 (** Enqueue every statement and run the worklist to a fixpoint,
     degrading under budget pressure instead of diverging. *)

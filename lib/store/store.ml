@@ -79,6 +79,39 @@ let write_fd fd (data : string) =
   in
   go 0
 
+(* Temp names carry the writer's pid, so processes sharing a store (the
+   server's forked workers) never truncate, rename or sweep each other's
+   in-flight temp. *)
+let temp_path dest = Printf.sprintf "%s.%d.tmp" dest (Unix.getpid ())
+
+let pid_alive pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.EPERM, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Remove the temps in [dir] whose writer is this process (none of its
+   writes is in flight while it opens a store) or no longer runs;
+   pid-less temps come from older versions and go too. *)
+let sweep_temps dir =
+  let me = Unix.getpid () in
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".tmp" then
+        let owner =
+          let ext = Filename.extension (Filename.chop_suffix f ".tmp") in
+          if ext = "" then None
+          else int_of_string_opt (String.sub ext 1 (String.length ext - 1))
+        in
+        let stale =
+          match owner with
+          | Some pid when pid > 0 -> pid = me || not (pid_alive pid)
+          | _ -> true
+        in
+        if stale then
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
 (* temp + fsync + rename: after this returns, [dest] holds exactly
    [data] (or its injected mangling); a crash at any point leaves
    either the old [dest] or a stray temp file cleaned at next open. *)
@@ -164,7 +197,7 @@ let parse_index (contents : string) : row list * int =
 let compact_threshold = 512
 
 let compact st =
-  let temp = st.index_path ^ ".tmp" in
+  let temp = temp_path st.index_path in
   let b = Buffer.create 4096 in
   List.iter
     (fun r ->
@@ -192,15 +225,9 @@ let open_store ?(max_bytes = 256 * 1024 * 1024) ?(inject = fun _ -> None)
     if Sys.file_exists index_path then parse_index (read_file index_path)
     else ([], 0)
   in
-  (* a crash between fsync and rename leaves a durable temp: discard *)
-  List.iter
-    (fun d ->
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".tmp" then
-            try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-        (try Sys.readdir d with Sys_error _ -> [||]))
-    [ snaps_dir; records_dir ];
+  (* a crash between fsync and rename leaves a durable temp: discard
+     it once its writer is gone *)
+  List.iter sweep_temps [ dir; snaps_dir; records_dir ];
   let st =
     {
       dir;
@@ -260,7 +287,7 @@ let rec evict st =
 (* One file per key, snapshot or record: [true] once it is durable,
    indexed and counted against the byte budget. *)
 let put_file st ~key ~cfg ~dest (bytes : string) : bool =
-  match atomic_write st ~temp:(dest ^ ".tmp") ~dest bytes with
+  match atomic_write st ~temp:(temp_path dest) ~dest bytes with
   | () ->
       append_index_soft st
         (Printf.sprintf "v1\tadd\t%s\t%s\t%d" key cfg (String.length bytes));

@@ -30,8 +30,11 @@
     post-mortem.
 
     {b Durability.} Snapshots and records are written temp + fsync +
-    rename so a crash never leaves a half-visible file; stray [.tmp]
-    files — a crash between fsync and rename — are removed at open.
+    rename so a crash never leaves a half-visible file. A temp is named
+    [<dest>.<pid>.tmp] after its writer, so processes sharing the
+    directory never touch each other's; a stray temp — a crash between
+    fsync and rename — is removed at open once its writer is this
+    process or no longer runs.
     [add] and [del] index lines are fsync'd; the [touch] line every hit
     appends is not: losing one costs eviction order, never an answer.
 
@@ -164,6 +167,15 @@ val put_record :
     each include the preprocessor resolved as (path, digest of its
     text, or [None] when it was absent). Write failures are contained
     and counted like a snapshot's. *)
+
+val temp_path : string -> string
+(** The temp file this process writes [dest] through: [<dest>.<pid>.tmp]. *)
+
+val sweep_temps : string -> unit
+(** Remove the stray temps in a directory: those written by this
+    process (it has no write in flight while it opens a store) or by a
+    process that no longer runs, and pid-less ones from older
+    versions. Another live process's in-flight temp stays. *)
 
 (** {2 Test access} *)
 

@@ -27,11 +27,7 @@ let open_cache ?(log = ignore) dir : t =
   let quarantine_dir = Filename.concat dir "quarantine" in
   mkdir_p quarantine_dir;
   (* a crash between fsync and rename leaves a durable temp: discard *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".tmp" then
-        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
+  Store.sweep_temps dir;
   { dir; quarantine_dir; counters = Core.Metrics.sumcache_create (); log }
 
 let counters t = t.counters
@@ -196,7 +192,7 @@ let write_fd fd (data : string) =
 
 let put t ~key (r : record) : unit =
   let dest = record_path t key in
-  let temp = dest ^ ".tmp" in
+  let temp = Store.temp_path dest in
   match
     let data = encode ~key r in
     let fd =

@@ -56,3 +56,14 @@ let check_bases r name expected =
   Alcotest.check slist (name ^ " target objects") expected (target_bases r name)
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(** The graph's bookkeeping audit ({!Core.Graph.check_counts}) and the
+    solver's copy-list audit ({!Core.Solver.check_copy_lists}), as one
+    message naming the audit that failed. *)
+let audit (t : Core.Solver.t) : string option =
+  match Core.Graph.check_counts t.Core.Solver.graph with
+  | Some msg -> Some ("graph audit: " ^ msg)
+  | None ->
+      Option.map
+        (fun msg -> "copy-list audit: " ^ msg)
+        (Core.Solver.check_copy_lists t)

@@ -260,6 +260,36 @@ let test_store_serve_miss_then_hit () =
       Alcotest.(check string) "same stats-free bytes" (strip_store out1)
         (strip_store out2))
 
+(* Two forked workers write the same snapshot and record into one store
+   at once: each writes through its own temp, and neither's open-time
+   sweep removes the other's in-flight temp, so no write fails. The race
+   window is a few milliseconds, hence several fresh stores. *)
+let test_store_serve_two_workers () =
+  with_temp_source "int x; int *p; void main(void) { p = &x; }" (fun path ->
+      for _ = 1 to 5 do
+        let store = fresh_store () in
+        let cmd =
+          Printf.sprintf "printf '%%s\\n' %s %s | %s" (Filename.quote path)
+            (Filename.quote path)
+            (Filename.quote_command exe
+               [ "serve"; "--store"; store; "--workers"; "2" ])
+        in
+        let code, out, _ = run_split cmd in
+        ignore (Sys.command ("rm -rf " ^ Filename.quote store));
+        Alcotest.(check int) "serve exits clean" 0 code;
+        let answers =
+          List.filter
+            (fun l -> contains l "\"id\":\"job")
+            (String.split_on_char '\n' out)
+        in
+        Alcotest.(check int) "both jobs answered" 2 (List.length answers);
+        List.iter
+          (fun l ->
+            if not (contains l "\"write_failures\":0}") then
+              Alcotest.failf "a write failed:\n%s" out)
+          answers
+      done)
+
 let test_store_faults_help () =
   let code, out, err =
     run_split (Filename.quote_command exe [ "analyze"; "--help=plain" ])
@@ -339,6 +369,8 @@ let suite =
       Helpers.tc "--store serve: miss and hit agree"
         test_store_serve_miss_then_hit;
       Helpers.tc "--store-faults help renders" test_store_faults_help;
+      Helpers.tc "--store serve: two workers share one store"
+        test_store_serve_two_workers;
     ]
   else
     [ Alcotest.test_case "cli binary not built; skipped" `Quick (fun () -> ()) ]

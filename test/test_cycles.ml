@@ -4,7 +4,8 @@
     that historically break lazy cycle detection — a two-cell loop, a
     cross-cell chain cycle, a cycle that closes only after facts already
     flowed around it, growth landing on an already-unified class, and a
-    cycle spanning a degradation collapse. *)
+    cycle spanning a degradation collapse. Each also audits the copy
+    lists ({!Core.Solver.check_copy_lists}). *)
 
 open Cfront
 open Core
@@ -194,9 +195,15 @@ let run_engine ?budget ~id ~engine src =
 
 let all_ids = [ "collapse-always"; "collapse-on-cast"; "cis"; "offsets" ]
 
+let check_audits id (r : Analysis.result) =
+  match audit (solver_of r) with
+  | Some msg -> Alcotest.failf "%s: %s" id msg
+  | None -> ()
+
 (* Every cycle test checks, per instance: the delta fixpoint matches
-   naive, the graph audit passes, and — where asserted — the cycle was
-   actually found (the regression would silently pass otherwise).
+   naive, the graph and copy-list audits pass, and — where asserted —
+   the cycle was actually found (the regression would silently pass
+   otherwise).
    Engines must share one compiled program: compiling twice mints fresh
    variables, which no graph comparison can relate. *)
 let check_cycle_program ?(min_cycles = 1) ~src ~bases_of ~expect () =
@@ -209,9 +216,7 @@ let check_cycle_program ?(min_cycles = 1) ~src ~bases_of ~expect () =
         not
           (Graph.equal (solver_of d).Solver.graph (solver_of n).Solver.graph)
       then Alcotest.failf "%s: delta fixpoint differs from naive" id;
-      (match Graph.check_counts (solver_of d).Solver.graph with
-      | Some msg -> Alcotest.failf "%s: graph audit: %s" id msg
-      | None -> ());
+      check_audits id d;
       if (solver_of d).Solver.cycles_found < min_cycles then
         Alcotest.failf "%s: expected >= %d cycles, found %d" id min_cycles
           (solver_of d).Solver.cycles_found;
@@ -306,6 +311,7 @@ let test_bridged_cycles () =
         not
           (Graph.equal (solver_of d).Solver.graph (solver_of n).Solver.graph)
       then Alcotest.failf "%s: delta fixpoint differs from naive" id;
+      check_audits id d;
       Alcotest.(check (slist string compare))
         (id ^ ": upstream stays precise")
         [ "x" ] (target_bases d "a");
@@ -339,9 +345,7 @@ let test_cycle_spanning_degradation () =
   List.iter
     (fun id ->
       let d = run_engine ~budget ~id ~engine:`Delta src in
-      (match Graph.check_counts (solver_of d).Solver.graph with
-      | Some msg -> Alcotest.failf "%s: graph audit: %s" id msg
-      | None -> ());
+      check_audits id d;
       (* soundness across the collapse: p's targets keep covering x *)
       let bases = target_bases d "p" in
       if not (List.mem "x" bases) then

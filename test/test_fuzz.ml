@@ -45,15 +45,16 @@ let all_ids = [ "collapse-always"; "collapse-on-cast"; "cis"; "offsets" ]
 (* After every solve — these run tight budgets, so most trip them and go
    through degradation merges (collapse merges edges onto a
    representative, then removes the fine-grained sources) — the graph's
-   bookkeeping must still audit clean: the edge_count counter equals the
-   summed per-source set sizes and the per-object index is exact. *)
+   bookkeeping must still audit clean (the edge_count counter equals the
+   summed per-source set sizes and the per-object index is exact), and
+   so must the copy lists (no intra-class copy edge at the fixpoint,
+   every list keyed by a class representative). *)
 let check_bookkeeping ~seed ~id failures (r : Core.Analysis.result) =
   ignore r.Core.Analysis.metrics;
-  match Core.Graph.check_counts r.Core.Analysis.solver.Core.Solver.graph with
+  match audit r.Core.Analysis.solver with
   | None -> ()
   | Some msg ->
-      failures :=
-        Printf.sprintf "seed %d / %s: graph audit: %s" seed id msg :: !failures
+      failures := Printf.sprintf "seed %d / %s: %s" seed id msg :: !failures
 
 let test_generated_programs () =
   let failures = ref [] in
@@ -131,7 +132,7 @@ let test_truncated_inputs_recover () =
    oracle: 10 generated base programs x 4 chained single-statement edits
    x 4 instances = 160 warm solves, each of which must reach exactly the
    fixpoint a from-scratch solve of the edited program reaches
-   ({!Core.Graph.equal} plus a clean bookkeeping audit). Fallbacks to
+   ({!Core.Graph.equal} plus clean graph and copy-list audits). Fallbacks to
    scratch are legal — the cascade budget is policy — but trivially
    satisfy the oracle, so we also require that some edits warm-start. *)
 let test_random_edit_scripts () =
@@ -180,12 +181,10 @@ let test_random_edit_scripts () =
                           "seed %d / %s: warm <> scratch after [%s]" seed id
                           (Format.asprintf "%a" Incr.Edit.pp_op op)
                         :: !failures;
-                    match
-                      Core.Graph.check_counts !t.Core.Solver.graph
-                    with
+                    match audit !t with
                     | Some msg ->
                         failures :=
-                          Printf.sprintf "seed %d / %s: audit: %s" seed id msg
+                          Printf.sprintf "seed %d / %s: %s" seed id msg
                           :: !failures
                     | None -> ()
               done

@@ -1,7 +1,7 @@
 (** The incremental re-analysis engine's differential spine: for every
     edit, warm-starting the solved base must land on exactly the
     fixpoint a from-scratch solve of the (aligned) edited program
-    computes — {!Core.Graph.equal}, bookkeeping-audit clean, and
+    computes — {!Core.Graph.equal}, graph and copy-list audits clean, and
     stats-free-JSON byte-identical — for all four framework instances
     and all three engines. Plus unit coverage for the differ's keying
     and the retraction fallback ladder. *)
@@ -49,8 +49,8 @@ let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t) =
       | `Summary -> "summary")
       (Core.Graph.edge_count warm.Core.Solver.graph)
       (Core.Graph.edge_count scratch.Core.Solver.graph);
-  (match Core.Graph.check_counts warm.Core.Solver.graph with
-  | Some msg -> Alcotest.failf "%s / %s: audit after edit: %s" label id msg
+  (match audit warm with
+  | Some msg -> Alcotest.failf "%s / %s: after edit: %s" label id msg
   | None -> ());
   let jw = stats_free_json ~name:label warm in
   let js = stats_free_json ~name:label scratch in
@@ -260,6 +260,47 @@ let test_retraction () =
             Alcotest.failf "%s/%s: removing q = &&x retracted nothing" id
               ename;
           check_vs_scratch ~label:"retraction" ~engine ~id t)
+        engines)
+    all_ids
+
+(* A collapsed 3-cell copy cycle loses one of its statements. The
+   drain dropped the class's intra-class copy edges, so only the
+   retraction's dissolve-and-replay can rebuild the surviving chain
+   a ⊆ b ⊆ c: y must leave a and b, and the warm fixpoint must equal
+   scratch. *)
+let test_retract_collapsed_cycle () =
+  let cycle back_edge =
+    Printf.sprintf
+      {|
+        void *a, *b, *c;
+        int x, y;
+        void main(void) {
+          a = (void *)&x;
+          b = a;
+          c = b;
+          %s
+          c = (void *)&y;
+        }
+      |}
+      back_edge
+  in
+  let base = compile (cycle "a = c;") in
+  let edited = compile (cycle "") in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun (ename, engine) ->
+          let t =
+            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
+          in
+          if engine = `Delta && t.Core.Solver.cycles_found = 0 then
+            Alcotest.failf "%s/%s: the base cycle was not collapsed" id ename;
+          let t, st = Incr.Engine.reanalyze t edited in
+          Alcotest.(check bool) (ename ^ " no fallback") false
+            st.Incr.Engine.fallback;
+          Alcotest.(check int) (ename ^ " removed") 1
+            st.Incr.Engine.stmts_removed;
+          check_vs_scratch ~label:"collapsed cycle" ~engine ~id t)
         engines)
     all_ids
 
@@ -695,4 +736,6 @@ let suite =
       test_queries_index_follows_reanalyze;
     tc "corpus differential: 2 random edits x 4 instances"
       test_corpus_differential;
+    tc "retraction breaks a collapsed copy cycle == scratch"
+      test_retract_collapsed_cycle;
   ]
