@@ -147,6 +147,30 @@ let rec equal a b =
   | Comp c1, Comp c2 -> c1.cid = c2.cid
   | (Void | Int _ | Float _ | Ptr _ | Array _ | Func _ | Comp _), _ -> false
 
+(** A hash that agrees with {!equal}: struct/union hash by [cid] (never
+    through their fields, so recursive types terminate), function types
+    ignore parameter names, and the walk stops [depth] constructors deep,
+    below which every type hashes alike. *)
+let hash (ty : t) : int =
+  let mix h x = (h * 31) + x in
+  let rec go depth ty =
+    if depth = 0 then 0
+    else
+      match ty with
+      | Void -> 1
+      | Int (k, s) -> mix (mix 2 (Hashtbl.hash k)) (Hashtbl.hash s)
+      | Float k -> mix 3 (Hashtbl.hash k)
+      | Ptr t -> mix 4 (go (depth - 1) t)
+      | Array (t, n) -> mix (mix 5 (go (depth - 1) t)) (Hashtbl.hash n)
+      | Func { ret; params; varargs } ->
+          List.fold_left
+            (fun h (_, t) -> mix h (go (depth - 1) t))
+            (mix (mix 6 (go (depth - 1) ret)) (Bool.to_int varargs))
+            params
+      | Comp c -> mix 7 c.cid
+  in
+  go 8 ty land max_int
+
 (* ------------------------------------------------------------------ *)
 (* ANSI compatibility (ISO 6.2.7) — structural, cycle-safe             *)
 (* ------------------------------------------------------------------ *)

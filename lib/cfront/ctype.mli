@@ -90,6 +90,11 @@ val to_string : t -> string
 val equal : t -> t -> bool
 (** Structural equality; struct/union by declaration identity. *)
 
+val hash : t -> int
+(** A hash consistent with {!equal}: [equal a b] implies
+    [hash a = hash b]. Struct/union types hash by declaration identity,
+    so recursive types terminate; the walk is also depth-bounded. *)
+
 val compatible : t -> t -> bool
 (** ANSI "compatible types" (ISO 6.2.7), as used by the Common Initial
     Sequence instance. Structural and cycle-safe; struct/union members

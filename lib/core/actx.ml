@@ -1,9 +1,47 @@
 (** Analysis context: the layout configuration (used by the Offsets
-    instance) and the instrumentation counters behind the paper's Figure 3
+    instance), the instrumentation counters behind the paper's Figure 3
     (percentage of [lookup]/[resolve] calls that involve structures, and of
-    those, the percentage where the types did not match). *)
+    those, the percentage where the types did not match), and the run's
+    strategy memo. *)
 
 open Cfront
+
+module Ty_tbl = Hashtbl.Make (struct
+  type t = Ctype.t
+
+  let equal = Ctype.equal
+
+  let hash = Ctype.hash
+end)
+
+type lookup_key = { tag : int; tid : int; alpha : Ctype.path; target : int }
+
+module Lookup_tbl = Hashtbl.Make (struct
+  type t = lookup_key
+
+  let equal a b =
+    a.target = b.target && a.tid = b.tid && a.tag = b.tag
+    && List.equal String.equal a.alpha b.alpha
+
+  let hash k =
+    ((((k.target * 31) + k.tid) * 31) + k.tag) * 31 + Hashtbl.hash k.alpha
+end)
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a1, a2) (b1, b2) = a1 = b1 && a2 = b2
+
+  let hash (a, b) = (a * 65599) + b
+end)
+
+type memo = {
+  type_ids : int Ty_tbl.t;
+  lookups : (Cell.t list * bool) Lookup_tbl.t;
+  type_sizes : (int, int) Hashtbl.t;
+  obj_sizes : (int, int) Hashtbl.t;
+  canon_offsets : int Pair_tbl.t;
+}
 
 type t = {
   layout : Layout.config;
@@ -16,10 +54,7 @@ type t = {
   mutable in_resolve : bool;
       (** paper footnote 7: [lookup] calls made from within [resolve] are
           not counted *)
-  obj_sizes : (int, int) Hashtbl.t;
-      (** object vid → layout size, memoized for this run: the Offsets
-          instance asks for it on every cell it forms, and
-          {!Layout.size_of} recurses through every nested struct *)
+  memo : memo;
 }
 
 let create ?(layout = Layout.default) () =
@@ -32,8 +67,47 @@ let create ?(layout = Layout.default) () =
     resolve_struct = 0;
     resolve_mismatch = 0;
     in_resolve = false;
-    obj_sizes = Hashtbl.create 256;
+    memo =
+      {
+        type_ids = Ty_tbl.create 64;
+        lookups = Lookup_tbl.create 1024;
+        type_sizes = Hashtbl.create 64;
+        obj_sizes = Hashtbl.create 256;
+        canon_offsets = Pair_tbl.create 1024;
+      };
   }
+
+let clear_memo ctx =
+  Ty_tbl.reset ctx.memo.type_ids;
+  Lookup_tbl.reset ctx.memo.lookups;
+  Hashtbl.reset ctx.memo.type_sizes;
+  Hashtbl.reset ctx.memo.obj_sizes;
+  Pair_tbl.reset ctx.memo.canon_offsets
+
+let type_id ctx (ty : Ctype.t) : int =
+  let ids = ctx.memo.type_ids in
+  match Ty_tbl.find_opt ids ty with
+  | Some i -> i
+  | None ->
+      let i = Ty_tbl.length ids in
+      Ty_tbl.add ids ty i;
+      i
+
+let next_tag = ref 0
+
+let lookup_tag () =
+  incr next_tag;
+  !next_tag
+
+let memo_lookup ctx ~tag ~tid f (tau : Ctype.t) (alpha : Ctype.path)
+    (target : Cell.t) : Cell.t list * bool =
+  let key = { tag; tid; alpha; target = target.Cell.cid } in
+  match Lookup_tbl.find_opt ctx.memo.lookups key with
+  | Some r -> r
+  | None ->
+      let r = f tau alpha target in
+      Lookup_tbl.add ctx.memo.lookups key r;
+      r
 
 let count_lookup ctx ~structure ~mismatch =
   if not ctx.in_resolve then begin

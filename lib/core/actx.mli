@@ -1,8 +1,39 @@
 (** Analysis context: the layout configuration (used by the Offsets
-    instance) and the instrumentation counters behind the paper's
-    Figure 3. *)
+    instance), the instrumentation counters behind the paper's Figure 3,
+    and the run's strategy memo. *)
 
 open Cfront
+
+type lookup_key = { tag : int; tid : int; alpha : Ctype.path; target : int }
+(** An instance's [lookup(τ, α, target)] by the instance's tag, the id
+    {!type_id} gives τ, the field path and the target cell's id. *)
+
+module Ty_tbl : Hashtbl.S with type key = Ctype.t
+
+module Lookup_tbl : Hashtbl.S with type key = lookup_key
+
+module Pair_tbl : Hashtbl.S with type key = int * int
+
+type memo = {
+  type_ids : int Ty_tbl.t;  (** dense ids, under {!Cfront.Ctype.equal} *)
+  lookups : (Cell.t list * bool) Lookup_tbl.t;
+      (** the path-based instances' lookup answers: the cells and
+          whether the declared type matched exactly *)
+  type_sizes : (int, int) Hashtbl.t;
+      (** type id → layout size (the Offsets [resolve] copy width) *)
+  obj_sizes : (int, int) Hashtbl.t;
+      (** object vid → layout size: the Offsets instance asks for it on
+          every cell it forms, and {!Layout.size_of} recurses through
+          every nested struct *)
+  canon_offsets : int Pair_tbl.t;
+      (** (object vid, in-bounds byte offset) → the offset folded into
+          array representatives ({!Layout.canon_offset}), which re-derives
+          field sizes on every call *)
+}
+(** Answers that are pure functions of declared types and immutable
+    cells, kept for one solver run so repeated facts do not recompute
+    them. Holds base-strategy answers only: the solver's degradation
+    redirect is applied on top. *)
 
 type t = {
   layout : Layout.config;
@@ -15,13 +46,33 @@ type t = {
   mutable in_resolve : bool;
       (** paper footnote 7: [lookup] calls made from within [resolve] are
           not counted *)
-  obj_sizes : (int, int) Hashtbl.t;
-      (** object vid → layout size, memoized for this run: the Offsets
-          instance asks for it on every cell it forms, and
-          {!Layout.size_of} recurses through every nested struct *)
+  memo : memo;
 }
 
 val create : ?layout:Layout.config -> unit -> t
+
+val clear_memo : t -> unit
+(** Drop every memoized answer (the counters are kept). *)
+
+val type_id : t -> Ctype.t -> int
+(** The dense id of a type in this context's memo; equal types share
+    one. *)
+
+val lookup_tag : unit -> int
+(** A fresh tag for one strategy instance's entries in [memo.lookups];
+    instances sharing a context must not share answers. *)
+
+val memo_lookup :
+  t ->
+  tag:int ->
+  tid:int ->
+  (Ctype.t -> Ctype.path -> Cell.t -> Cell.t list * bool) ->
+  Ctype.t ->
+  Ctype.path ->
+  Cell.t ->
+  Cell.t list * bool
+(** [memo_lookup ctx ~tag ~tid f τ α target] — [f τ α target], answered
+    from [memo.lookups] when already computed; [tid] is [type_id ctx τ]. *)
 
 val count_lookup : t -> structure:bool -> mismatch:bool -> unit
 (** Record one [lookup] call (ignored while inside a [resolve]). *)

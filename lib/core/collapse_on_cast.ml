@@ -47,8 +47,16 @@ let lookup_i (tau : Ctype.t) (alpha : Ctype.path) (target : Cell.t) :
       let following = Ctype.following_leaves tty beta in
       (Strategy.dedup_cells (mk beta :: List.map mk following), false)
 
+let tag = Actx.lookup_tag ()
+
+(** [lookup_i] through the run's memo. *)
+let lookup_m ctx ~tid tau alpha target =
+  Actx.memo_lookup ctx ~tag ~tid lookup_i tau alpha target
+
 let lookup ctx tau alpha target : Cell.t list =
-  let cells, matched = lookup_i tau alpha target in
+  let cells, matched =
+    lookup_m ctx ~tid:(Actx.type_id ctx tau) tau alpha target
+  in
   Actx.count_lookup ctx
     ~structure:(Strategy.involves_struct tau target)
     ~mismatch:(not matched);
@@ -59,12 +67,13 @@ let resolve ctx _graph (dst : Cell.t) (src : Cell.t) (tau : Ctype.t) :
   let pairs, matched =
     Actx.inside_resolve ctx (fun () ->
         let deltas = Ctype.leaf_paths tau in
+        let tid = Actx.type_id ctx tau in
         let matched = ref true in
         let pairs =
           List.concat_map
             (fun delta ->
-              let ds, m1 = lookup_i tau delta dst in
-              let ss, m2 = lookup_i tau delta src in
+              let ds, m1 = lookup_m ctx ~tid tau delta dst in
+              let ss, m2 = lookup_m ctx ~tid tau delta src in
               if not (m1 && m2) then matched := false;
               List.concat_map (fun d -> List.map (fun s -> (d, s)) ss) ds)
             deltas

@@ -111,11 +111,24 @@ let lookup_i (tau : Ctype.t) (alpha : Ctype.path) (target : Cell.t) :
           in
           (Strategy.dedup_cells cells, Collapse))
 
+let tag = Actx.lookup_tag ()
+
+(** [lookup_i] through the run's memo, which keeps whether the [Exact]
+    rule decided. *)
+let lookup_m ctx ~tid tau alpha target =
+  Actx.memo_lookup ctx ~tag ~tid
+    (fun tau alpha target ->
+      let cells, case = lookup_i tau alpha target in
+      (cells, case = Exact))
+    tau alpha target
+
 let lookup ctx tau alpha target : Cell.t list =
-  let cells, case = lookup_i tau alpha target in
+  let cells, exact =
+    lookup_m ctx ~tid:(Actx.type_id ctx tau) tau alpha target
+  in
   Actx.count_lookup ctx
     ~structure:(Strategy.involves_struct tau target)
-    ~mismatch:(case <> Exact);
+    ~mismatch:(not exact);
   cells
 
 let resolve ctx _graph (dst : Cell.t) (src : Cell.t) (tau : Ctype.t) :
@@ -123,13 +136,14 @@ let resolve ctx _graph (dst : Cell.t) (src : Cell.t) (tau : Ctype.t) :
   let pairs, matched =
     Actx.inside_resolve ctx (fun () ->
         let deltas = Ctype.leaf_paths tau in
+        let tid = Actx.type_id ctx tau in
         let matched = ref true in
         let pairs =
           List.concat_map
             (fun delta ->
-              let ds, c1 = lookup_i tau delta dst in
-              let ss, c2 = lookup_i tau delta src in
-              if c1 <> Exact || c2 <> Exact then matched := false;
+              let ds, e1 = lookup_m ctx ~tid tau delta dst in
+              let ss, e2 = lookup_m ctx ~tid tau delta src in
+              if not (e1 && e2) then matched := false;
               List.concat_map (fun d -> List.map (fun s -> (d, s)) ss) ds)
             deltas
         in

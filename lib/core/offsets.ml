@@ -21,17 +21,21 @@ let portable = false
    grows with the graph. *)
 let graph_resolve = true
 
-let obj_size ctx (obj : Cvar.t) : int =
-  match Hashtbl.find_opt ctx.Actx.obj_sizes obj.Cvar.vid with
+(* [Layout.size_of ty], at least 1, memoized in [tbl] under [key] *)
+let size_in ctx tbl key (ty : Ctype.t) : int =
+  match Hashtbl.find_opt tbl key with
   | Some n -> n
   | None ->
       let n =
-        match Layout.size_of ctx.Actx.layout obj.Cvar.vty with
+        match Layout.size_of ctx.Actx.layout ty with
         | n -> max n 1
         | exception Diag.Error _ -> 1
       in
-      Hashtbl.replace ctx.Actx.obj_sizes obj.Cvar.vid n;
+      Hashtbl.replace tbl key n;
       n
+
+let obj_size ctx (obj : Cvar.t) : int =
+  size_in ctx ctx.Actx.memo.obj_sizes obj.Cvar.vid obj.Cvar.vty
 
 (** Canonicalize-and-clamp: fold into array representatives; merge all
     out-of-bounds offsets (Complication 1 can step past a nested object,
@@ -40,7 +44,14 @@ let canon ctx (obj : Cvar.t) (off : int) : int =
   let size = obj_size ctx obj in
   if off < 0 then 0
   else if off >= size then size
-  else Layout.canon_offset ctx.Actx.layout obj.Cvar.vty off
+  else
+    let key = (obj.Cvar.vid, off) in
+    match Actx.Pair_tbl.find_opt ctx.Actx.memo.canon_offsets key with
+    | Some c -> c
+    | None ->
+        let c = Layout.canon_offset ctx.Actx.layout obj.Cvar.vty off in
+        Actx.Pair_tbl.add ctx.Actx.memo.canon_offsets key c;
+        c
 
 let normalize ctx (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
   let off =
@@ -76,9 +87,7 @@ let resolve ctx (graph : Graph.t) (dst : Cell.t) (src : Cell.t)
   let s = dst.Cell.base and t = src.Cell.base in
   let j = target_off dst and k = target_off src in
   let size =
-    match Layout.size_of ctx.Actx.layout tau with
-    | n -> max n 1
-    | exception Diag.Error _ -> 1
+    size_in ctx ctx.Actx.memo.type_sizes (Actx.type_id ctx tau) tau
   in
   (* pair only source offsets that carry facts *)
   let src_cells = Graph.cells_of_obj graph t in

@@ -263,19 +263,28 @@ let degrading_strategy ~(collapsed : unit Cvar.Tbl.t)
 
     let is_collapsed (v : Cvar.t) = !collapse_all || Cvar.Tbl.mem collapsed v
 
+    (* nothing collapsed: [redirect] is the identity, and every base
+       instance already answers [lookup]/[resolve] deduplicated in
+       [Cell.compare] order, so the re-dedup below would change nothing *)
+    let pristine () = (not !collapse_all) && Cvar.Tbl.length collapsed = 0
+
     let redirect (c : Cell.t) : Cell.t =
       if is_collapsed c.Cell.base then collapse_sel c else c
 
     let normalize ctx v alpha = redirect (B.normalize ctx v alpha)
 
     let lookup ctx tau alpha target =
-      Strategy.dedup_cells
-        (List.map redirect (B.lookup ctx tau alpha (redirect target)))
+      if pristine () then B.lookup ctx tau alpha target
+      else
+        Strategy.dedup_cells
+          (List.map redirect (B.lookup ctx tau alpha (redirect target)))
 
     let resolve ctx graph dst src tau =
-      let pairs = B.resolve ctx graph (redirect dst) (redirect src) tau in
-      Strategy.dedup_pairs
-        (List.map (fun (d, s) -> (redirect d, redirect s)) pairs)
+      if pristine () then B.resolve ctx graph dst src tau
+      else
+        let pairs = B.resolve ctx graph (redirect dst) (redirect src) tau in
+        Strategy.dedup_pairs
+          (List.map (fun (d, s) -> (redirect d, redirect s)) pairs)
 
     let all_cells ctx obj =
       if is_collapsed obj then [ redirect (B.normalize ctx obj []) ]
@@ -2202,8 +2211,11 @@ let solve t : unit =
       resume t
 
 (** Swap in a new program (the incremental engine's aligned edit),
-    keeping the function table consistent. Does not enqueue anything. *)
+    keeping the function table consistent. The strategy memo is dropped:
+    its answers stay true, but a long [watch] session would otherwise
+    keep every program version's. Does not enqueue anything. *)
 let set_program t (prog : Nast.program) =
+  Actx.clear_memo t.ctx;
   t.prog <- prog;
   Hashtbl.reset t.funcs;
   List.iter (fun f -> Hashtbl.replace t.funcs f.Nast.fname f) prog.Nast.pfuncs

@@ -258,7 +258,9 @@ val resume : t -> unit
 
 val set_program : t -> Nast.program -> unit
 (** Swap in a new program (the incremental engine's aligned edit),
-    keeping the function table consistent. Enqueues nothing. *)
+    keeping the function table consistent and dropping the strategy
+    memo ({!Actx.clear_memo}), so a long session does not grow it.
+    Enqueues nothing. *)
 
 val reset_deltas : t -> unit
 (** Discard all delta-engine state (cursors, copy edges, worklists,

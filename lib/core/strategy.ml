@@ -23,7 +23,10 @@ module type S = sig
 
   val lookup : Actx.t -> Ctype.t -> Ctype.path -> Cell.t -> Cell.t list
   (** [lookup ctx τ α target] — the cells possibly referenced by
-      [( *p).α] when [p] is declared [τ*] but points to [target]. *)
+      [( *p).α] when [p] is declared [τ*] but points to [target].
+      Deduplicated, in {!Cell.compare} order (as {!dedup_cells} leaves
+      them), like [resolve]'s pairs: the solver passes both on as they
+      are while no object is collapsed. *)
 
   val resolve :
     Actx.t -> Graph.t -> Cell.t -> Cell.t -> Ctype.t -> (Cell.t * Cell.t) list
@@ -91,11 +94,15 @@ let involves_struct (tau : Ctype.t) (target : Cell.t) : bool =
 let dedup_cells (cells : Cell.t list) : Cell.t list =
   Cell.Set.elements (Cell.Set.of_list cells)
 
-let dedup_pairs (pairs : (Cell.t * Cell.t) list) : (Cell.t * Cell.t) list =
-  let module P = Set.Make (struct
-    type t = Cell.t * Cell.t
+(* Semantic [Cell.compare] order, not cid order: cids follow interning
+   order, which would make pair order (and so solver statistics) depend
+   on what the process interned before. *)
+module Pair_set = Set.Make (struct
+  type t = Cell.t * Cell.t
 
-    let compare (a1, a2) (b1, b2) =
-      match Cell.compare a1 b1 with 0 -> Cell.compare a2 b2 | c -> c
-  end) in
-  P.elements (P.of_list pairs)
+  let compare (a1, a2) (b1, b2) =
+    match Cell.compare a1 b1 with 0 -> Cell.compare a2 b2 | c -> c
+end)
+
+let dedup_pairs (pairs : (Cell.t * Cell.t) list) : (Cell.t * Cell.t) list =
+  Pair_set.elements (Pair_set.of_list pairs)

@@ -57,6 +57,32 @@ let check_bases r name expected =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(** Remove [path] and everything under it; a missing path is fine. *)
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(** A fresh path [<temp dir>/<prefix>-<pid>-<n>], not yet created, for a
+    test's cache directory. Whatever is there is removed when the test
+    process exits — not when a forked worker does — so a suite leaves
+    nothing behind in the temp dir. *)
+let temp_dir =
+  let ctr = ref 0 in
+  fun prefix ->
+    incr ctr;
+    let owner = Unix.getpid () in
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s-%d-%d" prefix owner !ctr)
+    in
+    at_exit (fun () -> if Unix.getpid () = owner then rm_rf dir);
+    dir
+
 (** The graph's bookkeeping audit ({!Core.Graph.check_counts}) and the
     solver's copy-list audit ({!Core.Solver.check_copy_lists}), as one
     message naming the audit that failed. *)

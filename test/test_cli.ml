@@ -201,10 +201,7 @@ let strip_store json =
       String.sub json 0 i
       ^ String.sub json (close + 1) (String.length json - close - 1)
 
-let fresh_store () =
-  let d = Filename.temp_file "structcast-cli" ".store" in
-  Sys.remove d;
-  d
+let fresh_store () = Helpers.temp_dir "structcast-cli-store"
 
 let test_store_analyze_miss_then_hit () =
   with_temp_source diag_src (fun path ->
@@ -275,7 +272,6 @@ let test_store_serve_two_workers () =
                [ "serve"; "--store"; store; "--workers"; "2" ])
         in
         let code, out, _ = run_split cmd in
-        ignore (Sys.command ("rm -rf " ^ Filename.quote store));
         Alcotest.(check int) "serve exits clean" 0 code;
         let answers =
           List.filter

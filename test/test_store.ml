@@ -54,13 +54,7 @@ let src_b =
     }
   |}
 
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "structcast-store-%d-%d" (Unix.getpid ()) !ctr)
+let fresh_dir () = temp_dir "structcast-store"
 
 let cfg engine =
   { Store.Codec.strategy_id = sid; engine; layout_id; arith = `Spread; budget }

@@ -170,6 +170,128 @@ let test_counters () =
   Alcotest.(check int) "lookup count unchanged" 2 c.Actx.lookup_calls;
   Alcotest.(check int) "resolve counted" 1 c.Actx.resolve_calls
 
+(* -------------------- the strategy memo -------------------- *)
+
+(* Collapse-on-Cast and CIS answer the same (τ, α, target) differently;
+   one context shared by both, with the calls interleaved, must give each
+   instance its own answer. *)
+let test_memo_per_instance () =
+  let shared = Actx.create () in
+  let target = Common_init_seq.normalize shared t_var [] in
+  let fresh_cis = Common_init_seq.lookup (Actx.create ()) s_ty [ "s1" ] target in
+  let fresh_coc = Collapse_on_cast.lookup (Actx.create ()) s_ty [ "s1" ] target in
+  Alcotest.(check bool) "the instances differ here" false
+    (cells_to_strings fresh_cis = cells_to_strings fresh_coc);
+  for _ = 1 to 3 do
+    Alcotest.(check (list string)) "cis" (cells_to_strings fresh_cis)
+      (cells_to_strings (Common_init_seq.lookup shared s_ty [ "s1" ] target));
+    Alcotest.(check (list string)) "coc" (cells_to_strings fresh_coc)
+      (cells_to_strings (Collapse_on_cast.lookup shared s_ty [ "s1" ] target))
+  done;
+  let g = Graph.create () in
+  let dst = Common_init_seq.normalize shared s_var [] in
+  let pairs r =
+    List.map (fun (d, s) -> Cell.to_string d ^ "<-" ^ Cell.to_string s) r
+  in
+  let cis_r = pairs (Common_init_seq.resolve (Actx.create ()) g dst target s_ty) in
+  let coc_r = pairs (Collapse_on_cast.resolve (Actx.create ()) g dst target s_ty) in
+  for _ = 1 to 2 do
+    Alcotest.(check (list string)) "cis resolve" cis_r
+      (pairs (Common_init_seq.resolve shared g dst target s_ty));
+    Alcotest.(check (list string)) "coc resolve" coc_r
+      (pairs (Collapse_on_cast.resolve shared g dst target s_ty))
+  done
+
+let counters (c : Actx.t) =
+  [
+    c.Actx.lookup_calls; c.Actx.lookup_struct; c.Actx.lookup_mismatch;
+    c.Actx.resolve_calls; c.Actx.resolve_struct; c.Actx.resolve_mismatch;
+  ]
+
+(* Answers served from the memo bump the Figure-3 counters exactly as
+   recomputed answers do: the same calls against a context whose memo is
+   cleared before each call give the same counts. *)
+let test_memo_counters () =
+  let calls (c : Actx.t) ~clear =
+    let g = Graph.create () in
+    let target = Common_init_seq.normalize c t_var [] in
+    let dst = Common_init_seq.normalize c s_var [] in
+    for _ = 1 to 4 do
+      List.iter
+        (fun f ->
+          if clear then Actx.clear_memo c;
+          f ())
+        [
+          (fun () -> ignore (Common_init_seq.lookup c t_ty [ "t2" ] target));
+          (fun () -> ignore (Common_init_seq.lookup c s_ty [ "s3" ] target));
+          (fun () -> ignore (Collapse_on_cast.lookup c s_ty [ "s3" ] target));
+          (fun () -> ignore (Common_init_seq.resolve c g dst target s_ty));
+          (fun () -> ignore (Collapse_on_cast.resolve c g dst target s_ty));
+          (fun () -> ignore (Common_init_seq.resolve c g dst dst s_ty));
+        ]
+    done;
+    counters c
+  in
+  let memoized = calls (Actx.create ()) ~clear:false in
+  let recomputed = calls (Actx.create ()) ~clear:true in
+  Alcotest.(check (list int)) "same counts" recomputed memoized;
+  (* 12 lookups (all struct-involving; CIS on t2 is exact, the 8 s3
+     lookups mismatch), 12 resolves (8 across S/T mismatch) *)
+  Alcotest.(check (list int)) "expected counts" [ 12; 12; 8; 12; 12; 8 ] memoized
+
+(* A self-referential struct as τ: its hash terminates and agrees with
+   itself, it gets one type id, and lookup and resolve at it finish. *)
+let test_memo_recursive_type () =
+  let c = Ctype.fresh_comp ~tag:"node" ~is_union:false in
+  let node = Ctype.Comp c in
+  c.Ctype.cfields <-
+    Some [ { Ctype.fname = "next"; fty = Ctype.Ptr node; fbits = None } ];
+  Alcotest.(check bool) "equal to itself" true (Ctype.equal node node);
+  Alcotest.(check int) "hash agrees" (Ctype.hash node) (Ctype.hash node);
+  Alcotest.(check int) "pointer hash agrees"
+    (Ctype.hash (Ctype.Ptr node))
+    (Ctype.hash (Ctype.Ptr (Ctype.Comp c)));
+  let x = Actx.create () in
+  Alcotest.(check int) "one type id" (Actx.type_id x node)
+    (Actx.type_id x (Ctype.Comp c));
+  let v = Cvar.fresh ~name:"n" ~ty:node ~kind:Cvar.Global in
+  let target = Common_init_seq.normalize x v [] in
+  for _ = 1 to 2 do
+    Alcotest.(check (list string)) "cis lookup" [ "n.next" ]
+      (cells_to_strings (Common_init_seq.lookup x node [ "next" ] target));
+    Alcotest.(check (list string)) "coc lookup" [ "n.next" ]
+      (cells_to_strings (Collapse_on_cast.lookup x node [ "next" ] target));
+    Alcotest.(check int) "resolve" 1
+      (List.length (Common_init_seq.resolve x (Graph.create ()) target target node))
+  done
+
+(* The memo holds base answers; the solver's degradation wrapper applies
+   its redirect on top. An answer memoized before an object collapses
+   must come back redirected afterwards. *)
+let test_memo_collapsed_redirect () =
+  let t =
+    Solver.create ~strategy:(module Common_init_seq)
+      (Helpers.compile "void main(void) { }")
+  in
+  let module S = (val t.Solver.strategy : Strategy.S) in
+  let target = S.normalize t.Solver.ctx t_var [] in
+  let dst = S.normalize t.Solver.ctx s_var [] in
+  let g = Graph.create () in
+  Alcotest.(check (list string)) "fine-grained before" [ "t.t2"; "t.t3" ]
+    (cells_to_strings (S.lookup t.Solver.ctx s_ty [ "s3" ] target));
+  Alcotest.(check bool) "several pairs before" true
+    (List.length (S.resolve t.Solver.ctx g dst target s_ty) > 1);
+  Solver.collapse_object t ~reason:(Budget.Object_cells 1) t_var;
+  Alcotest.(check (list string)) "redirected after" [ "t" ]
+    (cells_to_strings (S.lookup t.Solver.ctx s_ty [ "s3" ] target));
+  let srcs =
+    List.sort_uniq compare
+      (List.map
+         (fun (_, s) -> Cell.to_string s)
+         (S.resolve t.Solver.ctx g dst target s_ty))
+  in
+  Alcotest.(check (list string)) "resolve sources redirected" [ "t" ] srcs
+
 let suite =
   [
     Helpers.tc "normalize" test_normalize;
@@ -183,4 +305,9 @@ let suite =
     Helpers.tc "resolve honours the copy size" test_resolve_respects_copy_size;
     Helpers.tc "all_cells" test_all_cells;
     Helpers.tc "instrumentation counters" test_counters;
+    Helpers.tc "memo: one answer per instance" test_memo_per_instance;
+    Helpers.tc "memo: counters as if recomputed" test_memo_counters;
+    Helpers.tc "memo: self-referential struct" test_memo_recursive_type;
+    Helpers.tc "memo: collapsed objects still redirect"
+      test_memo_collapsed_redirect;
   ]

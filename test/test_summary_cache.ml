@@ -72,13 +72,7 @@ let src_edited =
 
 let n_funcs = 5
 
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "structcast-sum-%d-%d" (Unix.getpid ()) !ctr)
+let fresh_dir () = temp_dir "structcast-sum"
 
 let cfg ?(b = budget) () =
   {
