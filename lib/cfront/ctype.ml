@@ -99,34 +99,57 @@ let find_field ty name : field option =
 (* Pretty printing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp ppf = function
-  | Void -> Fmt.string ppf "void"
-  | Int (k, s) ->
-      let base =
-        match k with
-        | IChar -> "char"
-        | IShort -> "short"
-        | IInt -> "int"
-        | ILong -> "long"
-        | ILongLong -> "long long"
-      in
-      if s = Unsigned then Fmt.pf ppf "unsigned %s" base
-      else Fmt.string ppf base
-  | Float FFloat -> Fmt.string ppf "float"
-  | Float FDouble -> Fmt.string ppf "double"
-  | Float FLongDouble -> Fmt.string ppf "long double"
-  | Ptr t -> Fmt.pf ppf "%a*" pp t
-  | Array (t, Some n) -> Fmt.pf ppf "%a[%d]" pp t n
-  | Array (t, None) -> Fmt.pf ppf "%a[]" pp t
-  | Func { ret; params; varargs } ->
-      Fmt.pf ppf "%a(%a%s)" pp ret
-        (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (_, t) -> pp ppf t))
-        params
-        (if varargs then ", ..." else "")
-  | Comp c ->
-      Fmt.pf ppf "%s %s" (if c.cunion then "union" else "struct") c.ctag
+(* One direct printer: these strings are part of on-disk identities
+   (store keys, summary digests, canonical temp names) and are rendered
+   for every variable on every edit, where going through Format was
+   most of [Progdiff.align]'s time. *)
 
-let to_string t = Fmt.str "%a" pp t
+let ikind_name = function
+  | IChar -> "char"
+  | IShort -> "short"
+  | IInt -> "int"
+  | ILong -> "long"
+  | ILongLong -> "long long"
+
+let rec add_ty b = function
+  | Void -> Buffer.add_string b "void"
+  | Int (k, s) ->
+      if s = Unsigned then Buffer.add_string b "unsigned ";
+      Buffer.add_string b (ikind_name k)
+  | Float FFloat -> Buffer.add_string b "float"
+  | Float FDouble -> Buffer.add_string b "double"
+  | Float FLongDouble -> Buffer.add_string b "long double"
+  | Ptr t ->
+      add_ty b t;
+      Buffer.add_char b '*'
+  | Array (t, n) ->
+      add_ty b t;
+      Buffer.add_char b '[';
+      Option.iter (fun n -> Buffer.add_string b (string_of_int n)) n;
+      Buffer.add_char b ']'
+  | Func { ret; params; varargs } ->
+      add_ty b ret;
+      Buffer.add_char b '(';
+      List.iteri
+        (fun i (_, t) ->
+          if i > 0 then Buffer.add_string b ", ";
+          add_ty b t)
+        params;
+      if varargs then Buffer.add_string b ", ...";
+      Buffer.add_char b ')'
+  | Comp c ->
+      Buffer.add_string b (if c.cunion then "union " else "struct ");
+      Buffer.add_string b c.ctag
+
+let to_string = function
+  | Void -> "void"
+  | Int (k, Signed) -> ikind_name k
+  | t ->
+      let b = Buffer.create 32 in
+      add_ty b t;
+      Buffer.contents b
+
+let pp ppf t = Fmt.string ppf (to_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Equality                                                            *)
@@ -232,11 +255,9 @@ let compatible a b = compat_in Pairset.empty a b
 
 type path = string list
 
-let pp_path ppf (p : path) =
-  if p = [] then Fmt.string ppf "ε"
-  else Fmt.(list ~sep:(any ".") string) ppf p
+let path_to_string (p : path) = if p = [] then "ε" else String.concat "." p
 
-let path_to_string p = Fmt.str "%a" pp_path p
+let pp_path ppf p = Fmt.string ppf (path_to_string p)
 
 (** Type of the sub-object at [path] within [ty]. Arrays are unwrapped
     transparently before each step and never at the end (the caller decides

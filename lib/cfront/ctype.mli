@@ -84,8 +84,13 @@ val find_field : t -> string -> field option
 (** {1 Printing, equality, compatibility} *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 val to_string : t -> string
+(** C-like rendering: [unsigned int], [long long], [T*], [T[4]], [T[]],
+    [ret(p1, p2, ...)], [struct T]. Part of on-disk identities
+    (variable keys in store keys and summary digests, canonical temp
+    names), so the bytes are fixed. *)
 
 val equal : t -> t -> bool
 (** Structural equality; struct/union by declaration identity. *)
@@ -105,8 +110,10 @@ val compatible : t -> t -> bool
 type path = string list
 
 val pp_path : Format.formatter -> path -> unit
+(** Prints {!path_to_string}. *)
 
 val path_to_string : path -> string
+(** Field names joined with ["."]; ["ε"] for the empty path. *)
 
 val type_at_path : t -> path -> t
 (** Type of the sub-object at a path; arrays unwrap transparently before

@@ -17,7 +17,10 @@ type kind =
   | Funval of string  (** the function itself *)
   | Vararg of string  (** blob receiving extra actuals of a vararg callee *)
 
-type t = { vid : int; vname : string; vty : Ctype.t; vkind : kind }
+type t = private { vid : int; vname : string; vty : Ctype.t; vkind : kind }
+(** Immutable, and only built by {!fresh}: a [vid] names one value for
+    the life of the process, so per-variable renderings (for instance
+    [Incr.Progdiff]'s keys) may be memoized by [vid]. *)
 
 val fresh : name:string -> ty:Ctype.t -> kind:kind -> t
 (** A new storage object with a globally unique [vid]. *)

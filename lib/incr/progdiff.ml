@@ -17,36 +17,50 @@
 open Cfront
 open Norm
 
+(* Every key is built with [String.concat], never [Printf]: keys are
+   rendered for every variable occurrence of both program versions on
+   each edit, and their bytes are durable identities (store keys,
+   summary digests), so the grammar below is fixed. *)
+
+let kind_part : Cvar.kind -> string = function
+  | Cvar.Global -> "g"
+  | Cvar.Local f -> "l:" ^ f
+  | Cvar.Param f -> "p:" ^ f
+  | Cvar.Temp f -> "t:" ^ f
+  | Cvar.Ret f -> "r:" ^ f
+  (* keyed by allocation ordinal, not source coordinates: an edit that
+     only shifts lines above the allocation site must not invalidate
+     the heap object (inserting/removing an {e allocation} earlier in
+     the program still shifts later ordinals — those objects are
+     treated as removed + re-added, which retraction handles) *)
+  | Cvar.Heap (_, site) -> "h:" ^ string_of_int site
+  | Cvar.Strlit i -> "s:" ^ string_of_int i
+  | Cvar.Funval f -> "f:" ^ f
+  | Cvar.Vararg f -> "v:" ^ f
+
 let var_key (v : Cvar.t) : string =
-  let kind =
-    match v.Cvar.vkind with
-    | Cvar.Global -> "g"
-    | Cvar.Local f -> "l:" ^ f
-    | Cvar.Param f -> "p:" ^ f
-    | Cvar.Temp f -> "t:" ^ f
-    | Cvar.Ret f -> "r:" ^ f
-    (* keyed by allocation ordinal, not source coordinates: an edit that
-       only shifts lines above the allocation site must not invalidate
-       the heap object (inserting/removing an {e allocation} earlier in
-       the program still shifts later ordinals — those objects are
-       treated as removed + re-added, which retraction handles) *)
-    | Cvar.Heap (_, site) -> "h:" ^ string_of_int site
-    | Cvar.Strlit i -> "s:" ^ string_of_int i
-    | Cvar.Funval f -> "f:" ^ f
-    | Cvar.Vararg f -> "v:" ^ f
-  in
-  Printf.sprintf "%s|%s|%s" v.Cvar.vname kind (Ctype.to_string v.Cvar.vty)
+  String.concat "|"
+    [ v.Cvar.vname; kind_part v.Cvar.vkind; Ctype.to_string v.Cvar.vty ]
 
-let interface_key (f : Nast.func) : string =
-  Printf.sprintf "%s(%s)%s%s" f.Nast.fname
-    (String.concat "," (List.map var_key f.Nast.fparams))
-    (match f.Nast.fret with Some r -> "->" ^ var_key r | None -> "")
-    (match f.Nast.fvararg with Some v -> "~" ^ var_key v | None -> "")
+(* The key renderers below take the variable keyer as [var], so the
+   exported one-shot functions and {!Keyer} share one grammar. *)
 
-let iface_of_program (p : Nast.program) : string -> string =
+let interface_key_with var (f : Nast.func) : string =
+  String.concat ""
+    [
+      f.Nast.fname;
+      "(";
+      String.concat "," (List.map var f.Nast.fparams);
+      ")";
+      (match f.Nast.fret with Some r -> "->" ^ var r | None -> "");
+      (match f.Nast.fvararg with Some v -> "~" ^ var v | None -> "");
+    ]
+
+let iface_of_program_with var (p : Nast.program) : string -> string =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun (f : Nast.func) -> Hashtbl.replace tbl f.Nast.fname (interface_key f))
+    (fun (f : Nast.func) ->
+      Hashtbl.replace tbl f.Nast.fname (interface_key_with var f))
     p.Nast.pfuncs;
   (* any defined function's signature changing can redirect any indirect
      call, so indirect calls key on a fingerprint of all interfaces. It
@@ -65,33 +79,73 @@ let iface_of_program (p : Nast.program) : string -> string =
     else
       match Hashtbl.find_opt tbl name with Some k -> k | None -> "undef"
 
-let kind_key ~(iface : string -> string) (k : Nast.kind) : string =
+let kind_key_with var ~(iface : string -> string) (k : Nast.kind) : string =
+  let two tag a b = String.concat "|" [ tag; var a; var b ] in
+  let three tag a b p =
+    String.concat "|" [ tag; var a; var b; Ctype.path_to_string p ]
+  in
   match k with
-  | Nast.Addr (s, t, b) ->
-      Printf.sprintf "A|%s|%s|%s" (var_key s) (var_key t)
-        (Ctype.path_to_string b)
-  | Nast.Addr_deref (s, p, a) ->
-      Printf.sprintf "D|%s|%s|%s" (var_key s) (var_key p)
-        (Ctype.path_to_string a)
-  | Nast.Copy (s, t, b) ->
-      Printf.sprintf "C|%s|%s|%s" (var_key s) (var_key t)
-        (Ctype.path_to_string b)
-  | Nast.Load (s, q) -> Printf.sprintf "L|%s|%s" (var_key s) (var_key q)
-  | Nast.Store (p, v) -> Printf.sprintf "S|%s|%s" (var_key p) (var_key v)
-  | Nast.Arith (s, v) -> Printf.sprintf "R|%s|%s" (var_key s) (var_key v)
+  | Nast.Addr (s, t, b) -> three "A" s t b
+  | Nast.Addr_deref (s, p, a) -> three "D" s p a
+  | Nast.Copy (s, t, b) -> three "C" s t b
+  | Nast.Load (s, q) -> two "L" s q
+  | Nast.Store (p, v) -> two "S" p v
+  | Nast.Arith (s, v) -> two "R" s v
   | Nast.Call { Nast.cret; cfn; cargs } ->
-      let ret = match cret with Some v -> var_key v | None -> "-" in
+      let ret = match cret with Some v -> var v | None -> "-" in
       let fn =
         match cfn with
-        | Nast.Direct n -> "d:" ^ n ^ "~" ^ iface n
-        | Nast.Indirect v -> "i:" ^ var_key v ^ "~" ^ iface "*"
+        | Nast.Direct n -> String.concat "" [ "d:"; n; "~"; iface n ]
+        | Nast.Indirect v ->
+            String.concat "" [ "i:"; var v; "~"; iface "*" ]
       in
-      Printf.sprintf "K|%s|%s|%s" ret fn
-        (String.concat "," (List.map var_key cargs))
+      String.concat "|"
+        [ "K"; ret; fn; String.concat "," (List.map var cargs) ]
+
+(* The statement key and its flag-free twin, from the kind key. *)
+let exact_key ~scope (s : Nast.stmt) kk =
+  String.concat "|"
+    [ scope; (if s.Nast.is_source_deref then "true" else "false"); kk ]
+
+let loose_key ~scope kk = String.concat "|" [ scope; kk ]
+
+let interface_key f = interface_key_with var_key f
+
+let iface_of_program p = iface_of_program_with var_key p
+
+let kind_key ~iface k = kind_key_with var_key ~iface k
 
 let stmt_key ~iface ~(scope : string) (s : Nast.stmt) : string =
-  Printf.sprintf "%s|%b|%s" scope s.Nast.is_source_deref
-    (kind_key ~iface s.Nast.kind)
+  exact_key ~scope s (kind_key ~iface s.Nast.kind)
+
+module Keyer = struct
+  (* [var_key] memoized by [vid]. Sound because a [Cvar.t] is immutable
+     and only built by [Cvar.fresh], so one [vid] is one value for the
+     whole process. The table lives as long as the keyer, which callers
+     keep to one call: nothing outlives the program versions it keys. *)
+  type t = Cvar.t -> string
+
+  let create () : t =
+    let memo = Cvar.Tbl.create 256 in
+    fun v ->
+      match Cvar.Tbl.find_opt memo v with
+      | Some k -> k
+      | None ->
+          let k = var_key v in
+          Cvar.Tbl.add memo v k;
+          k
+
+  let var (t : t) v = t v
+
+  let interface (t : t) f = interface_key_with t f
+
+  let iface_of_program (t : t) p = iface_of_program_with t p
+
+  let kind (t : t) ~iface k = kind_key_with t ~iface k
+
+  let stmt t ~iface ~scope (s : Nast.stmt) =
+    exact_key ~scope s (kind t ~iface s.Nast.kind)
+end
 
 type t = {
   added : Nast.stmt list;
@@ -101,18 +155,22 @@ type t = {
 }
 
 let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
-  let base_iface = iface_of_program base in
-  let ed_iface = iface_of_program edited in
+  (* one keyer for both versions: a variable's key does not depend on
+     the program it is in, and each is rendered once per call *)
+  let kr = Keyer.create () in
+  let var = Keyer.var kr in
+  let base_iface = Keyer.iface_of_program kr base in
+  let ed_iface = Keyer.iface_of_program kr edited in
   (* variable remapping: key → base variable, first in [pall_vars] order *)
   let vmap = Hashtbl.create 64 in
   List.iter
     (fun v ->
-      let k = var_key v in
+      let k = var v in
       if not (Hashtbl.mem vmap k) then Hashtbl.add vmap k v)
     base.Nast.pall_vars;
   let added_vars = ref [] in
   let mapvar (v : Cvar.t) : Cvar.t =
-    let k = var_key v in
+    let k = var v in
     match Hashtbl.find_opt vmap k with
     | Some bv -> bv
     | None ->
@@ -139,8 +197,9 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
     Queue.add s q
   in
   let put scope (s : Nast.stmt) =
-    enqueue buckets (stmt_key ~iface:base_iface ~scope s) s;
-    enqueue buckets2 (scope ^ "|" ^ kind_key ~iface:base_iface s.Nast.kind) s
+    let kk = Keyer.kind kr ~iface:base_iface s.Nast.kind in
+    enqueue buckets (exact_key ~scope s kk) s;
+    enqueue buckets2 (loose_key ~scope kk) s
   in
   List.iter (put "<init>") base.Nast.pinit;
   List.iter
@@ -184,21 +243,17 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
      seen every edited statement keeps it from stealing a base
      statement that still has an exact twin later in the program. *)
   let resolved = Hashtbl.create 256 in
-  let try_exact scope (s : Nast.stmt) =
-    let k = stmt_key ~iface:ed_iface ~scope s in
-    match Hashtbl.find_opt buckets k with
+  let try_exact (scope, (s : Nast.stmt), kk) =
+    match Hashtbl.find_opt buckets (exact_key ~scope s kk) with
     | Some q when not (Queue.is_empty q) ->
         let b = Queue.pop q in
         Hashtbl.replace matched b.Nast.id ();
         Hashtbl.replace resolved s.Nast.id b
     | _ -> ()
   in
-  let try_equiv scope (s : Nast.stmt) =
+  let try_equiv (scope, (s : Nast.stmt), kk) =
     if not (Hashtbl.mem resolved s.Nast.id) then
-      match
-        Hashtbl.find_opt buckets2
-          (scope ^ "|" ^ kind_key ~iface:ed_iface s.Nast.kind)
-      with
+      match Hashtbl.find_opt buckets2 (loose_key ~scope kk) with
       | Some q ->
           (* the secondary queue shadows the primary one, so skip base
              statements an exact match already claimed *)
@@ -215,14 +270,19 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
           pop ()
       | None -> ()
   in
-  let each_stmt f =
-    List.iter (f "<init>") edited.Nast.pinit;
-    List.iter
-      (fun (fn : Nast.func) -> List.iter (f fn.Nast.fname) fn.Nast.fstmts)
-      edited.Nast.pfuncs
+  (* edited statements with their kind keys, rendered once for both
+     passes *)
+  let keyed scope (s : Nast.stmt) =
+    (scope, s, Keyer.kind kr ~iface:ed_iface s.Nast.kind)
   in
-  each_stmt try_exact;
-  each_stmt try_equiv;
+  let ed_stmts =
+    List.map (keyed "<init>") edited.Nast.pinit
+    @ List.concat_map
+        (fun (fn : Nast.func) -> List.map (keyed fn.Nast.fname) fn.Nast.fstmts)
+        edited.Nast.pfuncs
+  in
+  List.iter try_exact ed_stmts;
+  List.iter try_equiv ed_stmts;
   let align_stmt _scope (s : Nast.stmt) : Nast.stmt =
     match Hashtbl.find_opt resolved s.Nast.id with
     | Some b -> b
@@ -273,13 +333,11 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
       (Nast.all_stmts base)
   in
   let ed_keys = Hashtbl.create 64 in
-  List.iter
-    (fun v -> Hashtbl.replace ed_keys (var_key v) ())
-    edited.Nast.pall_vars;
+  List.iter (fun v -> Hashtbl.replace ed_keys (var v) ()) edited.Nast.pall_vars;
   let removed_vars =
     dedup_vars
       (List.filter
-         (fun v -> not (Hashtbl.mem ed_keys (var_key v)))
+         (fun v -> not (Hashtbl.mem ed_keys (var v)))
          base.Nast.pall_vars)
   in
   ( aligned,
@@ -294,16 +352,17 @@ let diff ~base edited : t = snd (align ~base edited)
 
 let funcs_changed ~(base : Nast.program) (edited : Nast.program) :
     string list =
+  let kr = Keyer.create () in
   let body_sig (p : Nast.program) =
-    let iface = iface_of_program p in
+    let iface = Keyer.iface_of_program kr p in
     let tbl = Hashtbl.create 16 in
     List.iter
       (fun (f : Nast.func) ->
         let keys =
-          List.map (stmt_key ~iface ~scope:f.Nast.fname) f.Nast.fstmts
+          List.map (Keyer.stmt kr ~iface ~scope:f.Nast.fname) f.Nast.fstmts
         in
         Hashtbl.replace tbl f.Nast.fname
-          (interface_key f :: List.sort compare keys))
+          (Keyer.interface kr f :: List.sort compare keys))
       p.Nast.pfuncs;
     tbl
   in

@@ -62,6 +62,31 @@ val stmt_key : iface:(string -> string) -> scope:string -> Nast.stmt -> string
 val iface_of_program : Nast.program -> string -> string
 (** The interface-fingerprint oracle of a program, for {!stmt_key}. *)
 
+(** Per-call key renderer. A keyer renders each variable's {!var_key}
+    once (memoized by [vid]) and gives exactly the bytes of the
+    one-shot functions above. A [Cvar.t] is immutable and only built by
+    [Cvar.fresh], so a [vid] stands for one value for the life of the
+    process and the memo can never go stale; it is still meant to live
+    for one call (one alignment, one store key, one digest pass) and be
+    dropped with the programs it keyed. *)
+module Keyer : sig
+  type t
+
+  val create : unit -> t
+
+  val var : t -> Cvar.t -> string
+  (** {!var_key}, memoized. *)
+
+  val interface : t -> Nast.func -> string
+  (** {!interface_key}. *)
+
+  val iface_of_program : t -> Nast.program -> string -> string
+  (** {!iface_of_program}. *)
+
+  val stmt : t -> iface:(string -> string) -> scope:string -> Nast.stmt -> string
+  (** {!stmt_key}. *)
+end
+
 type t = {
   added : Nast.stmt list;
       (** statements of the aligned program with no base counterpart, in

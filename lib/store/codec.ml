@@ -57,20 +57,18 @@ let config_digest (c : config) : string =
 (* Identity-free program fingerprint                                   *)
 (* ------------------------------------------------------------------ *)
 
-let stmt_keys (p : Nast.program) : string list =
-  let iface = Incr.Progdiff.iface_of_program p in
-  List.map
-    (fun s -> Incr.Progdiff.stmt_key ~iface ~scope:"<init>" s)
-    p.Nast.pinit
+let stmt_keys ?(keyer = Incr.Progdiff.Keyer.create ()) (p : Nast.program) :
+    string list =
+  let module K = Incr.Progdiff.Keyer in
+  let iface = K.iface_of_program keyer p in
+  List.map (K.stmt keyer ~iface ~scope:"<init>") p.Nast.pinit
   @ List.concat_map
       (fun (f : Nast.func) ->
-        List.map
-          (fun s -> Incr.Progdiff.stmt_key ~iface ~scope:f.Nast.fname s)
-          f.Nast.fstmts)
+        List.map (K.stmt keyer ~iface ~scope:f.Nast.fname) f.Nast.fstmts)
       p.Nast.pfuncs
 
-let key (c : config) ~(name : string) ~(diags_fp : string)
-    (p : Nast.program) : string =
+let key ?(keyer = Incr.Progdiff.Keyer.create ()) (c : config) ~(name : string)
+    ~(diags_fp : string) (p : Nast.program) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b (config_line c);
   Buffer.add_char b '\n';
@@ -83,13 +81,13 @@ let key (c : config) ~(name : string) ~(diags_fp : string)
       Buffer.add_string b k;
       Buffer.add_char b '\n')
     (List.sort compare
-       (List.map Incr.Progdiff.var_key p.Nast.pall_vars));
+       (List.map (Incr.Progdiff.Keyer.var keyer) p.Nast.pall_vars));
   Buffer.add_string b "--\n";
   List.iter
     (fun k ->
       Buffer.add_string b k;
       Buffer.add_char b '\n')
-    (List.sort compare (stmt_keys p));
+    (List.sort compare (stmt_keys ~keyer p));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)
@@ -218,8 +216,10 @@ let sel_code_of (s : Cell.sel) : sel_code =
 
 exception Refuse of string
 
-let encode (t : Solver.t) ~(config : config) ~(name : string)
-    ~(key : string) ~(report_json : string) : (string, string) result =
+let encode ?(keyer = Incr.Progdiff.Keyer.create ()) (t : Solver.t)
+    ~(config : config) ~(name : string) ~(key : string)
+    ~(report_json : string) : (string, string) result =
+  let var_key = Incr.Progdiff.Keyer.var keyer in
   try
     let prog = t.Solver.prog in
     let g = t.Solver.graph in
@@ -229,7 +229,7 @@ let encode (t : Solver.t) ~(config : config) ~(name : string)
     List.iteri
       (fun i (s : Nast.stmt) -> Hashtbl.replace stmt_idx s.Nast.id i)
       stmts;
-    let keys = stmt_keys prog in
+    let keys = stmt_keys ~keyer prog in
     let keytbl = List.sort_uniq compare keys in
     let key_idx : (string, int) Hashtbl.t = Hashtbl.create 256 in
     List.iteri (fun i k -> Hashtbl.replace key_idx k i) keytbl;
@@ -240,13 +240,13 @@ let encode (t : Solver.t) ~(config : config) ~(name : string)
     let first_by_key : (string, Cvar.t) Hashtbl.t = Hashtbl.create 256 in
     List.iter
       (fun (v : Cvar.t) ->
-        let k = Incr.Progdiff.var_key v in
+        let k = var_key v in
         if not (Hashtbl.mem first_by_key k) then
           Hashtbl.replace first_by_key k v)
       prog.Nast.pall_vars;
     let var_of : (string, unit) Hashtbl.t = Hashtbl.create 256 in
     let need_var (v : Cvar.t) : string =
-      let k = Incr.Progdiff.var_key v in
+      let k = var_key v in
       (match Hashtbl.find_opt first_by_key k with
       | Some v0 when Cvar.equal v0 v -> ()
       | Some _ -> raise (Refuse ("shadowed variable key " ^ k))
@@ -709,16 +709,18 @@ let ancestor_distance (d : decoded) ~(request_keys : string list) :
 (* Restore                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let restore (d : decoded) ~(config : config) ~(layout : Layout.config)
+let restore ?(keyer = Incr.Progdiff.Keyer.create ()) (d : decoded)
+    ~(config : config) ~(layout : Layout.config)
     ~(strategy : (module Strategy.S)) (prog : Nast.program) :
     (Solver.t * Nast.stmt list, string) result =
+  let var_key = Incr.Progdiff.Keyer.var keyer in
   try
     let fail why = raise (Bad why) in
     (* bind snapshot variables to the request program's *)
     let first_by_key : (string, Cvar.t) Hashtbl.t = Hashtbl.create 256 in
     List.iter
       (fun (v : Cvar.t) ->
-        let k = Incr.Progdiff.var_key v in
+        let k = var_key v in
         if not (Hashtbl.mem first_by_key k) then
           Hashtbl.replace first_by_key k v)
       prog.Nast.pall_vars;
@@ -743,7 +745,7 @@ let restore (d : decoded) ~(config : config) ~(layout : Layout.config)
        Progdiff.align does; leftover request statements are the added
        delta to enqueue *)
     let stmts = Nast.all_stmts prog in
-    let req_keys = stmt_keys prog in
+    let req_keys = stmt_keys ~keyer prog in
     let buckets : (string, Nast.stmt Queue.t) Hashtbl.t =
       Hashtbl.create 256
     in

@@ -54,12 +54,21 @@ val config_digest : config -> string
 (** Digest of {!config_line} alone — the ancestor-search partition key:
     only snapshots of the same configuration can warm-start a request. *)
 
-val stmt_keys : Nast.program -> string list
+(** [?keyer] below: pass one {!Incr.Progdiff.Keyer.t} to every call
+    about the same request so each variable is rendered once; the bytes
+    are those of a fresh keyer. *)
+
+val stmt_keys : ?keyer:Incr.Progdiff.Keyer.t -> Nast.program -> string list
 (** The program's statements as {!Incr.Progdiff.stmt_key} strings, in
     program order (initializers first, then each function in order). *)
 
 val key :
-  config -> name:string -> diags_fp:string -> Nast.program -> string
+  ?keyer:Incr.Progdiff.Keyer.t ->
+  config ->
+  name:string ->
+  diags_fp:string ->
+  Nast.program ->
+  string
 (** The store key: digest of the configuration, the report name, the
     front-end diagnostics rendering, and the {e sorted} variable and
     statement key multisets. Two requests share a key exactly when a
@@ -100,6 +109,7 @@ val decoded_stmt_keys : decoded -> string list
 (** The producing program's statement keys, program order. *)
 
 val encode :
+  ?keyer:Incr.Progdiff.Keyer.t ->
   Solver.t ->
   config:config ->
   name:string ->
@@ -122,6 +132,7 @@ val ancestor_distance : decoded -> request_keys:string list -> int option
     over-approximate and the snapshot is unusable as a warm start. *)
 
 val restore :
+  ?keyer:Incr.Progdiff.Keyer.t ->
   decoded ->
   config:config ->
   layout:Layout.config ->

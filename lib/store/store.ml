@@ -389,7 +389,10 @@ let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
   in
   let cfg_digest = Codec.config_digest cfg in
   let diags_fp = String.concat "" (List.map Report.json_of_diag diags) in
-  let key = Codec.key cfg ~name ~diags_fp prog in
+  (* one keyer for the whole request: key, ancestor search, restore and
+     encode all render the same variables *)
+  let keyer = Incr.Progdiff.Keyer.create () in
+  let key = Codec.key ~keyer cfg ~name ~diags_fp prog in
   let c = st.counters in
   let mk_result solver time_s =
     {
@@ -403,14 +406,16 @@ let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
   let render r = Report.json_of_result ~timing:false ~solver_stats:false ~name r in
   let save solver json =
     if Solver.degradations solver = [] then
-      match Codec.encode solver ~config:cfg ~name ~key ~report_json:json with
+      match
+        Codec.encode ~keyer solver ~config:cfg ~name ~key ~report_json:json
+      with
       | Ok bytes -> put st ~key ~cfg_digest bytes
       | Error why -> st.log ("snapshot refused: " ^ why)
   in
   (* restore + resume; [added] empty on an exact repeat, so the resume
      returns without one solver visit *)
   let warm d =
-    match Codec.restore d ~config:cfg ~layout ~strategy prog with
+    match Codec.restore ~keyer d ~config:cfg ~layout ~strategy prog with
     | Error why ->
         quarantine st (Codec.decoded_key d) ~why:("restore: " ^ why);
         None
@@ -439,7 +444,7 @@ let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
     c.Metrics.misses <- c.Metrics.misses + 1;
     match
       find_ancestor st ~cfg_digest ~exact_key:key
-        ~request_keys:(Codec.stmt_keys prog)
+        ~request_keys:(Codec.stmt_keys ~keyer prog)
     with
     | None -> cold ()
     | Some (d, dist) -> (

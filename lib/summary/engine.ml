@@ -18,18 +18,19 @@ open Core
 type binder = {
   first : (string, Cvar.t) Hashtbl.t;
   shadowed : (string, unit) Hashtbl.t;
+  keyer : Incr.Progdiff.Keyer.t;
 }
 
-let binder_of (prog : Nast.program) : binder =
+let binder_of ~keyer (prog : Nast.program) : binder =
   let first = Hashtbl.create 256 in
   let shadowed = Hashtbl.create 16 in
   List.iter
     (fun (v : Cvar.t) ->
-      let k = Incr.Progdiff.var_key v in
+      let k = Incr.Progdiff.Keyer.var keyer v in
       if Hashtbl.mem first k then Hashtbl.replace shadowed k ()
       else Hashtbl.add first k v)
     prog.Nast.pall_vars;
-  { first; shadowed }
+  { first; shadowed; keyer }
 
 let sel_of_cell : Cell.sel -> Sumcache.sel = function
   | Cell.Path p -> Sumcache.Path p
@@ -47,7 +48,7 @@ let endpoint_of (b : binder) ~(refuse : Cvar.t) (cid : int) :
   let v = c.Cell.base in
   if Cvar.equal v refuse then None
   else
-    let k = Incr.Progdiff.var_key v in
+    let k = Incr.Progdiff.Keyer.var b.keyer v in
     if Hashtbl.mem b.shadowed k then None
     else
       match Hashtbl.find_opt b.first k with
@@ -72,8 +73,11 @@ let solve ~(cache : Sumcache.t) ~(config : Store.Codec.config)
   let config = { config with Store.Codec.engine = `Summary } in
   let config_line = Store.Codec.config_line config in
   let cg = Callgraph.build prog in
-  let keys = Sumdigest.keys ~config_line prog cg in
-  let b = binder_of prog in
+  (* one keyer for the solve: digests and endpoint binding render the
+     same variables *)
+  let keyer = Incr.Progdiff.Keyer.create () in
+  let keys = Sumdigest.keys ~keyer ~config_line prog cg in
+  let b = binder_of ~keyer prog in
   let c = Sumcache.counters cache in
   let t =
     Solver.create ~layout ~arith:config.Store.Codec.arith

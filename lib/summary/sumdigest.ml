@@ -2,23 +2,25 @@
 
 open Norm
 
-let body_digest ~(iface : string -> string) (f : Nast.func) : string =
+module K = Incr.Progdiff.Keyer
+
+let body_digest ?(keyer = K.create ()) ~(iface : string -> string)
+    (f : Nast.func) : string =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Incr.Progdiff.interface_key f);
+  Buffer.add_string b (K.interface keyer f);
   Buffer.add_char b '\n';
   List.iter
     (fun s ->
-      Buffer.add_string b
-        (Incr.Progdiff.stmt_key ~iface ~scope:f.Nast.fname s);
+      Buffer.add_string b (K.stmt keyer ~iface ~scope:f.Nast.fname s);
       Buffer.add_char b '\n')
     f.Nast.fstmts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 type keys = (string, string) Hashtbl.t
 
-let keys ~(config_line : string) (prog : Nast.program) (cg : Callgraph.t) :
-    keys =
-  let iface = Incr.Progdiff.iface_of_program prog in
+let keys ?(keyer = K.create ()) ~(config_line : string) (prog : Nast.program)
+    (cg : Callgraph.t) : keys =
+  let iface = K.iface_of_program keyer prog in
   let scc_key : (int, string) Hashtbl.t = Hashtbl.create 32 in
   let by_fn : keys = Hashtbl.create 32 in
   (* bottom-up order: every callee SCC's key exists when needed *)
@@ -26,7 +28,7 @@ let keys ~(config_line : string) (prog : Nast.program) (cg : Callgraph.t) :
     (fun si members ->
       let bodies =
         List.sort compare
-          (List.map (fun f -> body_digest ~iface f) members)
+          (List.map (fun f -> body_digest ~keyer ~iface f) members)
       in
       let callee_keys =
         List.sort compare

@@ -18,13 +18,21 @@
 
 open Norm
 
-val body_digest : iface:(string -> string) -> Nast.func -> string
+val body_digest :
+  ?keyer:Incr.Progdiff.Keyer.t -> iface:(string -> string) -> Nast.func -> string
 (** Digest of one function's interface key plus its statement keys in
-    body order ([iface] from {!Incr.Progdiff.iface_of_program}). *)
+    body order ([iface] from {!Incr.Progdiff.iface_of_program}). Pass
+    one [keyer] to every digest of a program so each variable is
+    rendered once; the bytes are those of a fresh keyer. *)
 
 type keys
 
-val keys : config_line:string -> Nast.program -> Callgraph.t -> keys
+val keys :
+  ?keyer:Incr.Progdiff.Keyer.t ->
+  config_line:string ->
+  Nast.program ->
+  Callgraph.t ->
+  keys
 (** Compute every SCC's key bottom-up. [config_line] must pin strategy,
     engine, layout, arithmetic mode, and budget — anything that changes
     what a summary records. *)

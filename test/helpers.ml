@@ -93,3 +93,38 @@ let audit (t : Core.Solver.t) : string option =
       Option.map
         (fun msg -> "copy-list audit: " ^ msg)
         (Core.Solver.check_copy_lists t)
+
+(** A program whose lowering reaches every statement kind — address-of
+    with and without a field, copy, load, store, address-of through a
+    pointer, pointer arithmetic, a direct, an indirect and an extern
+    call — plus a heap object, a string literal and canonical temps.
+    The golden-key tests pin its keys byte for byte. *)
+let golden_keys_src =
+  {|
+    struct pair { int *a; char *b; };
+    union u { int i; int *p; };
+    struct pair g;
+    int x;
+    char buf[8];
+    int *id(int *q, ...) { return q; }
+    void main(void) {
+      int *(*fp)(int *, ...);
+      int *r;
+      int **pp;
+      struct pair *sp;
+      union u v;
+      fp = id;
+      r = fp(&x);
+      r = id((int *)buf);
+      g.a = r;
+      *r = 1;
+      r = r + 1;
+      v.p = g.a;
+      r = (int *)malloc(4);
+      g.b = "hi";
+      pp = &r;
+      r = *pp;
+      sp = &g;
+      pp = &sp->a;
+    }
+  |}

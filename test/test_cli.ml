@@ -338,6 +338,38 @@ let test_serve_smoke () =
   check_contains "serve" out "\"id\":\"job2\"";
   check_contains "serve" out "\"status\":\"done\""
 
+(* [reanalyze] times the edit on the wall clock. On the CPU clock a
+   parallel solve would report up to N times the elapsed time, and the
+   base solve used to be counted as well: neither fits inside the wall
+   time of the whole command. *)
+let test_reanalyze_time_is_wall () =
+  let t0 = Unix.gettimeofday () in
+  let code, out, _ =
+    run_split
+      (Filename.quote_command exe
+         [
+           "reanalyze"; "li"; "li"; "--format"; "json"; "--engine";
+           "delta-par"; "--domains"; "2";
+         ])
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "exit code" 0 code;
+  let marker = "\"time_s\":" in
+  let rec find i =
+    if i + String.length marker > String.length out then
+      Alcotest.failf "no time_s in:\n%s" out
+    else if String.sub out i (String.length marker) = marker then
+      i + String.length marker
+    else find (i + 1)
+  in
+  let at = find 0 in
+  let time_s =
+    Scanf.sscanf (String.sub out at (String.length out - at)) "%f" Fun.id
+  in
+  if time_s > wall then
+    Alcotest.failf "time_s %.6f exceeds the command's wall time %.6f" time_s
+      wall
+
 let suite =
   if Sys.file_exists exe then
     [
@@ -367,6 +399,8 @@ let suite =
       Helpers.tc "--store-faults help renders" test_store_faults_help;
       Helpers.tc "--store serve: two workers share one store"
         test_store_serve_two_workers;
+      Helpers.tc "reanalyze times the edit on the wall clock"
+        test_reanalyze_time_is_wall;
     ]
   else
     [ Alcotest.test_case "cli binary not built; skipped" `Quick (fun () -> ()) ]

@@ -154,6 +154,45 @@ let test_type_at_path () =
   | exception Diag.Error _ -> ()
   | _ -> Alcotest.fail "expected error for bad field"
 
+(* The printer's bytes are on-disk identities (variable keys inside
+   store keys and summary digests, erased shapes inside canonical temp
+   names), so every constructor's rendering is pinned literally. *)
+let test_golden_strings () =
+  let s = Ctype.fresh_comp ~tag:"S" ~is_union:false in
+  let u = Ctype.fresh_comp ~tag:"U" ~is_union:true in
+  let cases =
+    Ctype.
+      [
+        (Int (IInt, Unsigned), "unsigned int");
+        (Int (IChar, Unsigned), "unsigned char");
+        (Int (ILongLong, Signed), "long long");
+        (Int (ILongLong, Unsigned), "unsigned long long");
+        (Float FLongDouble, "long double");
+        (Array (int_t, Some 4), "int[4]");
+        (Array (char_t, None), "char[]");
+        ( Ptr
+            (Func
+               {
+                 ret = int_t;
+                 params = [ ("a", Ptr char_t); ("", double_t) ];
+                 varargs = true;
+               }),
+          "int(char*, double, ...)*" );
+        (Func { ret = Void; params = []; varargs = true }, "void(, ...)");
+        (Comp s, "struct S");
+        (Comp u, "union U");
+        (Ptr (Array (Ptr (Comp s), Some 3)), "struct S*[3]*");
+      ]
+  in
+  List.iter
+    (fun (ty, want) ->
+      Alcotest.(check string) want want (Ctype.to_string ty);
+      Alcotest.(check string) ("pp " ^ want) want (Fmt.str "%a" Ctype.pp ty))
+    cases;
+  Alcotest.(check string) "empty path" "ε" (Ctype.path_to_string []);
+  Alcotest.(check string) "two fields" "a.b" (Ctype.path_to_string [ "a"; "b" ]);
+  Alcotest.(check string) "pp path" "a.b" (Fmt.str "%a" Ctype.pp_path [ "a"; "b" ])
+
 let suite =
   [
     Helpers.tc "type equality" test_equal;
@@ -167,4 +206,5 @@ let suite =
     Helpers.tc "following leaves" test_following_leaves;
     Helpers.tc "enclosing candidates" test_enclosing_candidates;
     Helpers.tc "type at path" test_type_at_path;
+    Helpers.tc "golden type and path strings" test_golden_strings;
   ]

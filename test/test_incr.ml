@@ -728,6 +728,136 @@ let test_corpus_differential () =
   if !warms = 0 then
     Alcotest.failf "every corpus edit fell back to scratch (%d)" !fallbacks
 
+(* Keys are durable identities — store keys, summary digests and the
+   ancestor match all hash them — so their bytes are pinned here, taken
+   from the Format-based renderer they replaced. *)
+let test_golden_var_keys () =
+  let loc = { Srcloc.dummy with Srcloc.line = 12 } in
+  List.iter
+    (fun (kind, want) ->
+      let v = Cvar.fresh ~name:"v" ~ty:(Ctype.Ptr Ctype.int_t) ~kind in
+      Alcotest.(check string) want want (Incr.Progdiff.var_key v))
+    Cvar.
+      [
+        (Global, "v|g|int*");
+        (Local "main", "v|l:main|int*");
+        (Param "f", "v|p:f|int*");
+        (Temp "main", "v|t:main|int*");
+        (Ret "f", "v|r:f|int*");
+        (Heap (loc, 3), "v|h:3|int*");
+        (Strlit 2, "v|s:2|int*");
+        (Funval "f", "v|f:f|int*");
+        (Vararg "f", "v|v:f|int*");
+      ]
+
+let golden_ifaces =
+  [
+    "id(q|p:id|int*)->$ret|r:id|int*~$varargs|v:id|void*";
+    "main()";
+  ]
+
+let golden_stmt_keys =
+  [
+    "id|false|C|$ret|r:id|int*|q|p:id|int*|ε";
+    "main|false|A|$tfa44eadc_0_0|t:main|int*(int*, ...)*|id|f:id|int*(int*, \
+     ...)|ε";
+    "main|false|C|fp|l:main|int*(int*, ...)*|$tfa44eadc_0_0|t:main|int*(int*, \
+     ...)*|ε";
+    "main|false|A|$t6947e3a8_0_0|t:main|int*|x|g|int|ε";
+    "main|true|K|$t3d2897ad_0_0|t:main|int*|i:fp|l:main|int*(int*, \
+     ...)*~eb11ce15447970512cb7544c42083245|$t6947e3a8_0_0|t:main|int*";
+    "main|false|C|r|l:main|int*|$t3d2897ad_0_0|t:main|int*|ε";
+    "main|false|A|$tde8e5c8e_0_0|t:main|char*|buf|g|char[8]|ε";
+    "main|false|C|$t21facdf7_0_0|t:main|int*|$tde8e5c8e_0_0|t:main|char*|ε";
+    "main|false|K|$t6ab55b24_0_0|t:main|int*|d:id~id(q|p:id|int*)->$ret|r:id|int*~$varargs|v:id|void*|$t21facdf7_0_0|t:main|int*";
+    "main|false|C|r|l:main|int*|$t6ab55b24_0_0|t:main|int*|ε";
+    "main|false|A|$t34e85790_0_0|t:main|int**|g|g|struct pair|a";
+    "main|false|S|$t34e85790_0_0|t:main|int**|r|l:main|int*";
+    "main|true|S|r|l:main|int*|$tb3d0d396_0_1|t:main|int";
+    "main|false|R|$t909b6b5b_0_0|t:main|int*|r|l:main|int*";
+    "main|false|R|$t909b6b5b_0_0|t:main|int*|$t4da316b0_0_1|t:main|int";
+    "main|false|C|r|l:main|int*|$t909b6b5b_0_0|t:main|int*|ε";
+    "main|false|C|$t0e72fbc4_0_0|t:main|int*|g|g|struct pair|a";
+    "main|false|A|$tfce19b53_0_0|t:main|int**|v|l:main|union u|p";
+    "main|false|S|$tfce19b53_0_0|t:main|int**|$t0e72fbc4_0_0|t:main|int*";
+    "main|false|K|$t82a708c8_0_0|t:main|int|d:malloc~undef|$t82a708c8_0_1|t:main|int";
+    "main|false|A|$t82a708c8_0_0|t:main|int|$malloc1|h:1|int|ε";
+    "main|false|C|$t415a8d2b_0_0|t:main|int*|$t82a708c8_0_0|t:main|int|ε";
+    "main|false|C|r|l:main|int*|$t415a8d2b_0_0|t:main|int*|ε";
+    "main|false|A|$t94463502_0_0|t:main|char*|$str0|s:0|char[3]|ε";
+    "main|false|A|$t512c3c21_0_0|t:main|char**|g|g|struct pair|b";
+    "main|false|S|$t512c3c21_0_0|t:main|char**|$t94463502_0_0|t:main|char*";
+    "main|false|A|pp|l:main|int**|r|l:main|int*|ε";
+    "main|true|L|r|l:main|int*|pp|l:main|int**";
+    "main|false|A|sp|l:main|struct pair*|g|g|struct pair|ε";
+    "main|true|D|pp|l:main|int**|sp|l:main|struct pair*|a";
+  ]
+
+let program_keys ~iface ~interface ~stmt (p : Nast.program) =
+  List.map interface p.Nast.pfuncs,
+  List.concat_map
+    (fun (f : Nast.func) -> List.map (stmt ~iface ~scope:f.Nast.fname) f.Nast.fstmts)
+    p.Nast.pfuncs
+
+(** Every statement kind's key, and the canonical temp names inside
+    them, byte for byte — through the one-shot functions and through a
+    keyer. *)
+let test_golden_stmt_keys () =
+  let p = compile golden_keys_src in
+  Alcotest.(check (list string)) "no initializers" []
+    (List.map
+       (Incr.Progdiff.stmt_key ~iface:(Incr.Progdiff.iface_of_program p)
+          ~scope:"<init>")
+       p.Nast.pinit);
+  let check label (ifaces, stmts) =
+    Alcotest.(check (list string)) (label ^ ": interfaces") golden_ifaces ifaces;
+    Alcotest.(check (list string)) (label ^ ": statements") golden_stmt_keys stmts
+  in
+  check "one-shot"
+    (program_keys ~iface:(Incr.Progdiff.iface_of_program p)
+       ~interface:Incr.Progdiff.interface_key ~stmt:Incr.Progdiff.stmt_key p);
+  let kr = Incr.Progdiff.Keyer.create () in
+  (* twice through one keyer: the second pass answers from the memo *)
+  for _ = 1 to 2 do
+    check "keyer"
+      (program_keys
+         ~iface:(Incr.Progdiff.Keyer.iface_of_program kr p)
+         ~interface:(Incr.Progdiff.Keyer.interface kr)
+         ~stmt:(Incr.Progdiff.Keyer.stmt kr) p)
+  done;
+  (* one canonical temp name: erased-shape digest, ordinal, position *)
+  Alcotest.(check bool) "canonical temp" true
+    (List.exists
+       (fun (v : Cvar.t) -> v.Cvar.vname = "$t6947e3a8_0_0")
+       p.Nast.pall_vars)
+
+(** A keyer agrees with the one-shot functions on every corpus program,
+    also when one keyer serves two compiles of the same source. *)
+let test_keyer_agrees_on_corpus () =
+  List.iter
+    (fun (sp : Suite.program) ->
+      let kr = Incr.Progdiff.Keyer.create () in
+      for _ = 1 to 2 do
+        let p = Lower.compile ~file:sp.Suite.name sp.Suite.source in
+        List.iter
+          (fun v ->
+            Alcotest.(check string) sp.Suite.name (Incr.Progdiff.var_key v)
+              (Incr.Progdiff.Keyer.var kr v))
+          p.Nast.pall_vars;
+        let one =
+          program_keys ~iface:(Incr.Progdiff.iface_of_program p)
+            ~interface:Incr.Progdiff.interface_key
+            ~stmt:Incr.Progdiff.stmt_key p
+        and memo =
+          program_keys
+            ~iface:(Incr.Progdiff.Keyer.iface_of_program kr p)
+            ~interface:(Incr.Progdiff.Keyer.interface kr)
+            ~stmt:(Incr.Progdiff.Keyer.stmt kr) p
+        in
+        Alcotest.(check (pair (list string) (list string))) sp.Suite.name one memo
+      done)
+    Suite.programs
+
 let suite =
   [
     tc "progdiff: identical compiles diff empty" test_diff_identity;
@@ -764,4 +894,7 @@ let suite =
       test_retract_collapsed_cycle;
     tc "retraction drops an affected class's copy list"
       test_retract_drops_copy_lists;
+    tc "progdiff: golden variable keys" test_golden_var_keys;
+    tc "progdiff: golden statement keys" test_golden_stmt_keys;
+    tc "progdiff: keyer agrees on the corpus" test_keyer_agrees_on_corpus;
   ]
