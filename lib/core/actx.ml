@@ -35,12 +35,22 @@ module Pair_tbl = Hashtbl.Make (struct
   let hash (a, b) = (a * 65599) + b
 end)
 
+module Triple_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a1, a2, a3) (b1, b2, b3) = a1 = b1 && a2 = b2 && a3 = b3
+
+  let hash (a, b, c) = (((a * 65599) + b) * 65599) + c
+end)
+
 type memo = {
   type_ids : int Ty_tbl.t;
   lookups : (Cell.t list * bool) Lookup_tbl.t;
+  roots : Cell.t Pair_tbl.t;
+  rows : (Cell.t list * bool) list Triple_tbl.t;
   type_sizes : (int, int) Hashtbl.t;
   obj_sizes : (int, int) Hashtbl.t;
-  canon_offsets : int Pair_tbl.t;
+  offset_cells : Cell.t Pair_tbl.t;
 }
 
 type t = {
@@ -51,9 +61,6 @@ type t = {
   mutable resolve_calls : int;
   mutable resolve_struct : int;
   mutable resolve_mismatch : int;
-  mutable in_resolve : bool;
-      (** paper footnote 7: [lookup] calls made from within [resolve] are
-          not counted *)
   memo : memo;
 }
 
@@ -66,23 +73,26 @@ let create ?(layout = Layout.default) () =
     resolve_calls = 0;
     resolve_struct = 0;
     resolve_mismatch = 0;
-    in_resolve = false;
     memo =
       {
         type_ids = Ty_tbl.create 64;
         lookups = Lookup_tbl.create 1024;
+        roots = Pair_tbl.create 256;
+        rows = Triple_tbl.create 1024;
         type_sizes = Hashtbl.create 64;
         obj_sizes = Hashtbl.create 256;
-        canon_offsets = Pair_tbl.create 1024;
+        offset_cells = Pair_tbl.create 1024;
       };
   }
 
 let clear_memo ctx =
   Ty_tbl.reset ctx.memo.type_ids;
   Lookup_tbl.reset ctx.memo.lookups;
+  Pair_tbl.reset ctx.memo.roots;
+  Triple_tbl.reset ctx.memo.rows;
   Hashtbl.reset ctx.memo.type_sizes;
   Hashtbl.reset ctx.memo.obj_sizes;
-  Pair_tbl.reset ctx.memo.canon_offsets
+  Pair_tbl.reset ctx.memo.offset_cells
 
 let type_id ctx (ty : Ctype.t) : int =
   let ids = ctx.memo.type_ids in
@@ -95,9 +105,18 @@ let type_id ctx (ty : Ctype.t) : int =
 
 let next_tag = ref 0
 
-let lookup_tag () =
+let memo_tag () =
   incr next_tag;
   !next_tag
+
+let memo_root ctx ~tag f (v : Cvar.t) : Cell.t =
+  let key = (tag, v.Cvar.vid) in
+  match Pair_tbl.find_opt ctx.memo.roots key with
+  | Some c -> c
+  | None ->
+      let c = f ctx v in
+      Pair_tbl.add ctx.memo.roots key c;
+      c
 
 let memo_lookup ctx ~tag ~tid f (tau : Ctype.t) (alpha : Ctype.path)
     (target : Cell.t) : Cell.t list * bool =
@@ -109,13 +128,21 @@ let memo_lookup ctx ~tag ~tid f (tau : Ctype.t) (alpha : Ctype.path)
       Lookup_tbl.add ctx.memo.lookups key r;
       r
 
+let memo_row ctx ~tag ~tid f (tau : Ctype.t) (c : Cell.t) :
+    (Cell.t list * bool) list =
+  let key = (tag, tid, c.Cell.cid) in
+  match Triple_tbl.find_opt ctx.memo.rows key with
+  | Some r -> r
+  | None ->
+      let r = List.map (fun delta -> f tau delta c) (Ctype.leaf_paths tau) in
+      Triple_tbl.add ctx.memo.rows key r;
+      r
+
 let count_lookup ctx ~structure ~mismatch =
-  if not ctx.in_resolve then begin
-    ctx.lookup_calls <- ctx.lookup_calls + 1;
-    if structure then begin
-      ctx.lookup_struct <- ctx.lookup_struct + 1;
-      if mismatch then ctx.lookup_mismatch <- ctx.lookup_mismatch + 1
-    end
+  ctx.lookup_calls <- ctx.lookup_calls + 1;
+  if structure then begin
+    ctx.lookup_struct <- ctx.lookup_struct + 1;
+    if mismatch then ctx.lookup_mismatch <- ctx.lookup_mismatch + 1
   end
 
 let count_resolve ctx ~structure ~mismatch =
@@ -124,15 +151,6 @@ let count_resolve ctx ~structure ~mismatch =
     ctx.resolve_struct <- ctx.resolve_struct + 1;
     if mismatch then ctx.resolve_mismatch <- ctx.resolve_mismatch + 1
   end
-
-(** Run [f] with lookup-counting suppressed (for resolve's internal
-    lookups). *)
-let inside_resolve ctx f =
-  let saved = ctx.in_resolve in
-  ctx.in_resolve <- true;
-  let r = f () in
-  ctx.in_resolve <- saved;
-  r
 
 type figures = {
   pct_lookup_struct : float;

@@ -14,21 +14,30 @@ module Lookup_tbl : Hashtbl.S with type key = lookup_key
 
 module Pair_tbl : Hashtbl.S with type key = int * int
 
+module Triple_tbl : Hashtbl.S with type key = int * int * int
+
 type memo = {
   type_ids : int Ty_tbl.t;  (** dense ids, under {!Cfront.Ctype.equal} *)
   lookups : (Cell.t list * bool) Lookup_tbl.t;
       (** the path-based instances' lookup answers: the cells and
           whether the declared type matched exactly *)
+  roots : Cell.t Pair_tbl.t;
+      (** (instance tag, object vid) → [normalize v []], the cell every
+          statement visit forms for each variable it names *)
+  rows : (Cell.t list * bool) list Triple_tbl.t;
+      (** (instance tag, type id of τ, cell id) → the cell's resolve row:
+          its lookup answer for every leaf path of τ, in leaf order *)
   type_sizes : (int, int) Hashtbl.t;
       (** type id → layout size (the Offsets [resolve] copy width) *)
   obj_sizes : (int, int) Hashtbl.t;
       (** object vid → layout size: the Offsets instance asks for it on
           every cell it forms, and {!Layout.size_of} recurses through
           every nested struct *)
-  canon_offsets : int Pair_tbl.t;
-      (** (object vid, in-bounds byte offset) → the offset folded into
-          array representatives ({!Layout.canon_offset}), which re-derives
-          field sizes on every call *)
+  offset_cells : Cell.t Pair_tbl.t;
+      (** (object vid, in-bounds byte offset) → the Offsets cell at the
+          offset folded into array representatives
+          ({!Layout.canon_offset}, which re-derives field sizes on every
+          call) *)
 }
 (** Answers that are pure functions of declared types and immutable
     cells, kept for one solver run so repeated facts do not recompute
@@ -43,9 +52,6 @@ type t = {
   mutable resolve_calls : int;
   mutable resolve_struct : int;
   mutable resolve_mismatch : int;
-  mutable in_resolve : bool;
-      (** paper footnote 7: [lookup] calls made from within [resolve] are
-          not counted *)
   memo : memo;
 }
 
@@ -58,9 +64,13 @@ val type_id : t -> Ctype.t -> int
 (** The dense id of a type in this context's memo; equal types share
     one. *)
 
-val lookup_tag : unit -> int
-(** A fresh tag for one strategy instance's entries in [memo.lookups];
+val memo_tag : unit -> int
+(** A fresh tag for one strategy instance's entries in the memo;
     instances sharing a context must not share answers. *)
+
+val memo_root : t -> tag:int -> (t -> Cvar.t -> Cell.t) -> Cvar.t -> Cell.t
+(** [memo_root ctx ~tag f v] — [f ctx v] (the instance's [normalize v []]),
+    answered from [memo.roots] when already computed. *)
 
 val memo_lookup :
   t ->
@@ -74,14 +84,25 @@ val memo_lookup :
 (** [memo_lookup ctx ~tag ~tid f τ α target] — [f τ α target], answered
     from [memo.lookups] when already computed; [tid] is [type_id ctx τ]. *)
 
+val memo_row :
+  t ->
+  tag:int ->
+  tid:int ->
+  (Ctype.t -> Ctype.path -> Cell.t -> Cell.t list * bool) ->
+  Ctype.t ->
+  Cell.t ->
+  (Cell.t list * bool) list
+(** [memo_row ctx ~tag ~tid f τ c] — [f τ δ c] for every leaf path [δ]
+    of τ, in {!Cfront.Ctype.leaf_paths} order: one side of a path-based
+    [resolve], built once per (τ, cell) and answered from [memo.rows]
+    after that. The row holds the leaf answers, so they are not also
+    kept in [memo.lookups]. *)
+
 val count_lookup : t -> structure:bool -> mismatch:bool -> unit
-(** Record one [lookup] call (ignored while inside a [resolve]). *)
+(** Record one [lookup] call. [resolve]'s per-leaf lookups bypass it,
+    since the paper (footnote 7) does not count them. *)
 
 val count_resolve : t -> structure:bool -> mismatch:bool -> unit
-
-val inside_resolve : t -> (unit -> 'a) -> 'a
-(** Run with lookup-counting suppressed (for resolve's internal
-    lookups). *)
 
 type figures = {
   pct_lookup_struct : float;

@@ -51,8 +51,14 @@ let interned = Atomic.make 0
 let key_hash (vid : int) (sel : sel) : int =
   (vid * 0x9e3779b1) lxor Hashtbl.hash sel
 
+let sel_equal (a : sel) (b : sel) : bool =
+  match (a, b) with
+  | Path p, Path q -> List.equal String.equal p q
+  | Off i, Off j -> i = j
+  | Path _, Off _ | Off _, Path _ -> false
+
 let key_equal (c : t) (vid : int) (sel : sel) : bool =
-  c.base.Cvar.vid = vid && c.sel = sel
+  c.base.Cvar.vid = vid && sel_equal c.sel sel
 
 (* Probe [arr] for (vid, sel); tables are grown before they fill, so an
    empty slot always terminates the scan. *)
@@ -149,10 +155,12 @@ let interned_count () = Atomic.get interned
 (* Ordering, equality, printing                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Typed, and the same order as polymorphic [compare] on [sel]: a path
+   compares field by field, a proper prefix first; [Path] before [Off]. *)
 let compare_sel a b =
   match (a, b) with
-  | Path p, Path q -> compare p q
-  | Off i, Off j -> compare i j
+  | Path p, Path q -> List.compare String.compare p q
+  | Off i, Off j -> Int.compare i j
   | Path _, Off _ -> -1
   | Off _, Path _ -> 1
 

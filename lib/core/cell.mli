@@ -33,9 +33,14 @@ val of_id : int -> t
 val interned_count : unit -> int
 (** Cells interned so far, process-wide (= the id universe bound). *)
 
+val compare_sel : sel -> sel -> int
+(** Selector order: paths field by field (a proper prefix first), offsets
+    numerically, every path before every offset — the order of
+    polymorphic [compare] on {!sel}, without its generic traversal. *)
+
 val compare : t -> t -> int
-(** Semantic order: by object, then selector — stable across runs, unlike
-    interning order. *)
+(** Semantic order: by object, then selector ({!compare_sel}) — stable
+    across runs, unlike interning order. *)
 
 val equal : t -> t -> bool
 

@@ -13,9 +13,6 @@ let portable = true
 
 let graph_resolve = false
 
-let normalize _ctx (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
-  Cell.v s (Cell.Path (Strategy.normalize_path s.Cvar.vty alpha))
-
 let target_path (c : Cell.t) : Ctype.path =
   match c.Cell.sel with
   | Cell.Path p -> p
@@ -47,7 +44,9 @@ let lookup_i (tau : Ctype.t) (alpha : Ctype.path) (target : Cell.t) :
       let following = Ctype.following_leaves tty beta in
       (Strategy.dedup_cells (mk beta :: List.map mk following), false)
 
-let tag = Actx.lookup_tag ()
+let tag = Actx.memo_tag ()
+
+let normalize ctx s alpha = Strategy.path_normalize ~tag ctx s alpha
 
 (** [lookup_i] through the run's memo. *)
 let lookup_m ctx ~tid tau alpha target =
@@ -65,20 +64,10 @@ let lookup ctx tau alpha target : Cell.t list =
 let resolve ctx _graph (dst : Cell.t) (src : Cell.t) (tau : Ctype.t) :
     (Cell.t * Cell.t) list =
   let pairs, matched =
-    Actx.inside_resolve ctx (fun () ->
-        let deltas = Ctype.leaf_paths tau in
-        let tid = Actx.type_id ctx tau in
-        let matched = ref true in
-        let pairs =
-          List.concat_map
-            (fun delta ->
-              let ds, m1 = lookup_m ctx ~tid tau delta dst in
-              let ss, m2 = lookup_m ctx ~tid tau delta src in
-              if not (m1 && m2) then matched := false;
-              List.concat_map (fun d -> List.map (fun s -> (d, s)) ss) ds)
-            deltas
-        in
-        (Strategy.dedup_pairs pairs, !matched))
+    let tid = Actx.type_id ctx tau in
+    Strategy.cross_rows
+      (Actx.memo_row ctx ~tag ~tid lookup_i tau dst)
+      (Actx.memo_row ctx ~tag ~tid lookup_i tau src)
   in
   Actx.count_resolve ctx
     ~structure:

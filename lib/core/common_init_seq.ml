@@ -14,9 +14,6 @@ let portable = true
 
 let graph_resolve = false
 
-let normalize _ctx (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
-  Cell.v s (Cell.Path (Strategy.normalize_path s.Cvar.vty alpha))
-
 let target_path (c : Cell.t) : Ctype.path =
   match c.Cell.sel with Cell.Path p -> p | Cell.Off _ -> []
 
@@ -111,16 +108,18 @@ let lookup_i (tau : Ctype.t) (alpha : Ctype.path) (target : Cell.t) :
           in
           (Strategy.dedup_cells cells, Collapse))
 
-let tag = Actx.lookup_tag ()
+let tag = Actx.memo_tag ()
 
-(** [lookup_i] through the run's memo, which keeps whether the [Exact]
-    rule decided. *)
+let normalize ctx s alpha = Strategy.path_normalize ~tag ctx s alpha
+
+(* [lookup_i], keeping only whether the [Exact] rule decided *)
+let lookup_exact tau alpha target =
+  let cells, case = lookup_i tau alpha target in
+  (cells, case = Exact)
+
+(** [lookup_exact] through the run's memo. *)
 let lookup_m ctx ~tid tau alpha target =
-  Actx.memo_lookup ctx ~tag ~tid
-    (fun tau alpha target ->
-      let cells, case = lookup_i tau alpha target in
-      (cells, case = Exact))
-    tau alpha target
+  Actx.memo_lookup ctx ~tag ~tid lookup_exact tau alpha target
 
 let lookup ctx tau alpha target : Cell.t list =
   let cells, exact =
@@ -134,20 +133,10 @@ let lookup ctx tau alpha target : Cell.t list =
 let resolve ctx _graph (dst : Cell.t) (src : Cell.t) (tau : Ctype.t) :
     (Cell.t * Cell.t) list =
   let pairs, matched =
-    Actx.inside_resolve ctx (fun () ->
-        let deltas = Ctype.leaf_paths tau in
-        let tid = Actx.type_id ctx tau in
-        let matched = ref true in
-        let pairs =
-          List.concat_map
-            (fun delta ->
-              let ds, e1 = lookup_m ctx ~tid tau delta dst in
-              let ss, e2 = lookup_m ctx ~tid tau delta src in
-              if not (e1 && e2) then matched := false;
-              List.concat_map (fun d -> List.map (fun s -> (d, s)) ss) ds)
-            deltas
-        in
-        (Strategy.dedup_pairs pairs, !matched))
+    let tid = Actx.type_id ctx tau in
+    Strategy.cross_rows
+      (Actx.memo_row ctx ~tag ~tid lookup_exact tau dst)
+      (Actx.memo_row ctx ~tag ~tid lookup_exact tau src)
   in
   Actx.count_resolve ctx
     ~structure:

@@ -10,10 +10,17 @@
     Cells proven equivalent by online cycle elimination (a subset cycle
     [a ⊆ b ⊆ … ⊆ a]) are {!unify}'d into one class over a {!Uf.t}: the
     whole class aliases a single shared [Idset.t], keyed by the class
-    representative. Observable semantics stay member-expanded — [pts],
-    [iter_edges], [fold_sources], [equal], [edge_count] all behave as if
-    every member carried its own copy of the shared set, so reports and
-    queries reproduce the unshared fixpoint exactly. Only targets keep
+    representative. A class's members form a singly linked chain that
+    starts at the representative: [classes] records each multi-member
+    class's last member and size, [next] links each member to the one
+    after it. Merging two classes appends the loser's chain to the
+    winner's in O(1), so members stay in merge order — winner's members
+    first, then the loser's — which snapshots, the per-object index and
+    the solver's wake order all observe. Observable semantics stay
+    member-expanded — [pts], [iter_edges], [fold_sources], [equal],
+    [edge_count] all behave as if every member carried its own copy of
+    the shared set, so reports and queries reproduce the unshared
+    fixpoint exactly. Only targets keep
     their original identity; sharing canonicalizes sources. {!unshare}
     dissolves the classes (degradation rebuilds the constraint system
     over coarser cells, where the old classes are meaningless). *)
@@ -22,13 +29,19 @@ open Cfront
 
 module Itbl = Hashtbl.Make (Int)
 
+(* A class's chain runs from its representative to [last]. *)
+type cls = { mutable last : int; mutable size : int }
+
 type t = {
   edges : Idset.t Itbl.t;
       (** class representative id → shared target id set (never empty) *)
   uf : Uf.t;  (** source-cell classes (online cycle elimination) *)
-  members : Cell.t list Itbl.t;
-      (** representative id → all cells of the class, only for classes
-          of two or more members (singletons are implicit) *)
+  classes : cls Itbl.t;
+      (** representative id → the class's last member and size, only for
+          classes of two or more members (singletons are implicit) *)
+  next : int Itbl.t;
+      (** member id → the next member of its class; the last member of a
+          class and every singleton carry no link *)
   by_obj : Idset.t Cvar.Tbl.t;
       (** object → ids of its cells with facts (entries dropped when they
           empty, so [fold_objects] never visits a fact-free object) *)
@@ -42,7 +55,8 @@ let create () =
   {
     edges = Itbl.create 256;
     uf = Uf.create ();
-    members = Itbl.create 16;
+    classes = Itbl.create 16;
+    next = Itbl.create 16;
     by_obj = Cvar.Tbl.create 64;
     edge_count = 0;
     source_count = 0;
@@ -56,22 +70,21 @@ let create () =
     unified). All graph lookups resolve through it. *)
 let canon g (c : Cell.t) : Cell.t = Cell.of_id (Uf.find g.uf (Cell.id c))
 
-(** All cells of [c]'s class, the representative included. *)
-let class_members g (c : Cell.t) : Cell.t list =
-  let rid = Uf.find g.uf (Cell.id c) in
-  match Itbl.find_opt g.members rid with
-  | Some ms -> ms
-  | None -> [ Cell.of_id rid ]
+(* The chain from [m] to [last], inclusive. *)
+let[@tail_mod_cons] rec chain g (m : int) (last : int) : Cell.t list =
+  Cell.of_id m :: (if m = last then [] else chain g (Itbl.find g.next m) last)
 
 let members_of g (rid : int) : Cell.t list =
-  match Itbl.find_opt g.members rid with
-  | Some ms -> ms
+  match Itbl.find_opt g.classes rid with
+  | Some k -> chain g rid k.last
   | None -> [ Cell.of_id rid ]
 
+(** All cells of [c]'s class, the representative first, in merge order. *)
+let class_members g (c : Cell.t) : Cell.t list =
+  members_of g (Uf.find g.uf (Cell.id c))
+
 let class_size g (rid : int) : int =
-  match Itbl.find_opt g.members rid with
-  | Some ms -> List.length ms
-  | None -> 1
+  match Itbl.find_opt g.classes rid with Some k -> k.size | None -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Read-only views (parallel drain rounds)                             *)
@@ -187,7 +200,7 @@ let union_pts g ~(dst : Cell.t) ~(src : Cell.t) : int * Cell.t list =
             let added = Idset.union_into ds ss in
             Itbl.replace g.edges did ds;
             let dmembers = members_of g did in
-            g.edge_count <- g.edge_count + (added * List.length dmembers);
+            g.edge_count <- g.edge_count + (added * class_size g did);
             List.iter (index_cell g) dmembers;
             (added, dmembers))
 
@@ -196,12 +209,13 @@ let union_pts g ~(dst : Cell.t) ~(src : Cell.t) : int * Cell.t list =
     set holds more facts (ties: the smaller id), so the survivor's
     insertion-order log keeps its prefix — cursors held by consumers of
     the *winning* class stay valid; the caller must reset consumers of
-    the losing class. Returns the representative and the cells that just
-    became fact-bearing (the fact-free side's members, when exactly one
-    side had facts). *)
-let unify g (a : Cell.t) (b : Cell.t) : Cell.t * Cell.t list =
+    the losing class. The loser's chain is appended to the winner's.
+    Returns the representative, the losing class's members (in class
+    order) and the cells that just became fact-bearing (the fact-free
+    side's members, when exactly one side had facts). *)
+let unify g (a : Cell.t) (b : Cell.t) : Cell.t * Cell.t list * Cell.t list =
   let ra = Uf.find g.uf (Cell.id a) and rb = Uf.find g.uf (Cell.id b) in
-  if ra = rb then (Cell.of_id ra, [])
+  if ra = rb then (Cell.of_id ra, [], [])
   else begin
     let ca =
       match Itbl.find_opt g.edges ra with Some s -> Idset.cardinal s | None -> 0
@@ -214,24 +228,33 @@ let unify g (a : Cell.t) (b : Cell.t) : Cell.t * Cell.t list =
       else if ca > cb then (ra, rb)
       else (min ra rb, max ra rb)
     in
-    let wm = members_of g w and lm = members_of g l in
+    let wk = Itbl.find_opt g.classes w and lk = Itbl.find_opt g.classes l in
+    let ends r = function Some k -> (k.last, k.size) | None -> (r, 1) in
+    let wlast, wsize = ends w wk and llast, lsize = ends l lk in
+    let lm = chain g l llast in
     Uf.union g.uf ~into:w l;
-    Itbl.remove g.members l;
-    Itbl.replace g.members w (wm @ lm);
+    Itbl.replace g.next wlast l;
+    if lk <> None then Itbl.remove g.classes l;
+    (match wk with
+    | Some k ->
+        k.last <- llast;
+        k.size <- wsize + lsize
+    | None -> Itbl.replace g.classes w { last = llast; size = 1 + lsize });
     let rep = Cell.of_id w in
     match (Itbl.find_opt g.edges w, Itbl.find_opt g.edges l) with
-    | None, None -> (rep, [])
+    | None, None -> (rep, lm, [])
     | Some s, None ->
         (* the loser's members now see the winner's facts *)
-        g.edge_count <- g.edge_count + (Idset.cardinal s * List.length lm);
+        g.edge_count <- g.edge_count + (Idset.cardinal s * lsize);
         List.iter (index_cell g) lm;
-        (rep, lm)
+        (rep, lm, lm)
     | None, Some s ->
         Itbl.remove g.edges l;
         Itbl.replace g.edges w s;
-        g.edge_count <- g.edge_count + (Idset.cardinal s * List.length wm);
+        g.edge_count <- g.edge_count + (Idset.cardinal s * wsize);
+        let wm = chain g w wlast in
         List.iter (index_cell g) wm;
-        (rep, wm)
+        (rep, lm, wm)
     | Some sw, Some sl ->
         let cw0 = Idset.cardinal sw in
         let added = Idset.union_into sw sl in
@@ -239,10 +262,9 @@ let unify g (a : Cell.t) (b : Cell.t) : Cell.t * Cell.t list =
         (* winner members gained [added] facts each; loser members now
            carry the merged set instead of their old one *)
         g.edge_count <-
-          g.edge_count
-          + (List.length wm * added)
-          + (List.length lm * (cw0 + added - Idset.cardinal sl));
-        (rep, [])
+          g.edge_count + (wsize * added)
+          + (lsize * (cw0 + added - Idset.cardinal sl));
+        (rep, lm, [])
   end
 
 (** Dissolve every class: give each non-representative member its own
@@ -252,9 +274,9 @@ let unify g (a : Cell.t) (b : Cell.t) : Cell.t * Cell.t list =
     [edge_count]/[source_count]/[by_obj] are already member-expanded, so
     they are unchanged. *)
 let unshare g : unit =
-  if Itbl.length g.members > 0 then begin
+  if Itbl.length g.classes > 0 then begin
     Itbl.iter
-      (fun rid ms ->
+      (fun rid _ ->
         match Itbl.find_opt g.edges rid with
         | None -> ()
         | Some s ->
@@ -262,9 +284,10 @@ let unshare g : unit =
               (fun (m : Cell.t) ->
                 if Cell.id m <> rid then
                   Itbl.replace g.edges (Cell.id m) (Idset.copy s))
-              ms)
-      g.members;
-    Itbl.reset g.members
+              (members_of g rid))
+      g.classes;
+    Itbl.reset g.classes;
+    Itbl.reset g.next
   end;
   Uf.reset g.uf
 
@@ -324,9 +347,11 @@ let retract_class g (c : Cell.t) : int =
         n * List.length ms
   in
   g.edge_count <- g.edge_count - removed;
-  if Itbl.mem g.members rid then begin
-    Itbl.remove g.members rid;
-    Uf.dissolve g.uf (List.map Cell.id ms)
+  if Itbl.mem g.classes rid then begin
+    Itbl.remove g.classes rid;
+    let ids = List.map Cell.id ms in
+    List.iter (Itbl.remove g.next) ids;
+    Uf.dissolve g.uf ids
   end;
   removed
 
@@ -387,10 +412,10 @@ let dump_classes g : (Cell.t * Cell.t list * int list) list =
       acc := (Cell.of_id rid, members_of g rid, log) :: !acc)
     g.edges;
   Itbl.iter
-    (fun rid ms ->
+    (fun rid _ ->
       if not (Itbl.mem g.edges rid) then
-        acc := (Cell.of_id rid, ms, []) :: !acc)
-    g.members;
+        acc := (Cell.of_id rid, members_of g rid, []) :: !acc)
+    g.classes;
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -399,8 +424,9 @@ let dump_classes g : (Cell.t * Cell.t list * int list) list =
 
 (** Audit the bookkeeping: set keys are class representatives,
     [edge_count] equals the member-expanded summed cardinals, no stored
-    set is empty, the members table is consistent with the union-find,
-    and the per-object index lists exactly the fact-bearing member
+    set is empty, every class chain visits exactly its recorded size of
+    members of that class and ends at its recorded last member, no
+    singleton carries a link, and the per-object index lists exactly the fact-bearing member
     cells. Returns the offending description, or [None]. *)
 let check_counts g : string option =
   let fail = ref None in
@@ -411,23 +437,53 @@ let check_counts g : string option =
         (Uf.find g.uf rid = rid)
         (Printf.sprintf "set keyed by non-representative cell %d" rid))
     g.edges;
+  let links = ref 0 in
   Itbl.iter
-    (fun rid ms ->
+    (fun rid k ->
       check
         (Uf.find g.uf rid = rid)
-        (Printf.sprintf "members keyed by non-representative %d" rid);
-      check (List.length ms >= 2)
-        (Printf.sprintf "degenerate members entry for %d" rid);
+        (Printf.sprintf "class keyed by non-representative %d" rid);
+      check (k.size >= 2) (Printf.sprintf "degenerate class entry for %d" rid);
+      links := !links + k.size - 1;
+      (* walk at most [k.size] members: the walk must end exactly there,
+         at the recorded last member, without revisiting a cell *)
+      let seen = Itbl.create k.size in
+      let rec walk m n =
+        check
+          (not (Itbl.mem seen m))
+          (Printf.sprintf "class %d revisits member %d" rid m);
+        Itbl.replace seen m ();
+        check
+          (Uf.find g.uf m = rid)
+          (Printf.sprintf "member %d not in class %d" m rid);
+        if n = k.size then
+          check (m = k.last)
+            (Printf.sprintf "class %d: member %d of %d is %d, not last %d" rid
+               n k.size m k.last)
+        else
+          match Itbl.find_opt g.next m with
+          | Some m' when !fail = None -> walk m' (n + 1)
+          | Some _ -> ()
+          | None ->
+              check false
+                (Printf.sprintf "class %d: chain ends after %d of %d members"
+                   rid n k.size)
+      in
+      walk rid 1;
       check
-        (List.exists (fun (m : Cell.t) -> Cell.id m = rid) ms)
-        (Printf.sprintf "representative %d missing from its class" rid);
-      List.iter
-        (fun (m : Cell.t) ->
-          check
-            (Uf.find g.uf (Cell.id m) = rid)
-            (Printf.sprintf "member %d not in class %d" (Cell.id m) rid))
-        ms)
-    g.members;
+        (not (Itbl.mem g.next k.last))
+        (Printf.sprintf "last member %d of class %d carries a link" k.last rid))
+    g.classes;
+  Itbl.iter
+    (fun m _ ->
+      check
+        (Itbl.mem g.classes (Uf.find g.uf m))
+        (Printf.sprintf "singleton %d carries a link" m))
+    g.next;
+  check
+    (Itbl.length g.next = !links)
+    (Printf.sprintf "%d member links, classes account for %d"
+       (Itbl.length g.next) !links);
   (match !fail with
   | Some _ -> ()
   | None ->

@@ -19,8 +19,8 @@ val canon : t -> Cell.t -> Cell.t
     was never unified). All graph lookups resolve through it. *)
 
 val class_members : t -> Cell.t -> Cell.t list
-(** All cells of a cell's class, representative included; a singleton
-    list for never-unified cells. *)
+(** All cells of a cell's class in merge order, representative first; a
+    singleton list for never-unified cells. *)
 
 val canon_ro : t -> Cell.t -> Cell.t
 (** {!canon} without path compression — zero writes, safe for
@@ -38,7 +38,8 @@ val pts_ids_of_rid : t -> int -> Idset.t option
 
 val class_size_of_rid : t -> int -> int
 (** Member count of an (already canonical) representative id's class —
-    the member-expanded weight of one fact added to its set. *)
+    the member-expanded weight of one fact added to its set. A table
+    read. *)
 
 val bump_edge_count : t -> int -> unit
 (** Gap-only: fold a parallel round's locally accumulated
@@ -71,13 +72,17 @@ val union_pts : t -> dst:Cell.t -> src:Cell.t -> int * Cell.t list
     class when it had no facts before). No-op when the two cells are in
     the same class. *)
 
-val unify : t -> Cell.t -> Cell.t -> Cell.t * Cell.t list
+val unify : t -> Cell.t -> Cell.t -> Cell.t * Cell.t list * Cell.t list
 (** Merge the two cells' classes (online cycle elimination): afterwards
     they share one representative and one set. The side whose set holds
     more facts survives, so its insertion-order log prefix — and any
     cursor into it — stays valid; the caller resets the losing side's
-    consumers. Returns the representative and the cells that just became
-    fact-bearing. *)
+    consumers. The merge costs O(1) plus the loser's members: the
+    loser's member chain is appended to the winner's, so
+    {!class_members} lists the winner's members first, then the
+    loser's. Returns the representative, the losing class's members (in
+    class order; [[]] when the cells were already one class) and the
+    cells that just became fact-bearing. *)
 
 val unshare : t -> unit
 (** Dissolve all classes: each member gets its own copy of the shared
@@ -139,10 +144,12 @@ val dump_classes : t -> (Cell.t * Cell.t list * int list) list
 
 val check_counts : t -> string option
 (** Audit the bookkeeping invariants: sets are keyed by class
-    representatives, the members table matches the union-find,
-    [edge_count] equals the member-expanded summed cardinals, no
-    retained set is empty, and the per-object index lists exactly the
-    fact-bearing member cells. [None] when consistent; otherwise a
+    representatives; every class's member chain visits exactly its
+    recorded size of cells, each of which finds the class's
+    representative, and ends at its recorded last member; singletons
+    carry no link; [edge_count] equals the member-expanded summed
+    cardinals; no retained set is empty; and the per-object index lists
+    exactly the fact-bearing member cells. [None] when consistent; otherwise a
     description of the first violation found. *)
 
 val equal : t -> t -> bool

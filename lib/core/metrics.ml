@@ -115,18 +115,49 @@ type summary = {
   summary_recomputed : int;  (** functions summarized from scratch *)
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 let summarize (solver : Solver.t) : summary =
   let module S = (val solver.Solver.strategy : Strategy.S) in
-  let sites = deref_sites solver.Solver.prog in
-  let site_sets = List.map (fun (_, p) -> expanded_pts solver p) sites in
-  let sizes = List.map Cell.Set.cardinal site_sets in
-  let corrupt_derefs =
-    List.length
-      (List.filter
-         (Cell.Set.exists (fun (c : Cell.t) ->
-              Cvar.equal c.Cell.base solver.Solver.unknown_obj))
-         site_sets)
+  let ctx = solver.Solver.ctx and unknown = solver.Solver.unknown_obj in
+  (* deref sites share most of their targets: expand each target once *)
+  let expansions = Itbl.create 256 in
+  let expand w =
+    match Itbl.find_opt expansions w with
+    | Some es -> es
+    | None ->
+        let es = S.expand_for_metrics ctx (Cell.of_id w) in
+        Itbl.add expansions w es;
+        es
   in
+  (* the size of the pointer's expanded points-to set ([expanded_pts]),
+     measured on its class's id set and deduplicated by cell id —
+     expansions can overlap: every target inside a degraded object
+     expands to all of that object's cells — and whether it holds a
+     cell of the Unknown marker *)
+  let seen = Itbl.create 64 in
+  let measure (_, p) =
+    match Graph.pts_ids solver.Solver.graph (S.normalize ctx p []) with
+    | None -> (0, false)
+    | Some set ->
+        Itbl.clear seen;
+        let corrupt = ref false in
+        Idset.iter
+          (fun w ->
+            List.iter
+              (fun (e : Cell.t) ->
+                let id = Cell.id e in
+                if not (Itbl.mem seen id) then begin
+                  Itbl.add seen id ();
+                  if Cvar.equal e.Cell.base unknown then corrupt := true
+                end)
+              (expand w))
+          set;
+        (Itbl.length seen, !corrupt)
+  in
+  let measured = List.map measure (deref_sites solver.Solver.prog) in
+  let sizes = List.map fst measured in
+  let corrupt_derefs = List.length (List.filter snd measured) in
   let n = List.length sizes in
   let avg =
     if n = 0 then 0.0

@@ -37,29 +37,40 @@ let size_in ctx tbl key (ty : Ctype.t) : int =
 let obj_size ctx (obj : Cvar.t) : int =
   size_in ctx ctx.Actx.memo.obj_sizes obj.Cvar.vid obj.Cvar.vty
 
-(** Canonicalize-and-clamp: fold into array representatives; merge all
-    out-of-bounds offsets (Complication 1 can step past a nested object,
-    but unbounded offset growth through cyclic casts must not diverge). *)
-let canon ctx (obj : Cvar.t) (off : int) : int =
+(** The cell at byte [off] of [obj], canonicalized and clamped: fold
+    into array representatives; merge all out-of-bounds offsets
+    (Complication 1 can step past a nested object, but unbounded offset
+    growth through cyclic casts must not diverge). *)
+let cell_at ctx (obj : Cvar.t) (off : int) : Cell.t =
   let size = obj_size ctx obj in
-  if off < 0 then 0
-  else if off >= size then size
+  if off < 0 then Cell.v obj (Cell.Off 0)
+  else if off >= size then Cell.v obj (Cell.Off size)
   else
     let key = (obj.Cvar.vid, off) in
-    match Actx.Pair_tbl.find_opt ctx.Actx.memo.canon_offsets key with
+    match Actx.Pair_tbl.find_opt ctx.Actx.memo.offset_cells key with
     | Some c -> c
     | None ->
-        let c = Layout.canon_offset ctx.Actx.layout obj.Cvar.vty off in
-        Actx.Pair_tbl.add ctx.Actx.memo.canon_offsets key c;
+        let c =
+          Cell.v obj
+            (Cell.Off (Layout.canon_offset ctx.Actx.layout obj.Cvar.vty off))
+        in
+        Actx.Pair_tbl.add ctx.Actx.memo.offset_cells key c;
         c
 
+let tag = Actx.memo_tag ()
+
+let root_cell ctx (s : Cvar.t) : Cell.t = cell_at ctx s 0
+
 let normalize ctx (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
-  let off =
-    match Layout.offset_of_path ctx.Actx.layout s.Cvar.vty alpha with
-    | n -> n
-    | exception Diag.Error _ -> 0
-  in
-  Cell.v s (Cell.Off (canon ctx s off))
+  match alpha with
+  | [] -> Actx.memo_root ctx ~tag root_cell s
+  | _ :: _ ->
+      let off =
+        match Layout.offset_of_path ctx.Actx.layout s.Cvar.vty alpha with
+        | n -> n
+        | exception Diag.Error _ -> 0
+      in
+      cell_at ctx s off
 
 let target_off (c : Cell.t) : int =
   match c.Cell.sel with Cell.Off k -> k | Cell.Path _ -> 0
@@ -69,14 +80,12 @@ let lookup ctx (tau : Ctype.t) (alpha : Ctype.path) (target : Cell.t) :
   Actx.count_lookup ctx
     ~structure:(Strategy.involves_struct tau target)
     ~mismatch:false;
-  let t = target.Cell.base in
-  let k = target_off target in
   let field_off =
     match Layout.offset_of_path ctx.Actx.layout tau alpha with
     | n -> n
     | exception Diag.Error _ -> 0
   in
-  [ Cell.v t (Cell.Off (canon ctx t (k + field_off))) ]
+  [ cell_at ctx target.Cell.base (target_off target + field_off) ]
 
 let resolve ctx (graph : Graph.t) (dst : Cell.t) (src : Cell.t)
     (tau : Ctype.t) : (Cell.t * Cell.t) list =
@@ -96,7 +105,7 @@ let resolve ctx (graph : Graph.t) (dst : Cell.t) (src : Cell.t)
       (fun (c : Cell.t) ->
         match c.Cell.sel with
         | Cell.Off n when n >= k && n < k + size ->
-            Some (Cell.v s (Cell.Off (canon ctx s (j + n - k))), c)
+            Some (cell_at ctx s (j + n - k), c)
         | Cell.Off _ | Cell.Path _ -> None)
       src_cells
   in
@@ -107,7 +116,7 @@ let all_cells ctx (obj : Cvar.t) : Cell.t list =
   | leaves ->
       Strategy.dedup_cells
         (List.map
-           (fun (_, off, _) -> Cell.v obj (Cell.Off (canon ctx obj off)))
+           (fun (_, off, _) -> cell_at ctx obj off)
            leaves)
   | exception Diag.Error _ -> [ Cell.v obj (Cell.Off 0) ]
 

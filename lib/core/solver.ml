@@ -965,12 +965,10 @@ let add_edge t (c : Cell.t) (w : Cell.t) =
 let unify_cells t (a : Cell.t) (b : Cell.t) =
   let ra = Graph.canon t.graph a and rb = Graph.canon t.graph b in
   if not (Cell.equal ra rb) then begin
-    let ma = Graph.class_members t.graph ra in
-    let mb = Graph.class_members t.graph rb in
     let na = Graph.pts_size t.graph ra and nb = Graph.pts_size t.graph rb in
-    let rep, newly = Graph.unify t.graph ra rb in
-    let loser, lmembers, ln, wn =
-      if Cell.equal rep ra then (rb, mb, nb, na) else (ra, ma, na, nb)
+    let rep, lmembers, newly = Graph.unify t.graph ra rb in
+    let loser, ln, wn =
+      if Cell.equal rep ra then (rb, nb, na) else (ra, na, nb)
     in
     let wid = Cell.id rep and lid = Cell.id loser in
     let after = Graph.pts_size t.graph rep in

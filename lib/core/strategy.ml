@@ -84,6 +84,20 @@ let normalize_path (ty : Ctype.t) (path : Ctype.path) : Ctype.path =
   in
   path @ Ctype.innermost_first_path sub_ty
 
+let path_cell (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
+  Cell.v s (Cell.Path (normalize_path s.Cvar.vty alpha))
+
+let root_path_cell _ctx (s : Cvar.t) : Cell.t = path_cell s []
+
+(** The path-based instances' [normalize]: the cell of [s.α]'s
+    normalized path. [normalize s []], which every statement visit asks
+    for each variable it names, is answered once per object from the
+    memo under the instance's [tag]. *)
+let path_normalize ~tag ctx (s : Cvar.t) (alpha : Ctype.path) : Cell.t =
+  match alpha with
+  | [] -> Actx.memo_root ctx ~tag root_path_cell s
+  | _ :: _ -> path_cell s alpha
+
 (** Does this lookup/resolve use "involve structures" in the Figure-3
     sense? True when the declared type or the target object is a
     struct/union. *)
@@ -94,15 +108,37 @@ let involves_struct (tau : Ctype.t) (target : Cell.t) : bool =
 let dedup_cells (cells : Cell.t list) : Cell.t list =
   Cell.Set.elements (Cell.Set.of_list cells)
 
+let compare_pairs (a1, a2) (b1, b2) =
+  match Cell.compare a1 b1 with 0 -> Cell.compare a2 b2 | c -> c
+
 (* Semantic [Cell.compare] order, not cid order: cids follow interning
    order, which would make pair order (and so solver statistics) depend
-   on what the process interned before. *)
-module Pair_set = Set.Make (struct
-  type t = Cell.t * Cell.t
-
-  let compare (a1, a2) (b1, b2) =
-    match Cell.compare a1 b1 with 0 -> Cell.compare a2 b2 | c -> c
-end)
-
+   on what the process interned before. A list already in strictly
+   increasing order — the common case — is returned as it is. *)
 let dedup_pairs (pairs : (Cell.t * Cell.t) list) : (Cell.t * Cell.t) list =
-  Pair_set.elements (Pair_set.of_list pairs)
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> compare_pairs a b < 0 && increasing rest
+    | [ _ ] | [] -> true
+  in
+  if increasing pairs then pairs else List.sort_uniq compare_pairs pairs
+
+(** A path-based [resolve] from the two sides' rows ({!Actx.memo_row}):
+    the deduplicated cross products of each leaf's destination and
+    source cells, and whether every lookup behind them matched
+    exactly. *)
+let cross_rows (drow : (Cell.t list * bool) list)
+    (srow : (Cell.t list * bool) list) : (Cell.t * Cell.t) list * bool =
+  (* pairs accumulate reversed, then one [List.rev] *)
+  let rec go acc matched drow srow =
+    match (drow, srow) with
+    | (ds, e1) :: drow, (ss, e2) :: srow ->
+        let acc =
+          List.fold_left
+            (fun acc d -> List.fold_left (fun acc s -> (d, s) :: acc) acc ss)
+            acc ds
+        in
+        go acc (matched && e1 && e2) drow srow
+    | _ -> (acc, matched)
+  in
+  let rev_pairs, matched = go [] true drow srow in
+  (dedup_pairs (List.rev rev_pairs), matched)

@@ -146,6 +146,56 @@ let test_cell_type () =
   Alcotest.(check string) "bad path is void" "void"
     (Ctype.to_string (Cell.cell_type (Cell.v v (Cell.Path [ "nope" ]))))
 
+(* [Cell.compare_sel] is typed, but cells were always sorted by
+   polymorphic [compare] on selectors: pair order, and with it solver
+   statistics and report bytes, depends on the two agreeing. *)
+let test_compare_sel_golden () =
+  let sels =
+    [
+      Cell.Path [];
+      Cell.Path [ "a" ];
+      Cell.Path [ "b" ];
+      Cell.Path [ "a"; "b" ];
+      Cell.Path [ "a"; "a" ];
+      Cell.Path [ "a"; "b"; "c" ];
+      Cell.Path [ "ab" ];
+      Cell.Path [ "B" ];
+      Cell.Path [ "f10" ];
+      Cell.Path [ "f2" ];
+      Cell.Path [ "f2"; "" ];
+      Cell.Path [ "" ];
+      Cell.Off 0;
+      Cell.Off 4;
+      Cell.Off (-1);
+      Cell.Off max_int;
+    ]
+  in
+  let sign n = compare n 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let want = sign (Stdlib.compare a b) in
+          let got = sign (Cell.compare_sel a b) in
+          if want <> got then
+            Alcotest.failf "compare_sel disagrees: want %d, got %d" want got)
+        sels)
+    sels;
+  (* the golden order itself, so a drift in both would still show *)
+  let show = function
+    | Cell.Path p ->
+        "[" ^ String.concat "," (List.map (Printf.sprintf "%S") p) ^ "]"
+    | Cell.Off n -> string_of_int n
+  in
+  Alcotest.(check (list string))
+    "sorted"
+    [
+      {|[]|}; {|[""]|}; {|["B"]|}; {|["a"]|}; {|["a","a"]|}; {|["a","b"]|};
+      {|["a","b","c"]|}; {|["ab"]|}; {|["b"]|}; {|["f10"]|}; {|["f2"]|};
+      {|["f2",""]|}; "-1"; "0"; "4"; string_of_int max_int;
+    ]
+    (List.map show (List.sort Cell.compare_sel sels))
+
 let suite =
   [
     Helpers.tc "cell ordering and equality" test_cell_ordering;
@@ -159,4 +209,6 @@ let suite =
     Helpers.tc "graph equality" test_graph_equal;
     Helpers.tc "cell interning" test_cell_interning;
     Helpers.tc "cell types" test_cell_type;
+    Helpers.tc "selector order matches polymorphic compare"
+      test_compare_sel_golden;
   ]

@@ -370,6 +370,27 @@ let test_reanalyze_time_is_wall () =
     Alcotest.failf "time_s %.6f exceeds the command's wall time %.6f" time_s
       wall
 
+(* The summary engine stores li's fixpoint like the default engine: no
+   two of li's variables share one identity key, so the snapshot is not
+   refused and the repeat is an exact hit. *)
+let test_store_summary_engine_li () =
+  let store = fresh_store () in
+  let cmd =
+    Filename.quote_command exe
+      [ "analyze"; "li"; "--engine"; "summary"; "--store"; store ]
+  in
+  let code1, _, err1 = run_split cmd in
+  let code2, _, err2 = run_split cmd in
+  Alcotest.(check int) "cold run exits 0" 0 code1;
+  Alcotest.(check int) "repeat exits 0" 0 code2;
+  Alcotest.(check bool) "no snapshot refused" false
+    (contains err1 "snapshot refused");
+  check_contains "cold run writes its snapshot" err1 "1 miss";
+  check_contains "cold run writes its snapshot" err1 "1 written";
+  Alcotest.(check bool) "a snapshot file exists" true
+    (Array.length (Sys.readdir (Filename.concat store "snaps")) > 0);
+  check_contains "repeat is a hit" err2 "store: exact hit (no solving)"
+
 let suite =
   if Sys.file_exists exe then
     [
@@ -401,6 +422,8 @@ let suite =
         test_store_serve_two_workers;
       Helpers.tc "reanalyze times the edit on the wall clock"
         test_reanalyze_time_is_wall;
+      Helpers.tc "--store analyze li --engine summary: snapshot, then hit"
+        test_store_summary_engine_li;
     ]
   else
     [ Alcotest.test_case "cli binary not built; skipped" `Quick (fun () -> ()) ]

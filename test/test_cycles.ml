@@ -127,8 +127,10 @@ let test_graph_unify_shares_sets () =
   ignore (Graph.add_edge g ca (Cell.whole x));
   ignore (Graph.add_edge g ca (Cell.whole y));
   ignore (Graph.add_edge g cb (Cell.whole x));
-  let rep, newly = Graph.unify g ca cb in
+  let rep, lost, newly = Graph.unify g ca cb in
   Alcotest.(check bool) "larger set wins" true (Cell.equal rep ca);
+  Alcotest.(check bool) "the loser's members are b" true
+    (List.equal Cell.equal lost [ cb ]);
   Alcotest.(check int) "no cell newly fact-bearing" 0 (List.length newly);
   Alcotest.(check bool) "same class" true
     (Cell.equal (Graph.canon g cb) rep);
@@ -164,7 +166,7 @@ let test_graph_unify_fact_free_side () =
   let x = var "x" Ctype.int_t in
   let ca = Cell.whole a and cb = Cell.whole b in
   ignore (Graph.add_edge g ca (Cell.whole x));
-  let rep, newly = Graph.unify g ca cb in
+  let rep, _, newly = Graph.unify g ca cb in
   Alcotest.(check bool) "fact-bearing side wins" true (Cell.equal rep ca);
   Alcotest.(check int) "the fact-free cell became a source" 1
     (List.length newly);
@@ -175,7 +177,7 @@ let test_graph_unify_fact_free_side () =
   Alcotest.(check (option string)) "audit clean" None (Graph.check_counts g);
   (* unifying two fact-free cells: class exists, no set *)
   let c = var "c" Ctype.int_t and d = var "d" Ctype.int_t in
-  let rep2, newly2 = Graph.unify g (Cell.whole c) (Cell.whole d) in
+  let rep2, _, newly2 = Graph.unify g (Cell.whole c) (Cell.whole d) in
   Alcotest.(check int) "no facts, nothing newly bearing" 0
     (List.length newly2);
   Alcotest.(check bool) "still same class" true
@@ -358,6 +360,64 @@ let test_cycle_spanning_degradation () =
   Alcotest.(check bool) "offsets run degraded" true
     (Solver.degraded (solver_of d))
 
+(* A class grown one cell at a time: each merge appends the newcomer
+   to the class's member chain in O(1), so member order is merge order
+   and allocation stays linear in the class size (copying the member
+   list on every merge allocated quadratically). *)
+let test_graph_unify_grows_linearly () =
+  let n = 2000 in
+  let g = Graph.create () in
+  let cells =
+    Array.init n (fun i -> Cell.whole (var (Printf.sprintf "u%d" i) Ctype.int_t))
+  in
+  let x = var "x" Ctype.int_t in
+  (* the first cell's facts make it the winner of every merge *)
+  ignore (Graph.add_edge g cells.(0) (Cell.whole x));
+  let before = Gc.minor_words () in
+  for i = 1 to n - 1 do
+    let rep, lost, newly = Graph.unify g cells.(0) cells.(i) in
+    if not (Cell.equal rep cells.(0)) then
+      Alcotest.failf "merge %d: the fact-bearing class lost" i;
+    if not (List.equal Cell.equal lost [ cells.(i) ]) then
+      Alcotest.failf "merge %d: the loser's members are not [u%d]" i i;
+    if not (List.equal Cell.equal newly [ cells.(i) ]) then
+      Alcotest.failf "merge %d: u%d did not become fact-bearing" i i
+  done;
+  let words = Gc.minor_words () -. before in
+  (* a few hundred words per merge (chain link, table growth, the
+     per-object index); the quadratic copy needed about 6M in all *)
+  if words > 400. *. float_of_int n then
+    Alcotest.failf "%.0f minor words for %d merges: not linear" words n;
+  let rid = Cell.id cells.(0) in
+  Alcotest.(check int) "class size" n (Graph.class_size_of_rid g rid);
+  Alcotest.(check bool) "members in merge order" true
+    (List.equal Cell.equal
+       (Graph.class_members g cells.(n - 1))
+       (Array.to_list cells));
+  Alcotest.(check int) "member-expanded edges" n (Graph.edge_count g);
+  Alcotest.(check (option string)) "audit clean" None (Graph.check_counts g);
+  (* a second class grown the same way, then merged in whole: its
+     members follow the first class's, in their own order *)
+  let others =
+    Array.init 3 (fun i -> Cell.whole (var (Printf.sprintf "o%d" i) Ctype.int_t))
+  in
+  ignore (Graph.unify g others.(0) others.(1));
+  ignore (Graph.unify g others.(0) others.(2));
+  let _, lost, _ = Graph.unify g cells.(0) others.(2) in
+  Alcotest.(check bool) "the loser's members, in class order" true
+    (List.equal Cell.equal lost (Array.to_list others));
+  Alcotest.(check bool) "merged order: winner's, then loser's" true
+    (List.equal Cell.equal
+       (Graph.class_members g others.(1))
+       (Array.to_list cells @ Array.to_list others));
+  Alcotest.(check (option string)) "audit clean after a class merge" None
+    (Graph.check_counts g);
+  (* retraction dissolves the class and leaves no link behind *)
+  ignore (Graph.retract_class g cells.(7));
+  Alcotest.(check int) "dissolved" 1 (Graph.class_size_of_rid g rid);
+  Alcotest.(check (option string)) "audit clean after retraction" None
+    (Graph.check_counts g)
+
 let suite =
   [
     tc "union-find: union/find/same/reset" test_uf_basic;
@@ -372,4 +432,6 @@ let suite =
       test_cycle_after_facts_then_growth;
     tc "bridged cycles stay separate classes" test_bridged_cycles;
     tc "cycle spanning a degradation collapse" test_cycle_spanning_degradation;
+    tc "Graph.unify grows a 2000-cell class linearly"
+      test_graph_unify_grows_linearly;
   ]

@@ -100,6 +100,81 @@ let test_cast_free_instances_agree () =
           p.Suite.name)
     Suite.non_casting
 
+(* [Metrics.summarize] measures on the solver's id sets; the reference
+   here is the plain definition — per deref site, a [Cell.Set] of every
+   target's [expand_for_metrics] cells. Run under the default
+   arithmetic, under [`Unknown] (which makes [corrupt_derefs] count
+   something) and under a budget tight enough to degrade, where the
+   expansions of one collapsed object's targets overlap. *)
+let reference_summary (solver : Core.Solver.t) =
+  let module S = (val solver.Core.Solver.strategy : Core.Strategy.S) in
+  let ctx = solver.Core.Solver.ctx in
+  let sets =
+    List.map
+      (fun (_, p) ->
+        Core.Cell.Set.fold
+          (fun c acc ->
+            List.fold_left
+              (fun acc e -> Core.Cell.Set.add e acc)
+              acc
+              (S.expand_for_metrics ctx c))
+          (Core.Graph.pts solver.Core.Solver.graph (S.normalize ctx p []))
+          Core.Cell.Set.empty)
+      (Core.Metrics.deref_sites solver.Core.Solver.prog)
+  in
+  let sizes = List.map Core.Cell.Set.cardinal sets in
+  let n = List.length sizes in
+  let avg =
+    if n = 0 then 0.0
+    else float_of_int (List.fold_left ( + ) 0 sizes) /. float_of_int n
+  in
+  let corrupt =
+    List.length
+      (List.filter
+         (Core.Cell.Set.exists (fun (c : Core.Cell.t) ->
+              Cvar.equal c.Core.Cell.base solver.Core.Solver.unknown_obj))
+         sets)
+  in
+  (n, avg, List.fold_left max 0 sizes, corrupt)
+
+let test_summarize_matches_reference () =
+  let tight =
+    { Core.Budget.unlimited with Core.Budget.max_cells_per_object = Some 1 }
+  in
+  let corrupt_seen = ref 0 and degraded_seen = ref 0 in
+  List.iter
+    (fun p ->
+      let prog = compile_program p in
+      List.iter
+        (fun strategy ->
+          let module S = (val strategy : Core.Strategy.S) in
+          List.iter
+            (fun (mode, solver) ->
+              let m = Core.Metrics.summarize solver in
+              let n, avg, mx, corrupt = reference_summary solver in
+              let where = Printf.sprintf "%s %s %s" p.Suite.name S.id mode in
+              Alcotest.(check int) (where ^ ": deref sites") n
+                m.Core.Metrics.deref_sites;
+              Alcotest.(check (float 0.0)) (where ^ ": avg size") avg
+                m.Core.Metrics.avg_deref_size;
+              Alcotest.(check int) (where ^ ": max size") mx
+                m.Core.Metrics.max_deref_size;
+              Alcotest.(check int) (where ^ ": corrupt derefs") corrupt
+                m.Core.Metrics.corrupt_derefs;
+              corrupt_seen := !corrupt_seen + corrupt;
+              if Core.Solver.degraded solver then incr degraded_seen)
+            [
+              ("spread", Core.Solver.run ~strategy prog);
+              ("unknown", Core.Solver.run ~arith:`Unknown ~strategy prog);
+              ("degraded", Core.Solver.run ~budget:tight ~strategy prog);
+            ])
+        Core.Analysis.strategies)
+    Suite.programs;
+  Alcotest.(check bool) "Unknown arithmetic corrupts some deref" true
+    (!corrupt_seen > 0);
+  Alcotest.(check bool) "the tight budget degrades some run" true
+    (!degraded_seen > 0)
+
 let suite =
   [
     Helpers.tc "all corpus programs compile" test_compiles;
@@ -112,4 +187,6 @@ let suite =
       test_casting_flag_consistent;
     Helpers.tc "CIS covers concrete execution of the corpus"
       test_soundness_on_corpus;
+    Helpers.tc "Metrics.summarize equals the Cell.Set reference"
+      test_summarize_matches_reference;
   ]
