@@ -1111,133 +1111,6 @@ let overload_json () =
     (overload_rows ())
 
 (* ------------------------------------------------------------------ *)
-(* Parallel solver: delta-par vs delta on the ext-e workload           *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock (not CPU) time, best of 3: the parallel engine's win is
-   elapsed time — its CPU time is the same fixpoint work plus
-   coordination. The returned value is from the last run (the solves
-   are deterministic, so any run's result stands for all). *)
-let wall_best f =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    last := Some v
-  done;
-  (Option.get !last, !best)
-
-type par_row = {
-  pp_strategy : string;
-  pp_domains : int;
-  pp_rounds : int;  (** parallel frontier rounds the solve executed *)
-  pp_steals : int;
-  pp_edges : int;
-  pp_equal : bool;  (** stats-free report byte-identical to delta's *)
-  pp_time_s : float;
-  pp_seq_time_s : float;  (** the sequential delta baseline *)
-}
-
-let par_stats_free_json (solver : Core.Solver.t) : string =
-  Core.Report.json_of_result ~timing:false ~solver_stats:false ~name:"ext-e"
-    {
-      Core.Analysis.solver;
-      metrics = Core.Metrics.summarize solver;
-      time_s = 0.;
-      degraded = Core.Solver.degradations solver;
-      diags = [];
-    }
-
-let par_widths = [ 1; 2; 4 ]
-
-let par_rows () : par_row list =
-  let prog = ext_e_prog () in
-  List.concat_map
-    (fun (module S : Core.Strategy.S) ->
-      let seq, seq_dt =
-        wall_best (fun () -> Core.Solver.run ~strategy:(module S) prog)
-      in
-      let seq_json = par_stats_free_json seq in
-      List.map
-        (fun nd ->
-          let solver, dt =
-            wall_best (fun () ->
-                Core.Solver.run ~engine:(`Delta_par nd) ~strategy:(module S)
-                  prog)
-          in
-          {
-            pp_strategy = S.id;
-            pp_domains = nd;
-            pp_rounds = solver.Core.Solver.par_frontier_rounds;
-            pp_steals = solver.Core.Solver.par_steals;
-            pp_edges = Core.Graph.edge_count solver.Core.Solver.graph;
-            pp_equal = par_stats_free_json solver = seq_json;
-            pp_time_s = dt;
-            pp_seq_time_s = seq_dt;
-          })
-        par_widths)
-    strategies
-
-(* Byte-identity is gated wherever the section runs; the speedup gate
-   lives in CI, conditional on the runner actually having cores. *)
-let par_gate rows =
-  let bad = List.filter (fun r -> not r.pp_equal) rows in
-  if bad <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf
-          "par: %s at %d domains diverged from the sequential delta \
-           fixpoint\n"
-          r.pp_strategy r.pp_domains)
-      bad;
-    exit 1
-  end
-
-let par () =
-  header
-    (Printf.sprintf
-       "Parallel solver: delta-par vs delta on the ext-e workload\n\
-        (wall-clock best of 3; this machine recommends %d domain%s)"
-       (Domain.recommended_domain_count ())
-       (if Domain.recommended_domain_count () = 1 then "" else "s"));
-  Printf.printf "%-18s %7s %7s %7s %8s %6s %9s %9s %8s\n" "strategy"
-    "domains" "rounds" "steals" "edges" "equal" "par(s)" "delta(s)" "speedup";
-  line ();
-  let rows = par_rows () in
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %7d %7d %7d %8d %6s %9.4f %9.4f %7.2fx\n"
-        r.pp_strategy r.pp_domains r.pp_rounds r.pp_steals r.pp_edges
-        (if r.pp_equal then "yes" else "NO!")
-        r.pp_time_s r.pp_seq_time_s
-        (if r.pp_time_s > 0. then r.pp_seq_time_s /. r.pp_time_s else 0.))
-    rows;
-  par_gate rows
-
-(* Same sweep as JSON lines — the CI artifact (BENCH_par.json). CI
-   gates equal == true on every row, and on runners with >= 4 cores a
-   >= 2x speedup at 4 domains on at least one instance. *)
-let par_json () =
-  let rows = par_rows () in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "{\"strategy\":%s,\"domains\":%d,\"cores\":%d,\
-         \"frontier_rounds\":%d,\"steals\":%d,\"edges\":%d,\"equal\":%b,\
-         \"time_s\":%.4f,\"seq_time_s\":%.4f,\"speedup\":%.4f}\n"
-        (Core.Report.quote r.pp_strategy)
-        r.pp_domains
-        (Domain.recommended_domain_count ())
-        r.pp_rounds r.pp_steals r.pp_edges r.pp_equal r.pp_time_s
-        r.pp_seq_time_s
-        (if r.pp_time_s > 0. then r.pp_seq_time_s /. r.pp_time_s else 0.))
-    rows;
-  par_gate rows
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per figure                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1362,8 +1235,6 @@ let sections : (string * (unit -> unit)) list =
     ("ext-e-json", ext_e_json);
     ("solver", solver);
     ("solver-json", solver_json);
-    ("par", par);
-    ("par-json", par_json);
     ("edit-replay", edit_replay);
     ("edit-replay-json", edit_replay_json);
     ("store", store_bench);

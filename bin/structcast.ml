@@ -28,26 +28,18 @@ let layout_of_name = function
   | "word16" -> Layout.word16
   | s -> failwith (Printf.sprintf "unknown layout %s (ilp32|lp64|word16)" s)
 
-(* [domains = 0] means auto: whatever the runtime recommends for this
-   machine. Only delta-par consumes the flag. *)
-let engine_of_name ~domains : string -> Core.Solver.engine = function
+let engine_of_name : string -> Core.Solver.engine = function
   | "delta" -> `Delta
   | "delta-nocycle" -> `Delta_nocycle
   | "naive" -> `Naive
-  | "delta-par" ->
-      let n =
-        if domains > 0 then domains else Domain.recommended_domain_count ()
-      in
-      `Delta_par (max 1 n)
   | "summary" -> `Summary
   | s ->
       failwith
-        (Printf.sprintf
-           "unknown engine %s (delta|delta-par|delta-nocycle|naive|summary)"
+        (Printf.sprintf "unknown engine %s (delta|delta-nocycle|naive|summary)"
            s)
 
 (* --workers auto sizes the pool to the runtime's recommended domain
-   count, the same signal delta-par's auto width uses. *)
+   count: one worker process per core. *)
 let workers_of_flag = function
   | "auto" -> max 1 (Domain.recommended_domain_count ())
   | s -> (
@@ -181,10 +173,6 @@ let print_metrics name (r : Core.Analysis.result) =
   Fmt.pr "cycle elimination:    %d cycles, %d cells unified, %d wasted props@."
     m.Core.Metrics.cycles_found m.Core.Metrics.cells_unified
     m.Core.Metrics.wasted_propagations;
-  if m.Core.Metrics.par_domains > 0 then
-    Fmt.pr "parallel solve:       %d domains, %d frontier rounds, %d steals@."
-      m.Core.Metrics.par_domains m.Core.Metrics.par_frontier_rounds
-      m.Core.Metrics.par_steals;
   if m.Core.Metrics.summary_sccs > 0 then begin
     Fmt.pr "summary schedule:     %d sccs, %d rounds, %d instantiations@."
       m.Core.Metrics.summary_sccs m.Core.Metrics.summary_scc_rounds
@@ -280,7 +268,7 @@ let print_dot_callgraph (r : Core.Analysis.result) =
    did) with the store counter block spliced in. Text mode needs a live
    solver, so it restores the snapshot instead. *)
 let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
-    what var budget engine domains format =
+    what var budget engine format =
   ignore (strategy_of_name strategy);
   let layout = layout_of_name layout_id in
   let plan =
@@ -300,7 +288,7 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       ~log:(fun m -> Fmt.epr "store: %s@." m)
       dir
   in
-  let engine = engine_of_name ~domains engine in
+  let engine = engine_of_name engine in
   match format with
   | "json" ->
       let a =
@@ -354,19 +342,19 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       exit_code ~diags ~degraded:(degraded <> [])
   | f -> failwith (Printf.sprintf "unknown --format %s (text|json)" f)
 
-let analyze_cmd spec strategy layout what var budget engine domains format
+let analyze_cmd spec strategy layout what var budget engine format
     store store_max_mb store_faults =
   match store with
   | Some dir ->
       analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout
-        what var budget engine domains format
+        what var budget engine format
   | None ->
   let layout = layout_of_name layout in
   let diags = Diag.create () in
   let name, prog = compile_spec ~layout ~diags spec in
   let r =
     Core.Analysis.run ~layout ~budget
-      ~engine:(engine_of_name ~domains engine)
+      ~engine:(engine_of_name engine)
       ~strategy:(strategy_of_name strategy)
       prog
   in
@@ -428,16 +416,15 @@ let print_warm_result ~format ~name ~diags ~(st : Incr.Engine.stats)
       report_diags diags
   | f -> failwith (Printf.sprintf "unknown --format %s (text|json)" f)
 
-let reanalyze_cmd base_spec edited_spec strategy layout budget engine domains
+let reanalyze_cmd base_spec edited_spec strategy layout budget engine
     format retract_budget =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
-  let engine = engine_of_name ~domains engine in
+  let engine = engine_of_name engine in
   let diags = Diag.create () in
   let _, base = compile_spec ~layout ~diags base_spec in
   let t = warm_solve ~layout ~budget ~engine ~strategy base in
-  (* the edit alone, on the wall clock like [analyze] and [watch]: the
-     CPU clock runs up to N times fast under N solver domains *)
+  (* the edit alone, on the wall clock like [analyze] and [watch] *)
   let t0 = Core.Unix_time.now () in
   let name, edited = compile_spec ~layout ~diags edited_spec in
   let t, st = Incr.Engine.reanalyze ~retract_budget ~diags t edited in
@@ -448,11 +435,11 @@ let reanalyze_cmd base_spec edited_spec strategy layout budget engine domains
 (* One solved fixpoint kept live: every line on stdin (e.g. from an
    editor hook or `inotifywait`) re-reads FILE and re-answers from the
    warm state. EOF ends the session. *)
-let watch_cmd spec strategy layout budget engine domains format retract_budget
+let watch_cmd spec strategy layout budget engine format retract_budget
     journal =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
-  let engine = engine_of_name ~domains engine in
+  let engine = engine_of_name engine in
   let jnl = Option.map Server.Journal.open_append journal in
   let journal_entry ~i ~name ~diags (r : Core.Analysis.result) =
     match jnl with
@@ -708,17 +695,8 @@ type overload_flags = {
   deadline_ms : int;  (** default per-request deadline; 0 = none *)
 }
 
-(* The --domains total is divided among the worker processes: W workers
-   each solving on D/W domains keeps the whole pool at ~D domains of
-   solver parallelism instead of W*D. *)
-let domains_per_worker ~workers domains =
-  let total =
-    if domains > 0 then domains else Domain.recommended_domain_count ()
-  in
-  max 1 (total / max 1 workers)
-
 let batch_cmd specs manifest strategy layout budget workers attempts
-    job_timeout_ms backoff_ms faults journal resume format store domains
+    job_timeout_ms backoff_ms faults journal resume format store
     engine (ov : overload_flags) =
   let workers = workers_of_flag workers in
   let from_manifest =
@@ -730,14 +708,13 @@ let batch_cmd specs manifest strategy layout budget workers attempts
   if entries = [] then
     failwith "no jobs: give input specs or --jobs MANIFEST";
   let deadline_ms = if ov.deadline_ms > 0 then Some ov.deadline_ms else None in
-  let job_domains = domains_per_worker ~workers domains in
   let jobs =
     List.mapi
       (fun i (spec, s, l) ->
         Server.Job.make ~idx:(i + 1)
           ~strategy:(Option.value s ~default:strategy)
           ~layout:(Option.value l ~default:layout)
-          ~budget ?store_dir:store ?deadline_ms ~domains:job_domains ~engine
+          ~budget ?store_dir:store ?deadline_ms ~engine
           spec)
       entries
   in
@@ -767,9 +744,8 @@ let batch_cmd specs manifest strategy layout budget workers attempts
    in-flight ones finish within --drain-deadline-ms, and the process
    exits with code 5. *)
 let serve_cmd strategy layout budget workers attempts job_timeout_ms
-    backoff_ms faults journal store domains engine (ov : overload_flags) =
+    backoff_ms faults journal store engine (ov : overload_flags) =
   let workers = workers_of_flag workers in
-  let job_domains = domains_per_worker ~workers domains in
   let cfg =
     supervisor_config workers attempts job_timeout_ms backoff_ms faults
       journal false ~max_pending:ov.max_pending
@@ -839,7 +815,7 @@ let serve_cmd strategy layout budget workers attempts job_timeout_ms
             incr idx;
             let job =
               Server.Job.make ~idx:!idx ~strategy:s ~layout:l ~budget
-                ?store_dir:store ?deadline_ms ~domains:job_domains ~engine
+                ?store_dir:store ?deadline_ms ~engine
                 spec
             in
             Server.Supervisor.submit t job;
@@ -981,25 +957,33 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Solver engine: delta (difference propagation with online cycle \
-           elimination, default), delta-par (delta with the copy-edge \
-           drain run on several domains; see --domains), delta-nocycle \
-           (difference propagation only; the ablation baseline), naive \
-           (reference full-reread worklist), or summary (bottom-up \
-           per-function summaries over the call-graph SCC-DAG; with \
-           --store DIR the summaries are cached under DIR/summaries and \
-           an edit recomputes only its dependent chain). All five reach \
-           the same fixpoint; they differ only in how much work it \
-           costs.")
+           elimination, default), delta-nocycle (difference propagation \
+           only; the ablation baseline), naive (reference full-reread \
+           worklist), or summary (bottom-up per-function summaries over \
+           the call-graph SCC-DAG; with --store DIR the summaries are \
+           cached under DIR/summaries and an edit recomputes only its \
+           dependent chain). All four reach the same fixpoint; they \
+           differ only in how much work it costs.")
 
-let domains_arg =
+(* reanalyze and watch keep one solver warm across edits. The naive
+   engine has no warm path (its retraction kept stale facts), so the flag
+   refuses it as a usage error. *)
+let warm_engine_arg =
+  let parse = function
+    | "naive" ->
+        Error
+          (`Msg
+             "naive is a scratch-only oracle; reanalyze and watch take delta, \
+              delta-nocycle or summary")
+    | s -> Ok s
+  in
   Arg.(
-    value & opt int 0
-    & info [ "domains" ] ~docv:"N"
+    value
+    & opt (conv (parse, Format.pp_print_string)) "delta"
+    & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Domains for --engine delta-par (0 = auto: the runtime's \
-           recommended domain count for this machine). The sequential \
-           engines ignore it. In batch/serve the total is divided among \
-           the worker processes.")
+          "Solver engine: delta (default), delta-nocycle or summary, as for \
+           analyze. The naive oracle has no warm path and is refused.")
 
 let format_arg =
   Arg.(
@@ -1253,17 +1237,17 @@ let wrap f =
       3
 
 let analyze_t =
-  let run spec strategy layout what var budget engine domains format store
+  let run spec strategy layout what var budget engine format store
       store_max_mb store_faults =
     wrap (fun () ->
-        analyze_cmd spec strategy layout what var budget engine domains format
+        analyze_cmd spec strategy layout what var budget engine format
           store store_max_mb store_faults)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyze a C file with one framework instance.")
     Term.(
       const run $ spec_arg $ strategy_arg $ layout_arg $ print_arg $ var_arg
-      $ budget_term $ engine_arg $ domains_arg $ format_arg $ store_arg
+      $ budget_term $ engine_arg $ format_arg $ store_arg
       $ store_max_mb_arg $ store_faults_arg)
 
 let compare_t =
@@ -1285,11 +1269,11 @@ let corpus_t =
 
 let batch_t =
   let run specs manifest strategy layout budget workers attempts
-      job_timeout_ms backoff_ms faults journal resume format store domains
+      job_timeout_ms backoff_ms faults journal resume format store
       engine overload =
     wrap (fun () ->
         batch_cmd specs manifest strategy layout budget workers attempts
-          job_timeout_ms backoff_ms faults journal resume format store domains
+          job_timeout_ms backoff_ms faults journal resume format store
           engine overload)
   in
   Cmd.v
@@ -1305,15 +1289,15 @@ let batch_t =
       const run $ specs_arg $ jobs_arg $ strategy_arg $ layout_arg
       $ budget_term $ workers_arg $ attempts_arg $ job_timeout_ms_arg
       $ backoff_ms_arg $ faults_arg $ journal_arg $ resume_arg
-      $ batch_format_arg $ store_arg $ domains_arg $ engine_arg
+      $ batch_format_arg $ store_arg $ engine_arg
       $ overload_term)
 
 let serve_t =
   let run strategy layout budget workers attempts job_timeout_ms backoff_ms
-      faults journal store domains engine overload =
+      faults journal store engine overload =
     wrap (fun () ->
         serve_cmd strategy layout budget workers attempts job_timeout_ms
-          backoff_ms faults journal store domains engine overload)
+          backoff_ms faults journal store engine overload)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1329,7 +1313,7 @@ let serve_t =
     Term.(
       const run $ strategy_arg $ layout_arg $ budget_term $ workers_arg
       $ attempts_arg $ job_timeout_ms_arg $ backoff_ms_arg $ faults_arg
-      $ journal_arg $ store_arg $ domains_arg $ engine_arg $ overload_term)
+      $ journal_arg $ store_arg $ engine_arg $ overload_term)
 
 let base_spec_arg =
   Arg.(
@@ -1344,10 +1328,9 @@ let edited_spec_arg =
     & info [] ~docv:"EDITED" ~doc:"Edited version of the same program.")
 
 let reanalyze_t =
-  let run base edited strategy layout budget engine domains format
-      retract_budget =
+  let run base edited strategy layout budget engine format retract_budget =
     wrap (fun () ->
-        reanalyze_cmd base edited strategy layout budget engine domains format
+        reanalyze_cmd base edited strategy layout budget engine format
           retract_budget)
   in
   Cmd.v
@@ -1360,15 +1343,13 @@ let reanalyze_t =
           to analyzing EDITED from scratch.")
     Term.(
       const run $ base_spec_arg $ edited_spec_arg $ strategy_arg $ layout_arg
-      $ budget_term $ engine_arg $ domains_arg $ format_arg
-      $ retract_budget_arg)
+      $ budget_term $ warm_engine_arg $ format_arg $ retract_budget_arg)
 
 let watch_t =
-  let run spec strategy layout budget engine domains format retract_budget
-      journal =
+  let run spec strategy layout budget engine format retract_budget journal =
     wrap (fun () ->
-        watch_cmd spec strategy layout budget engine domains format
-          retract_budget journal)
+        watch_cmd spec strategy layout budget engine format retract_budget
+          journal)
   in
   Cmd.v
     (Cmd.info "watch"
@@ -1379,8 +1360,7 @@ let watch_t =
           ends the session.")
     Term.(
       const run $ spec_arg $ strategy_arg $ layout_arg $ budget_term
-      $ engine_arg $ domains_arg $ format_arg $ retract_budget_arg
-      $ watch_journal_arg)
+      $ warm_engine_arg $ format_arg $ retract_budget_arg $ watch_journal_arg)
 
 let main =
   Cmd.group

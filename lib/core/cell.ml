@@ -25,28 +25,14 @@ type t = { cid : int; base : Cvar.t; sel : sel }
 (* ------------------------------------------------------------------ *)
 
 (* Keyed by (vid, selector): Cvar identity is its vid, and selector
-   equality is structural, so polymorphic hash/equal are exact.
+   equality is structural. The table is open-addressed with linear
+   probing and never deletes; it is grown at half load, so an empty slot
+   always ends a probe. *)
+let intern_tbl : t option array ref = ref (Array.make 4096 None)
 
-   Domain safety: solver domains may race [v]/[of_id] against an intern
-   happening on another domain (the compile phase pre-interns everything
-   a program mentions, but lazily materialized cells — e.g. [Strategy]
-   resolve paths — can still first appear mid-solve). Writers serialize
-   on [lock]. Readers are lock-free: the table is open-addressed with
-   linear probing and never deletes, and slots hold immutable cells, so
-   a racy read of a slot sees either [None] or a fully built cell (the
-   OCaml memory model forbids out-of-thin-air values; records are
-   published whole). A reader that misses — possibly spuriously, because
-   plain writes need not be visible across domains — retries under the
-   lock, which synchronizes with the last writer. Growth swaps in a
-   fresh array through an [Atomic], so probes never see a half-rehashed
-   table. *)
-let lock = Mutex.create ()
+let by_id : t option array ref = ref (Array.make 1024 None)
 
-let intern_tbl : t option array Atomic.t = Atomic.make (Array.make 4096 None)
-
-let by_id : t option array Atomic.t = Atomic.make (Array.make 1024 None)
-
-let interned = Atomic.make 0
+let interned = ref 0
 
 let key_hash (vid : int) (sel : sel) : int =
   (vid * 0x9e3779b1) lxor Hashtbl.hash sel
@@ -60,8 +46,6 @@ let sel_equal (a : sel) (b : sel) : bool =
 let key_equal (c : t) (vid : int) (sel : sel) : bool =
   c.base.Cvar.vid = vid && sel_equal c.sel sel
 
-(* Probe [arr] for (vid, sel); tables are grown before they fill, so an
-   empty slot always terminates the scan. *)
 let find_in (arr : t option array) (vid : int) (sel : sel) : t option =
   let mask = Array.length arr - 1 in
   let rec go i =
@@ -72,7 +56,6 @@ let find_in (arr : t option array) (vid : int) (sel : sel) : t option =
   in
   go (key_hash vid sel land mask)
 
-(* Caller holds [lock]. *)
 let insert_in (arr : t option array) (c : t) : unit =
   let mask = Array.length arr - 1 in
   let rec go i =
@@ -80,76 +63,41 @@ let insert_in (arr : t option array) (c : t) : unit =
   in
   go (key_hash c.base.Cvar.vid c.sel land mask)
 
-(* Caller holds [lock]. *)
-let intern_locked (base : Cvar.t) (sel : sel) : t =
-  let n = Atomic.get interned in
+let intern (base : Cvar.t) (sel : sel) : t =
+  let n = !interned in
   let c = { cid = n; base; sel } in
-  let tbl = Atomic.get intern_tbl in
-  let tbl =
-    if 2 * (n + 1) < Array.length tbl then tbl
-    else begin
-      (* Keep load factor under 1/2: rehash into a double-size table and
-         publish it before the new cell becomes findable. *)
-      let bigger = Array.make (2 * Array.length tbl) None in
-      Array.iter (function None -> () | Some c -> insert_in bigger c) tbl;
-      Atomic.set intern_tbl bigger;
-      bigger
-    end
-  in
-  insert_in tbl c;
-  let ids = Atomic.get by_id in
-  let ids =
-    if n < Array.length ids then ids
-    else begin
-      let bigger = Array.make (2 * Array.length ids) None in
-      Array.blit ids 0 bigger 0 n;
-      Atomic.set by_id bigger;
-      bigger
-    end
-  in
-  ids.(n) <- Some c;
-  Atomic.set interned (n + 1);
+  if 2 * (n + 1) >= Array.length !intern_tbl then begin
+    (* keep the load factor under 1/2: rehash into a double-size table *)
+    let bigger = Array.make (2 * Array.length !intern_tbl) None in
+    Array.iter (function None -> () | Some c -> insert_in bigger c) !intern_tbl;
+    intern_tbl := bigger
+  end;
+  insert_in !intern_tbl c;
+  if n >= Array.length !by_id then begin
+    let bigger = Array.make (2 * Array.length !by_id) None in
+    Array.blit !by_id 0 bigger 0 n;
+    by_id := bigger
+  end;
+  !by_id.(n) <- Some c;
+  interned := n + 1;
   c
 
 let v base sel =
-  let vid = base.Cvar.vid in
-  match find_in (Atomic.get intern_tbl) vid sel with
+  match find_in !intern_tbl base.Cvar.vid sel with
   | Some c -> c
-  | None ->
-      Mutex.lock lock;
-      (* Re-probe: the miss may have raced a writer (or been a stale
-         plain-field read); the lock synchronizes with the last intern. *)
-      let c =
-        match find_in (Atomic.get intern_tbl) vid sel with
-        | Some c -> c
-        | None -> intern_locked base sel
-      in
-      Mutex.unlock lock;
-      c
+  | None -> intern base sel
 
 let whole base = v base (Path [])
 
 let id c = c.cid
 
-(* The probe is written out twice rather than shared through a local
-   closure: [of_id] runs tens of millions of times per solve, and a
-   closure capturing [i] would be allocated on every call. *)
 let of_id i =
-  let arr = Atomic.get by_id in
+  let arr = !by_id in
   match if i < Array.length arr then arr.(i) else None with
   | Some c -> c
-  | None -> (
-      (* Cross-domain visibility of the plain slot write isn't
-         guaranteed without synchronizing — retry under the lock. *)
-      Mutex.lock lock;
-      let arr = Atomic.get by_id in
-      let r = if i < Array.length arr then arr.(i) else None in
-      Mutex.unlock lock;
-      match r with
-      | Some c -> c
-      | None -> invalid_arg (Printf.sprintf "Cell.of_id: %d not interned" i))
+  | None -> invalid_arg (Printf.sprintf "Cell.of_id: %d not interned" i)
 
-let interned_count () = Atomic.get interned
+let interned_count () = !interned
 
 (* ------------------------------------------------------------------ *)
 (* Ordering, equality, printing                                        *)

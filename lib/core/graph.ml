@@ -86,35 +86,9 @@ let class_members g (c : Cell.t) : Cell.t list =
 let class_size g (rid : int) : int =
   match Itbl.find_opt g.classes rid with Some k -> k.size | None -> 1
 
-(* ------------------------------------------------------------------ *)
-(* Read-only views (parallel drain rounds)                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel engine's drain rounds run with every table in this
-   record structurally frozen (no new bindings, no unification, no
-   degradation — all deferred to the sequential frontier gaps); the only
-   mutation in flight is growth of Idsets, each owned by exactly one
-   domain for the round. These variants perform zero writes — notably no
-   union-find path compression — so concurrent readers never race. *)
-
-(** {!canon} without path compression. *)
-let canon_ro g (c : Cell.t) : Cell.t = Cell.of_id (Uf.find_ro g.uf (Cell.id c))
-
-(** Id-level {!canon_ro}. *)
-let canon_id_ro g (cid : int) : int = Uf.find_ro g.uf cid
-
-(** The shared target set keyed by an (already canonical) class
-    representative id. Round code mutates the returned set directly —
-    legal only for classes the calling domain owns this round. *)
-let pts_ids_of_rid g (rid : int) : Idset.t option = Itbl.find_opt g.edges rid
-
 (** Member count of the class of an (already canonical) representative
     id — the weight of one fact in the member-expanded [edge_count]. *)
 let class_size_of_rid g (rid : int) : int = class_size g rid
-
-(** Gap-only: fold a round's locally accumulated member-expanded edge
-    additions into the counter ({!add_edge} is bypassed in rounds). *)
-let bump_edge_count g (n : int) : unit = g.edge_count <- g.edge_count + n
 
 (* ------------------------------------------------------------------ *)
 (* Lookups                                                             *)

@@ -22,29 +22,10 @@ val class_members : t -> Cell.t -> Cell.t list
 (** All cells of a cell's class in merge order, representative first; a
     singleton list for never-unified cells. *)
 
-val canon_ro : t -> Cell.t -> Cell.t
-(** {!canon} without path compression — zero writes, safe for
-    concurrent readers during the parallel engine's drain rounds (when
-    the union-find is quiescent). *)
-
-val canon_id_ro : t -> int -> int
-(** Id-level {!canon_ro}: representative id of a cell id's class. *)
-
-val pts_ids_of_rid : t -> int -> Idset.t option
-(** The shared target set keyed by an (already canonical) class
-    representative id. The parallel engine mutates the returned set
-    directly — legal only for classes the calling domain owns for the
-    round, with all table-shape changes deferred to sequential gaps. *)
-
 val class_size_of_rid : t -> int -> int
 (** Member count of an (already canonical) representative id's class —
     the member-expanded weight of one fact added to its set. A table
     read. *)
-
-val bump_edge_count : t -> int -> unit
-(** Gap-only: fold a parallel round's locally accumulated
-    member-expanded edge additions into {!edge_count} (rounds bypass
-    {!add_edge}, which normally maintains it). *)
 
 val pts : t -> Cell.t -> Cell.Set.t
 (** Current points-to set of a cell (empty if none). Materializes a

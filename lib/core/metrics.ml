@@ -60,8 +60,7 @@ type summary = {
       (** which objects were collapsed under budget pressure, why, and
           when; empty for a full-precision run *)
   engine : string;
-      (** ["delta"], ["delta-nocycle"], ["naive"], ["delta-par"] or
-          ["summary"] *)
+      (** ["delta"], ["delta-nocycle"], ["naive"] or ["summary"] *)
   solver_visits : int;  (** statement visits the worklist dispatched *)
   facts_consumed : int;
       (** facts read by rule visits plus facts pushed along copy edges *)
@@ -79,15 +78,6 @@ type summary = {
           consumed facts but derived no edge, plus copy-edge drains that
           moved facts but added none — the redundancy cycle elimination
           targets *)
-  par_domains : int;
-      (** domains the parallel engine ran on (0 for the sequential
-          engines) *)
-  par_frontier_rounds : int;
-      (** parallel drain rounds executed, each ending at a sequential
-          frontier gap ([`Delta_par] only) *)
-  par_steals : int;
-      (** region claims by a domain other than the region's home domain
-          ([`Delta_par] only) *)
   incr_stmts_added : int;
       (** statements the last incremental edit added (0 for a cold run) *)
   incr_stmts_removed : int;
@@ -183,7 +173,6 @@ let summarize (solver : Solver.t) : summary =
       | `Delta -> "delta"
       | `Delta_nocycle -> "delta-nocycle"
       | `Naive -> "naive"
-      | `Delta_par _ -> "delta-par"
       | `Summary -> "summary");
     solver_visits = solver.Solver.rounds;
     facts_consumed = solver.Solver.facts_consumed;
@@ -193,10 +182,6 @@ let summarize (solver : Solver.t) : summary =
     cycles_found = solver.Solver.cycles_found;
     cells_unified = solver.Solver.cells_unified;
     wasted_propagations = solver.Solver.wasted_props;
-    par_domains =
-      (match solver.Solver.engine with `Delta_par n -> n | _ -> 0);
-    par_frontier_rounds = solver.Solver.par_frontier_rounds;
-    par_steals = solver.Solver.par_steals;
     incr_stmts_added = solver.Solver.incr_stmts_added;
     incr_stmts_removed = solver.Solver.incr_stmts_removed;
     incr_facts_retracted = solver.Solver.incr_facts_retracted;

@@ -35,8 +35,7 @@ type summary = {
       (** which objects were collapsed under budget pressure, why, and
           when; empty for a full-precision run *)
   engine : string;
-      (** ["delta"], ["delta-nocycle"], ["naive"], ["delta-par"] or
-          ["summary"] *)
+      (** ["delta"], ["delta-nocycle"], ["naive"] or ["summary"] *)
   solver_visits : int;  (** statement visits the worklist dispatched *)
   facts_consumed : int;
       (** facts read by rule visits plus facts pushed along copy edges *)
@@ -53,13 +52,6 @@ type summary = {
       (** propagations that produced nothing new: statement visits that
           consumed facts but derived no edge, plus copy-edge drains that
           moved facts but added none *)
-  par_domains : int;
-      (** domains the parallel engine ran on (0 for the sequential
-          engines) *)
-  par_frontier_rounds : int;
-      (** parallel drain rounds executed ([`Delta_par] only) *)
-  par_steals : int;
-      (** region claims by a non-home domain ([`Delta_par] only) *)
   incr_stmts_added : int;
       (** statements the last incremental edit added (0 for a cold run) *)
   incr_stmts_removed : int;

@@ -19,8 +19,6 @@ let create ?(cap = 64) () =
 
 let is_empty h = h.len = 0
 
-let length h = h.len
-
 let clear h = h.len <- 0
 
 let less h i j =
@@ -75,5 +73,3 @@ let pop h : int =
     done
   end;
   top
-
-let pop_opt h : int option = if h.len = 0 then None else Some (pop h)

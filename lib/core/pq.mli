@@ -8,8 +8,6 @@ val create : ?cap:int -> unit -> t
 
 val is_empty : t -> bool
 
-val length : t -> int
-
 val clear : t -> unit
 
 val push : t -> prio:int -> int -> unit
@@ -17,6 +15,3 @@ val push : t -> prio:int -> int -> unit
 val pop : t -> int
 (** Minimum-priority element (smallest id on ties). Raises
     [Invalid_argument] when empty. *)
-
-val pop_opt : t -> int option
-(** {!pop} as an option — the shape of a drain loop. *)

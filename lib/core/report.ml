@@ -81,9 +81,6 @@ let json_of_result ?(timing = true) ?(solver_stats = true) ~name
     field ",\"cycles_found\":%d" m.Metrics.cycles_found;
     field ",\"cells_unified\":%d" m.Metrics.cells_unified;
     field ",\"wasted_propagations\":%d" m.Metrics.wasted_propagations;
-    field ",\"par_domains\":%d" m.Metrics.par_domains;
-    field ",\"par_frontier_rounds\":%d" m.Metrics.par_frontier_rounds;
-    field ",\"par_steals\":%d" m.Metrics.par_steals;
     field ",\"incr_stmts_added\":%d" m.Metrics.incr_stmts_added;
     field ",\"incr_stmts_removed\":%d" m.Metrics.incr_stmts_removed;
     field ",\"incr_facts_retracted\":%d" m.Metrics.incr_facts_retracted;

@@ -61,8 +61,7 @@ open Norm
 
 module Itbl = Hashtbl.Make (Int)
 
-type engine =
-  [ `Delta | `Delta_nocycle | `Naive | `Delta_par of int | `Summary ]
+type engine = [ `Delta | `Delta_nocycle | `Naive | `Summary ]
 
 type t = {
   ctx : Actx.t;
@@ -121,11 +120,6 @@ type t = {
   lcd_done : (int * int, unit) Hashtbl.t;
       (** (src class, dst class) pairs that already triggered a cycle
           search — each wasted edge pays for at most one DFS *)
-  mutable delta_gen : int;
-      (** generation counter bumped by {!reset_deltas}: the parallel
-          engine aborts an in-flight drain phase when a gap-side
-          degradation invalidated the region partition and cursors the
-          phase was built on *)
   (* --- profiling --------------------------------------------------- *)
   mutable rounds : int;  (** statement visits *)
   mutable facts_consumed : int;
@@ -142,13 +136,6 @@ type t = {
       (** propagations that produced nothing new: statement visits that
           consumed facts but derived no edge, and copy-edge drains that
           moved facts but added none *)
-  mutable par_frontier_rounds : int;
-      (** [`Delta_par]: parallel drain rounds executed — each round
-          solves the active regions concurrently, then joins at a
-          sequential frontier gap *)
-  mutable par_steals : int;
-      (** [`Delta_par]: region claims by a domain other than the
-          region's home domain (cross-domain load imbalance) *)
   arith_mode : [ `Spread | `Copy | `Stride | `Unknown ];
       (** How pointer arithmetic is modelled:
           - [`Spread] — the paper's Assumption-1 rule: the result may
@@ -337,7 +324,6 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     order = Itbl.create 256;
     order_edges = 0;
     lcd_done = Hashtbl.create 64;
-    delta_gen = 0;
     rounds = 0;
     facts_consumed = 0;
     delta_facts = 0;
@@ -345,8 +331,6 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     cycles_found = 0;
     cells_unified = 0;
     wasted_props = 0;
-    par_frontier_rounds = 0;
-    par_steals = 0;
     arith_mode = arith;
     unknown_obj = Cvar.fresh ~name:"$unknown" ~ty:Ctype.Void ~kind:Cvar.Global;
     unknown_externs = [];
@@ -379,14 +363,10 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
 (** Both difference-propagation engines ([`Delta] and [`Delta_nocycle]). *)
 let is_delta t = t.engine <> `Naive
 
-(** Cycle elimination runs under the full [`Delta] engine, its
-    domain-parallel sibling (where unification is deferred to the
-    sequential frontier gaps), and the bottom-up summary schedule
-    (whose drains are the sequential delta ones). *)
+(** Cycle elimination runs under the full [`Delta] engine and the
+    bottom-up summary schedule (whose drains are the delta ones). *)
 let cycles_on t =
-  match t.engine with
-  | `Delta | `Delta_par _ | `Summary -> true
-  | _ -> false
+  match t.engine with `Delta | `Summary -> true | `Delta_nocycle | `Naive -> false
 
 let canon_id t (cid : int) : int =
   Cell.id (Graph.canon t.graph (Cell.of_id cid))
@@ -613,7 +593,6 @@ let reset_tracking t =
     constraints — and recopies the merged representative sets — over the
     coarser cells. *)
 let reset_deltas t =
-  t.delta_gen <- t.delta_gen + 1;
   if is_delta t then begin
     Itbl.reset t.cursors;
     Itbl.reset t.dirty;
@@ -923,7 +902,7 @@ let add_edge t (c : Cell.t) (w : Cell.t) =
         match Cvar.Tbl.find_opt t.subscribers c.Cell.base with
         | Some lst -> List.iter (enqueue t) !lst
         | None -> ())
-    | `Delta | `Delta_nocycle | `Delta_par _ | `Summary ->
+    | `Delta | `Delta_nocycle | `Summary ->
         let rid = canon_id t (Cell.id c) in
         (* the new fact flows along the class's copy edges… *)
         push_cell t rid;
@@ -948,7 +927,7 @@ let add_edge t (c : Cell.t) (w : Cell.t) =
     - the losing class's copy edges move to the survivor with cursors
       reset to 0 (the merged log appended the loser's facts in a new
       order); edges that became intra-class tautologies are dropped
-      (the survivor's own such edges go later: {!propagate_seq} drops
+      (the survivor's own such edges go later: {!propagate} drops
       them when it finds them behind, {!drop_intra_edges} at
       quiescence);
     - the losing class's cursor-consumers have their cursors translated
@@ -1468,7 +1447,7 @@ let check_drain_timeout t =
     [`Delta], a wasted drain onto an already-equal set triggers the
     lazy cycle search (after the cell's drain completes — a unification
     moves the cursors the drain loop holds). *)
-let propagate_seq t =
+let propagate t =
   if is_delta t then begin
     maybe_recompute_order t;
     let copied = ref 0 in
@@ -1570,422 +1549,6 @@ let propagate_seq t =
     done
   end
 
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel drain (the [`Delta_par] engine)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The [`Delta_par n] engine parallelizes the copy-edge drain — the
-   delta engine's dominant cost — over OCaml 5 domains, leaving
-   statement processing sequential. A drain *phase* partitions the
-   representative-level copy graph into SCC-closed *regions* (Tarjan
-   over the same deterministic root order [recompute_order] uses, with
-   the condensation's topological order cut into contiguous blocks), so
-   no subset cycle ever spans two regions. The phase then alternates:
-
-   - a parallel *round*: each active region is claimed by exactly one
-     domain (an [Atomic] cursor over the active list; claims off the
-     region's home domain count as [par_steals]) and drained with a
-     region-local worklist in the usual pseudo-topological priority
-     order. During a round every solver table is structurally frozen —
-     the only mutation is growth of [Idset]s owned by the claiming
-     domain, so domains never race: intra-region edges write the
-     destination set directly, while work that would mutate shared
-     structure is buffered region-locally — cross-region slices into a
-     per-region outbox, first facts for set-less destinations, consumer
-     wakes, cell-budget charges, and cycle candidates;
-
-   - a sequential frontier *gap* ([par_frontier_rounds] counts them):
-     fold the regions' counters, apply first facts through the ordinary
-     [add_edge] path, wake cursor consumers, charge cell budgets, run
-     deferred lazy cycle detection (unification is gap-only — legal
-     because cycles are intra-region, cheap because it is rare), and
-     route outboxes to the consuming regions' inboxes, which their
-     owners drain at the start of the next round.
-
-   The phase ends when every region worklist, inbox, and the global
-   cell queue are empty. Any gap-side degradation bumps [delta_gen] via
-   [reset_deltas]; the phase notices and aborts ([Phase_reset]) — the
-   re-enqueued statements rebuild everything over the coarser cells,
-   and subsequent drains run sequentially ([pristine] is false).
-
-   Byte-identity with [`Delta] follows from confluence: the rules are
-   monotone over finite lattices, so the least fixpoint — and with it
-   every stats-free report field — is schedule-independent; only the
-   profiling counters differ. *)
-
-type region = {
-  ridx : int;
-  rpq : Pq.t;  (** region-local cell worklist *)
-  rin_wl : unit Itbl.t;
-  mutable rinbox : (int * int array) list;
-      (** (dst cell id, fact ids) delivered by the last gap, newest
-          first; drained by the claiming domain at round start *)
-  mutable routbox : (int * int array) list;
-      (** cross-region slices produced this round, newest first *)
-  mutable rfirst : (int * int array) list;
-      (** slices for destinations that had no set yet: creating the
-          binding mutates shared tables, so the gap applies them *)
-  mutable rgrew : int list;  (** destination classes that gained facts *)
-  rgrew_mem : unit Itbl.t;
-  mutable rlcd : (int * int) list;
-      (** (src, dst) lazy-cycle-detection candidates for the gap *)
-  mutable rfacts : int;
-  mutable rwasted : int;
-  mutable redges : int;  (** member-expanded edge-count delta *)
-}
-
-exception Phase_reset
-
-(** Partition the representative-level copy graph into at most
-    [nregions] SCC-closed regions: iterative Tarjan from the same
-    deterministic roots as {!recompute_order} emits the SCCs in reverse
-    topological order of the condensation; reversing gives a
-    topological SCC sequence, which is cut into contiguous blocks of
-    roughly equal node count. Returns the (representative id → region)
-    map and the number of regions actually formed. *)
-let build_partition t ~(nregions : int) : int Itbl.t * int =
-  let adj n =
-    match Itbl.find_opt t.copy_out n with
-    | Some l -> List.map (fun (did, _) -> canon_id t did) !l
-    | None -> []
-  in
-  let roots = List.map (fun sid -> canon_id t sid) (List.rev !(t.copy_srcs)) in
-  let sccs = Tarjan.sccs ~roots ~succs:adj in
-  let total = List.fold_left (fun n scc -> n + List.length scc) 0 sccs in
-  (* the SCC list is topological (sources first): pack into contiguous
-     blocks so cross-region edges point mostly forward *)
-  let region_of = Itbl.create 256 in
-  let target = max 1 ((total + nregions - 1) / nregions) in
-  let cur = ref 0 and fill = ref 0 in
-  List.iter
-    (fun scc ->
-      if !fill >= target && !cur < nregions - 1 then begin
-        incr cur;
-        fill := 0
-      end;
-      List.iter (fun v -> Itbl.replace region_of v !cur) scc;
-      fill := !fill + List.length scc)
-    sccs;
-  (region_of, !cur + 1)
-
-let region_push t (r : region) (cid : int) =
-  if Itbl.mem t.copy_out cid && not (Itbl.mem r.rin_wl cid) then begin
-    Itbl.replace r.rin_wl cid ();
-    Pq.push r.rpq ~prio:(rank t cid) cid
-  end
-
-let region_grew (r : region) (dcid : int) =
-  if not (Itbl.mem r.rgrew_mem dcid) then begin
-    Itbl.replace r.rgrew_mem dcid ();
-    r.rgrew <- dcid :: r.rgrew
-  end
-
-(** Apply a materialized fact slice to [did]'s class, which the calling
-    domain owns this round. [lcd = Some (sid, src_card)] when the slice
-    came over an intra-region copy edge from class [sid] whose set
-    holds [src_card] facts — the wasted-drain-onto-equal-set trigger
-    only fires for intra-region edges (a cross-region edge cannot close
-    a cycle, regions being SCC-closed). *)
-let par_apply t (r : region) ~(lcd : (int * int) option) (did : int)
-    (facts : int array) =
-  let dcid = Graph.canon_id_ro t.graph did in
-  match Graph.pts_ids_of_rid t.graph dcid with
-  | None ->
-      (* no set yet: creating the binding mutates shared tables — the
-         gap applies it through the ordinary [add_edge] path *)
-      r.rfirst <- (did, facts) :: r.rfirst;
-      r.rfacts <- r.rfacts + Array.length facts
-  | Some dset ->
-      let before = Idset.cardinal dset in
-      Array.iter (fun w -> ignore (Idset.add dset w)) facts;
-      let added = Idset.cardinal dset - before in
-      r.rfacts <- r.rfacts + Array.length facts;
-      if added > 0 then begin
-        r.redges <- r.redges + (added * Graph.class_size_of_rid t.graph dcid);
-        region_push t r dcid;
-        region_grew r dcid
-      end
-      else begin
-        r.rwasted <- r.rwasted + 1;
-        match lcd with
-        | Some (sid, src_card)
-          when cycles_on t && src_card = Idset.cardinal dset ->
-            r.rlcd <- (sid, dcid) :: r.rlcd
-        | _ -> ()
-      end
-
-(** Drain one source cell's copy edges inside a round. Reads resolve
-    through the non-compressing union-find view; the only sets touched
-    are the region's own (intra-region destinations) — everything else
-    is buffered. *)
-let par_drain_cell t ~(region_of : int Itbl.t) (r : region) (sid : int) =
-  match Itbl.find_opt t.copy_out sid with
-  | None -> ()
-  | Some lst -> (
-      match Graph.pts_ids_of_rid t.graph sid with
-      | None -> ()
-      | Some set ->
-          List.iter
-            (fun (did, cur) ->
-              let dcid = Graph.canon_id_ro t.graph did in
-              let total = Idset.cardinal set in
-              if dcid <> sid && !cur < total then begin
-                let from = !cur in
-                cur := total;
-                let home = Itbl.find_opt region_of dcid in
-                if home = Some r.ridx then begin
-                  match Graph.pts_ids_of_rid t.graph dcid with
-                  | Some dset when from = 0 ->
-                      (* bulk first drain: one merge pass, as in the
-                         sequential engine's pristine fast path *)
-                      let added = Idset.union_into dset set in
-                      r.rfacts <- r.rfacts + total;
-                      if added > 0 then begin
-                        r.redges <-
-                          r.redges
-                          + (added * Graph.class_size_of_rid t.graph dcid);
-                        region_push t r dcid;
-                        region_grew r dcid
-                      end
-                      else begin
-                        r.rwasted <- r.rwasted + 1;
-                        if cycles_on t && total = Idset.cardinal dset then
-                          r.rlcd <- (sid, dcid) :: r.rlcd
-                      end
-                  | Some _ | None ->
-                      let facts =
-                        Array.init (total - from) (fun i ->
-                            Idset.get_ord set (from + i))
-                      in
-                      par_apply t r ~lcd:(Some (sid, total)) did facts
-                end
-                else begin
-                  (* cross-region: ship a materialized slice (the live
-                     set's internal array may be swapped by its owner) *)
-                  let facts =
-                    Array.init (total - from) (fun i ->
-                        Idset.get_ord set (from + i))
-                  in
-                  r.routbox <- (did, facts) :: r.routbox;
-                  r.rfacts <- r.rfacts + Array.length facts
-                end
-              end)
-            !lst)
-
-(** One region's share of a round: drain the inbox the last gap
-    delivered, then the region worklist to empty. *)
-let par_run_region t ~(region_of : int Itbl.t) (r : region) =
-  let inbox = List.rev r.rinbox in
-  r.rinbox <- [];
-  List.iter (fun (did, facts) -> par_apply t r ~lcd:None did facts) inbox;
-  let more = ref true in
-  while !more do
-    match Pq.pop_opt r.rpq with
-    | None -> more := false
-    | Some sid0 ->
-        Itbl.remove r.rin_wl sid0;
-        let sid = Graph.canon_id_ro t.graph sid0 in
-        (* stale entries (cell unified away in a gap) are skipped: the
-           survivor was pushed separately by [unify_cells] *)
-        if sid = sid0 then par_drain_cell t ~region_of r sid
-  done
-
-(** The sequential frontier gap: all structure-mutating work the round
-    buffered, applied in region order (deterministic — region contents
-    are a pure function of the phase's inputs, whichever domain ran
-    them). Raises {!Phase_reset} if any of it degrades the solver. *)
-let par_gap t (regions : region array) (region_of : int Itbl.t)
-    ~(gen0 : int) =
-  let check_gen () = if t.delta_gen <> gen0 then raise Phase_reset in
-  Array.iter
-    (fun r ->
-      t.facts_consumed <- t.facts_consumed + r.rfacts;
-      t.wasted_props <- t.wasted_props + r.rwasted;
-      Graph.bump_edge_count t.graph r.redges;
-      r.rfacts <- 0;
-      r.rwasted <- 0;
-      r.redges <- 0)
-    regions;
-  (* first facts: the ordinary [add_edge] path creates the binding,
-     indexes the cells, wakes subscribers, and charges cell budgets *)
-  Array.iter
-    (fun r ->
-      let firsts = List.rev r.rfirst in
-      r.rfirst <- [];
-      List.iter
-        (fun (did, facts) ->
-          let dc = Cell.of_id did in
-          Array.iter
-            (fun w ->
-              add_edge t dc (Cell.of_id w);
-              check_gen ())
-            facts)
-        firsts)
-    regions;
-  (* wake cursor consumers of every class that grew, and charge the
-     cell budgets the round deferred *)
-  Array.iter
-    (fun r ->
-      let grew = List.rev r.rgrew in
-      r.rgrew <- [];
-      Itbl.reset r.rgrew_mem;
-      List.iter
-        (fun dcid0 ->
-          let dcid = canon_id t dcid0 in
-          (match Itbl.find_opt t.pointer_subs dcid with
-          | Some l -> List.iter (enqueue t) !l
-          | None -> ());
-          check_cell_budgets t (Cell.of_id dcid);
-          check_gen ())
-        grew)
-    regions;
-  (* deferred lazy cycle detection — unification happens only here *)
-  Array.iter
-    (fun r ->
-      let lcd = List.rev r.rlcd in
-      r.rlcd <- [];
-      List.iter
-        (fun (sid, dcid) ->
-          if not (Hashtbl.mem t.lcd_done (sid, dcid)) then begin
-            Hashtbl.replace t.lcd_done (sid, dcid) ();
-            try_collapse_cycle t ~from:dcid ~target:sid;
-            check_gen ()
-          end)
-        lcd)
-    regions;
-  (* route cross-region slices to the consuming region's inbox *)
-  Array.iter
-    (fun r ->
-      let out = List.rev r.routbox in
-      r.routbox <- [];
-      List.iter
-        (fun (did, facts) ->
-          match Itbl.find_opt region_of (canon_id t did) with
-          | Some g ->
-              let rg = regions.(g) in
-              rg.rinbox <- (did, facts) :: rg.rinbox
-          | None ->
-              (* destination outside the frozen partition: apply here *)
-              let dc = Cell.of_id did in
-              Array.iter
-                (fun w ->
-                  add_edge t dc (Cell.of_id w);
-                  check_gen ())
-                facts)
-        out)
-    regions;
-  check_drain_timeout t;
-  check_gen ()
-
-(** Below this many queued cells a parallel phase cannot pay for its
-    partition and spawns; the sequential drain runs instead. *)
-let par_min_queue = 32
-
-(** How many regions each domain gets on average: enough slack that a
-    straggler region does not idle the other domains. *)
-let par_regions_per_domain = 4
-
-let propagate_par t (nd : int) =
-  maybe_recompute_order t;
-  let region_of, nregions =
-    build_partition t ~nregions:(nd * par_regions_per_domain)
-  in
-  let regions =
-    Array.init nregions (fun i ->
-        {
-          ridx = i;
-          rpq = Pq.create ();
-          rin_wl = Itbl.create 64;
-          rinbox = [];
-          routbox = [];
-          rfirst = [];
-          rgrew = [];
-          rgrew_mem = Itbl.create 64;
-          rlcd = [];
-          rfacts = 0;
-          rwasted = 0;
-          redges = 0;
-        })
-  in
-  let gen0 = t.delta_gen in
-  let steals = Array.make nd 0 in
-  (* Seed the regions from the global queue; gap-side pushes land on
-     the global queue too, so every round starts by re-draining it. *)
-  let drain_global () =
-    let more = ref true in
-    while !more do
-      match Pq.pop_opt t.cell_pq with
-      | None -> more := false
-      | Some cid0 ->
-          Itbl.remove t.in_cell_wl cid0;
-          let cid = canon_id t cid0 in
-          if cid = cid0 then begin
-            match Itbl.find_opt region_of cid with
-            | Some g -> region_push t regions.(g) cid
-            | None ->
-                (* a source outside the frozen partition (cannot happen
-                   while the copy graph is phase-frozen; defensive):
-                   put it back and let the sequential drain take over *)
-                push_cell t cid;
-                raise Phase_reset
-          end
-    done
-  in
-  try
-    let live = ref true in
-    while !live do
-      drain_global ();
-      let active =
-        Array.of_list
-          (List.filter
-             (fun r -> (not (Pq.is_empty r.rpq)) || r.rinbox <> [])
-             (Array.to_list regions))
-      in
-      if Array.length active = 0 then live := false
-      else begin
-        t.par_frontier_rounds <- t.par_frontier_rounds + 1;
-        let n_active = Array.length active in
-        let next = Atomic.make 0 in
-        let worker k =
-          let more = ref true in
-          while !more do
-            let i = Atomic.fetch_and_add next 1 in
-            if i >= n_active then more := false
-            else begin
-              let r = active.(i) in
-              if r.ridx mod nd <> k then steals.(k) <- steals.(k) + 1;
-              par_run_region t ~region_of r
-            end
-          done
-        in
-        let extra = min nd n_active - 1 in
-        let doms =
-          Array.init extra (fun j -> Domain.spawn (fun () -> worker (j + 1)))
-        in
-        worker 0;
-        Array.iter Domain.join doms;
-        par_gap t regions region_of ~gen0
-      end
-    done;
-    t.par_steals <- t.par_steals + Array.fold_left ( + ) 0 steals
-  with Phase_reset ->
-    (* a gap-side degradation reset the delta state this phase was
-       built on: drop the region scaffolding — the re-enqueued
-       statements re-derive everything over the coarser cells, and
-       later drains run sequentially (the solver is no longer pristine) *)
-    t.par_steals <- t.par_steals + Array.fold_left ( + ) 0 steals
-
-let propagate t =
-  match t.engine with
-  | `Naive | `Delta | `Delta_nocycle | `Summary -> propagate_seq t
-  | `Delta_par nd ->
-      (* parallel phases need pristine cells (round-side applies skip
-         the degradation redirect) and enough queued work to amortize
-         the partition and domain spawns *)
-      if nd > 1 && pristine t && Pq.length t.cell_pq >= par_min_queue then
-        propagate_par t nd
-      else propagate_seq t
-
 (** Drain the worklist to a fixpoint from whatever is queued — the
     warm-start entry point: nothing is re-enqueued, so a resumed solver
     only revisits statements some new fact actually woke. *)
@@ -2030,31 +1593,15 @@ let drop_intra_edges t =
 
 let resume t : unit =
   Budget.start t.budget;
-  (match t.engine with
-  | `Delta_par nd when nd > 1 ->
-      (* alternate statement batches with drain phases: the sequential
-         engines interleave one statement per drain, which keeps the
-         cell queue too narrow to split across domains — batching all
-         ready statements first hands [propagate] the whole cascade.
-         The fixpoint is unaffected (the rules are monotone and
-         confluent); only the visit schedule differs. *)
-      let live = ref true in
-      while !live do
-        match Queue.take_opt t.queue with
-        | Some stmt -> visit_stmt t stmt
-        | None ->
-            if Pq.is_empty t.cell_pq then live := false else propagate t
-      done
-  | _ ->
-      let rec loop () =
-        propagate t;
-        match Queue.take_opt t.queue with
-        | None -> if not (Pq.is_empty t.cell_pq) then loop ()
-        | Some stmt ->
-            visit_stmt t stmt;
-            loop ()
-      in
-      loop ());
+  let rec loop () =
+    propagate t;
+    match Queue.take_opt t.queue with
+    | None -> if not (Pq.is_empty t.cell_pq) then loop ()
+    | Some stmt ->
+        visit_stmt t stmt;
+        loop ()
+  in
+  loop ();
   drop_intra_edges t
 
 (* ------------------------------------------------------------------ *)

@@ -7,7 +7,7 @@
     pointers' points-to sets as the fixpoint grows. Library calls use
     {!Norm.Summaries}.
 
-    Five engines produce identical fixpoints:
+    Four engines produce identical fixpoints:
 
     - [`Delta] (default) — difference propagation with online cycle
       elimination: statement visits consume only the facts added since
@@ -22,19 +22,6 @@
       off: the ablation baseline for benchmarks and differential tests.
     - [`Naive] — the reference worklist that re-reads full sets on every
       visit; retained as the differential-testing oracle.
-    - [`Delta_par n] — the delta engine with the copy-edge drain run on
-      [n] OCaml domains: the copy graph's SCC condensation is
-      partitioned into topologically contiguous regions, regions drain
-      concurrently with per-region worklists and per-edge cursors, and
-      cross-region deltas are buffered into per-region outboxes that a
-      sequential frontier gap routes to the consuming region. All
-      unification, binding creation, and budget charging happen in the
-      gaps, so rounds never mutate shared structure. [`Delta_par 1] and
-      schedules that never reach the width threshold degrade to the
-      sequential drain. The fixpoint — and every stats-free report
-      field — is byte-identical to [`Delta] (the rules are monotone and
-      confluent, so the least fixpoint is schedule-independent); the
-      profiling counters differ.
     - [`Summary] — the delta rules on a bottom-up modular schedule: the
       direct-call graph is condensed into an SCC-DAG ({!Tarjan}) and
       solved callees-first, each SCC to fixpoint with the
@@ -45,7 +32,7 @@
       [lib/summary] inject cached constraints and extract fresh ones at
       the caller-independent point; the closing pass makes the result
       exact regardless of what the cache held. Byte-identical stats-free
-      reports, like [`Delta_par].
+      reports.
 
     Resilience: every worklist step is charged against a {!Budget.t}.
     When a budget trips the solver degrades gracefully — the offending
@@ -63,11 +50,9 @@ open Norm
 
 module Itbl : Hashtbl.S with type key = int
 
-type engine =
-  [ `Delta | `Delta_nocycle | `Naive | `Delta_par of int | `Summary ]
-(** [`Delta_par n] drains copy edges on [n] domains; [n <= 1] behaves
-    exactly like [`Delta]. [`Summary] runs the delta rules on the
-    bottom-up per-function schedule. *)
+type engine = [ `Delta | `Delta_nocycle | `Naive | `Summary ]
+(** [`Summary] runs the delta rules on the bottom-up per-function
+    schedule. *)
 
 type t = {
   ctx : Actx.t;
@@ -118,10 +103,6 @@ type t = {
       (** [copy_mem] size when [order] was last recomputed *)
   lcd_done : (int * int, unit) Hashtbl.t;
       (** (src, dst) class pairs that already triggered a cycle search *)
-  mutable delta_gen : int;
-      (** generation counter bumped by {!reset_deltas}; the parallel
-          engine aborts an in-flight drain phase when a gap-side
-          degradation invalidated the partition it was built on *)
   mutable rounds : int;  (** statement visits *)
   mutable facts_consumed : int;
       (** facts read by rule visits plus facts pushed along copy edges *)
@@ -137,13 +118,6 @@ type t = {
       (** propagations that produced nothing new: statement visits that
           consumed facts but derived no edge, and copy-edge drains that
           moved facts but added none *)
-  mutable par_frontier_rounds : int;
-      (** [`Delta_par]: parallel drain rounds executed — each runs the
-          active regions concurrently, then joins at a sequential
-          frontier gap *)
-  mutable par_steals : int;
-      (** [`Delta_par]: region claims by a domain other than the
-          region's home domain (cross-domain load imbalance) *)
   arith_mode : [ `Spread | `Copy | `Stride | `Unknown ];
       (** How pointer arithmetic is modelled:
           [`Spread] — the paper's Assumption-1 rule (default);

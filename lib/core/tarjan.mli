@@ -2,10 +2,8 @@
     algorithm, iterative — no recursion, so deep chains cannot blow the
     OCaml stack).
 
-    Shared by the domain-parallel drain (partitioning the copy graph
-    into SCC-closed regions, {!Solver}) and the bottom-up summary
-    schedule (condensing the function call graph into an SCC-DAG,
-    [`Summary] engine and [lib/summary]). *)
+    Used by the bottom-up summary schedule to condense the function
+    call graph into an SCC-DAG ([`Summary] engine and [lib/summary]). *)
 
 val sccs : roots:int list -> succs:(int -> int list) -> int list list
 (** Strongly connected components of the subgraph reachable from

@@ -40,18 +40,6 @@ let rec find t (i : int) : int =
       r
     end
 
-(** Read-only [find]: same answer, no path compression. The parallel
-    engine's drain rounds resolve representatives with this so the
-    forest is never written outside the sequential gaps — domains may
-    race [find_ro] against each other freely, as long as [union] /
-    [reset] / [dissolve] stay gap-only (they are: unification is
-    deferred to the frontier gap by construction). *)
-let rec find_ro t (i : int) : int =
-  if i >= Array.length t.parent then i
-  else
-    let p = t.parent.(i) in
-    if p = i then i else find_ro t p
-
 (** Merge [child]'s class into [into]'s class; [into]'s representative
     survives. No-op when already unified. *)
 let union t ~(into : int) (child : int) : unit =

@@ -10,13 +10,6 @@ val find : t -> int -> int
 (** Representative of the id's class (itself when never unified).
     Path-compressing. *)
 
-val find_ro : t -> int -> int
-(** Same answer as {!find} without path compression — zero writes, so
-    concurrent readers are safe while the forest is quiescent (no
-    {!union}/{!reset}/{!dissolve} in flight). The parallel engine's
-    drain rounds use this; compression still happens on the sequential
-    paths through {!find}. *)
-
 val union : t -> into:int -> int -> unit
 (** [union t ~into child] merges [child]'s class into [into]'s; [into]'s
     representative survives. The caller picks the direction (the solver

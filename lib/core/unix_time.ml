@@ -1,20 +1,15 @@
 (** Clocks. [now] is wall-clock time; [cpu] is process CPU time.
 
     The two must not be conflated: time budgets ([Budget.elapsed]) are
-    wall-clock deadlines, and under [N] solver domains the process
-    accumulates CPU time up to [N]x faster than wall time, so a
-    CPU-clock "now" would fire time budgets ~[N]x early. *)
+    wall-clock deadlines, and CPU time stops while the process waits. *)
 
 (* Monotonized: gettimeofday can step backwards under NTP adjustment,
-   which would make [Budget.elapsed] negative mid-run. Publish the high
-   water mark through an atomic so the guarantee holds across domains. *)
-let last_wall : float Atomic.t = Atomic.make neg_infinity
+   which would make [Budget.elapsed] negative mid-run. *)
+let last_wall = ref neg_infinity
 
-let rec monotonize (t : float) : float =
-  let prev = Atomic.get last_wall in
-  if t <= prev then prev
-  else if Atomic.compare_and_set last_wall prev t then t
-  else monotonize t
+let monotonize (t : float) : float =
+  if t > !last_wall then last_wall := t;
+  !last_wall
 
 let now () : float = monotonize (Unix.gettimeofday ())
 

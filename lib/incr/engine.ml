@@ -366,8 +366,7 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
     (match Solver.Itbl.find_opt t.Solver.pointer_subs cid with
     | Some lst -> List.iter (fun (s : Nast.stmt) -> wake s.Nast.id) !lst
     | None -> ());
-    (* object-level subscriptions (the naive engine's only read
-       channel; graph-dependent resolves under delta) *)
+    (* object-level subscriptions (graph-dependent resolves) *)
     match Cvar.Tbl.find_opt t.Solver.subscribers (Cell.of_id cid).Cell.base with
     | Some l -> List.iter (fun (s : Nast.stmt) -> wake s.Nast.id) !l
     | None -> ()
@@ -462,6 +461,9 @@ let removed_share (t : Solver.t) (d : Progdiff.t) : float * int =
 
 let reanalyze ?(retract_budget = default_retract_budget) ?diags
     (t : Solver.t) (edited : Nast.program) : Solver.t * stats =
+  if t.Solver.engine = `Naive then
+    invalid_arg
+      "Incr.Engine.reanalyze: the naive engine is a scratch-only oracle";
   let aligned, d = Progdiff.align ~base:t.Solver.prog edited in
   let n_added = List.length d.Progdiff.added in
   let n_removed = List.length d.Progdiff.removed in

@@ -60,9 +60,10 @@
 
     The differential guarantee — warm result {!Core.Graph.equal} and
     stats-free-JSON byte-identical to a from-scratch solve of the
-    aligned program — holds for all four strategies and all three
-    engines, and is enforced by [test/test_incr.ml] and the fuzz
-    harness. *)
+    aligned program — holds for all four strategies under the delta and
+    delta-nocycle engines, and is enforced by [test/test_incr.ml] and
+    the fuzz harness. The naive engine is a scratch-only oracle (its
+    retraction kept stale facts), so {!reanalyze} rejects it. *)
 
 open Cfront
 open Norm
@@ -102,4 +103,6 @@ val reanalyze :
     unmodified (support counters included), so a later [reanalyze] of
     [t] — e.g. with a larger [retract_budget] — is still valid. The
     returned solver's [incr_*] counters are set either way, so
-    {!Core.Metrics.summarize} reports the edit. *)
+    {!Core.Metrics.summarize} reports the edit.
+
+    @raise Invalid_argument when [t] runs the [`Naive] engine. *)

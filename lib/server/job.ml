@@ -11,14 +11,13 @@ type t = {
   budget : Core.Budget.limits;
   store_dir : string option;
   deadline_ms : int option;
-  domains : int;
   engine : string;
 }
 
-let engine_ids = [ "delta"; "delta-nocycle"; "naive"; "delta-par"; "summary" ]
+let engine_ids = [ "delta"; "delta-nocycle"; "naive"; "summary" ]
 
 let make ~idx ?(strategy = "cis") ?(layout = "ilp32")
-    ?(budget = Core.Budget.default) ?store_dir ?deadline_ms ?(domains = 1)
+    ?(budget = Core.Budget.default) ?store_dir ?deadline_ms
     ?(engine = "delta") spec =
   {
     id = Printf.sprintf "job%d" idx;
@@ -28,21 +27,15 @@ let make ~idx ?(strategy = "cis") ?(layout = "ilp32")
     budget;
     store_dir;
     deadline_ms;
-    domains = max 1 domains;
     engine;
   }
 
-(* [domains] keeps its historical meaning as the parallelism knob: the
-   default "delta" engine silently widens to delta-par when a job is
-   granted more than one domain, and an explicit "delta-par" takes its
-   width from the same field. *)
 let engine_of (t : t) : Core.Solver.engine =
   match t.engine with
   | "delta-nocycle" -> `Delta_nocycle
   | "naive" -> `Naive
   | "summary" -> `Summary
-  | "delta-par" -> `Delta_par (max 1 t.domains)
-  | _ -> if t.domains > 1 then `Delta_par t.domains else `Delta
+  | _ -> `Delta
 
 let layout_of_id = function
   | "ilp32" -> Some Layout.ilp32
@@ -100,9 +93,9 @@ let budget_for_rung b rung = if rung <= 0 then b else tight b
 let strategy_for_rung id rung = if rung >= 2 then "collapse-always" else id
 
 (* ------------------------------------------------------------------ *)
-(* Wire encoding: id \t attempt \t rung \t strategy \t layout          *)
-(*   \t steps \t timeout_ms \t obj_cells \t total_cells \t store       *)
-(*   \t deadline_ms \t domains \t engine \t spec                       *)
+(* Wire encoding: version \t id \t attempt \t rung \t strategy         *)
+(*   \t layout \t steps \t timeout_ms \t obj_cells \t total_cells       *)
+(*   \t store \t deadline_ms \t engine \t spec                         *)
 (* (0 encodes an absent limit/deadline; "" encodes no store            *)
 (* directory; spec goes last for readability).                         *)
 (* The timeout crosses the wire in whole milliseconds with a 1 ms      *)
@@ -112,6 +105,9 @@ let strategy_for_rung id rung = if rung >= 2 then "collapse-always" else id
 (* both clamps are pinned by the wire roundtrip tests.                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Version 1 carried a solver domain count before the engine field. *)
+let wire_version = "2"
+
 let to_wire (t : t) ~attempt ~rung : string =
   let o = function None -> 0 | Some n -> n in
   let timeout_ms =
@@ -119,21 +115,22 @@ let to_wire (t : t) ~attempt ~rung : string =
     | None -> 0
     | Some s -> max 1 (int_of_float (s *. 1000.))
   in
-  Printf.sprintf "%s\t%d\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s"
-    t.id attempt rung t.strategy_id t.layout_id
+  Printf.sprintf "%s\t%s\t%d\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%d\t%s\t%s"
+    wire_version t.id attempt rung t.strategy_id t.layout_id
     (o t.budget.Core.Budget.max_steps)
     timeout_ms
     (o t.budget.Core.Budget.max_cells_per_object)
     (o t.budget.Core.Budget.max_total_cells)
     (Option.value t.store_dir ~default:"")
-    (o t.deadline_ms) t.domains t.engine t.spec
+    (o t.deadline_ms) t.engine t.spec
 
 let of_wire (line : string) : (t * int * int, string) result =
   match String.split_on_char '\t' line with
   | [
-      id; attempt; rung; strategy_id; layout_id; steps; tms; obj; total; store;
-      deadline; domains; engine; spec;
-    ] -> (
+      version; id; attempt; rung; strategy_id; layout_id; steps; tms; obj;
+      total; store; deadline; engine; spec;
+    ]
+    when version = wire_version -> (
       let opt s =
         match int_of_string_opt s with
         | Some 0 -> Some None
@@ -147,8 +144,7 @@ let of_wire (line : string) : (t * int * int, string) result =
           opt tms,
           opt obj,
           opt total,
-          opt deadline,
-          int_of_string_opt domains )
+          opt deadline )
       with
       | ( Some attempt,
           Some rung,
@@ -156,9 +152,7 @@ let of_wire (line : string) : (t * int * int, string) result =
           Some tms,
           Some obj,
           Some total,
-          Some deadline_ms,
-          Some domains )
-        when domains >= 1 ->
+          Some deadline_ms ) ->
           let budget =
             {
               Core.Budget.max_steps = steps;
@@ -178,10 +172,12 @@ let of_wire (line : string) : (t * int * int, string) result =
                 budget;
                 store_dir;
                 deadline_ms;
-                domains;
                 engine;
               },
               attempt,
               rung )
       | _ -> Error ("malformed numeric field in job request: " ^ line))
-  | _ -> Error ("malformed job request (expected 14 fields): " ^ line)
+  | _ ->
+      Error
+        (Printf.sprintf "malformed job request (expected 14 fields, wire v%s): %s"
+           wire_version line)

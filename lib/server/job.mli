@@ -31,13 +31,10 @@ type t = {
           intersects the remaining deadline with the budget's
           [timeout_s] at dispatch, and kills a worker still running
           past it ([None] = no deadline) *)
-  domains : int;
-      (** solver domains for this job: with the default ["delta"]
-          engine, [> 1] selects [`Delta_par] at that width and [1] the
-          sequential [`Delta]; an explicit ["delta-par"] reads its
-          width from here too. Same fixpoint either way. *)
   engine : string;
-      (** solver engine id (delta | delta-nocycle | naive | delta-par           | summary); ["summary"] with a [store_dir] additionally           consults the per-function summary cache under           [store_dir/summaries] *)
+      (** solver engine id (delta | delta-nocycle | naive | summary);
+          ["summary"] with a [store_dir] additionally consults the
+          per-function summary cache under [store_dir/summaries] *)
 }
 
 val make :
@@ -47,13 +44,12 @@ val make :
   ?budget:Core.Budget.limits ->
   ?store_dir:string ->
   ?deadline_ms:int ->
-  ?domains:int ->
   ?engine:string ->
   string ->
   t
 (** [make ~idx spec] — id ["job<idx>"], strategy ["cis"], layout
     ["ilp32"], budget {!Core.Budget.default}, no store, no deadline,
-    1 domain (clamped up to 1), engine ["delta"]. *)
+    engine ["delta"]. *)
 
 val validate : t -> (unit, string) result
 (** Reject tabs/newlines in string fields, unknown strategies, and
@@ -65,8 +61,7 @@ val engine_ids : string list
 (** The engine ids {!validate} accepts. *)
 
 val engine_of : t -> Core.Solver.engine
-(** Resolve the job's engine id and domain count to a solver engine
-    (see the [domains] field for the widening rule). *)
+(** Resolve the job's engine id to a solver engine. *)
 
 (** {1 Degradation ladder} *)
 
@@ -83,7 +78,8 @@ val strategy_for_rung : string -> int -> string
 (** {1 Wire encoding} *)
 
 val to_wire : t -> attempt:int -> rung:int -> string
-(** Single line (no trailing newline), tab-separated. Two documented
+(** Single line (no trailing newline), tab-separated, led by a wire
+    version that {!of_wire} checks. Two documented
     clamps: the budget timeout crosses the wire in whole milliseconds
     with a 1 ms floor (a sub-millisecond timeout is rewritten to 1 ms,
     never to "unlimited"), and the rung-1 tight preset caps it at 2 s

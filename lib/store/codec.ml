@@ -17,13 +17,10 @@ type config = {
 
 let version_line = "structcast-snap v1"
 
-(* [`Delta_par] ignores the domain count: the fixpoint (and so the
-   snapshot) is schedule-independent, so all widths share one key. *)
 let engine_id : Solver.engine -> string = function
   | `Delta -> "delta"
   | `Delta_nocycle -> "delta-nocycle"
   | `Naive -> "naive"
-  | `Delta_par _ -> "delta-par"
   | `Summary -> "summary"
 
 let arith_id : arith -> string = function

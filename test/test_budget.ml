@@ -327,6 +327,52 @@ let test_diag_cap_is_fatal () =
       Alcotest.(check int) "capped" 3 (Diag.error_count diags)
   | () -> Alcotest.fail "expected the diagnostics cap to raise"
 
+(* ------------------------------------------------------------------ *)
+(* Clocks: [now] is wall time, [cpu] is CPU time                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Time budgets are wall-clock deadlines. A sleep advances the wall
+   clock but (nearly) no CPU time, so a CPU-clock [now] would let a
+   solve that waits outlive its deadline. *)
+let test_clock_split () =
+  let w0 = Core.Unix_time.now () in
+  let c0 = Core.Unix_time.cpu () in
+  Unix.sleepf 0.06;
+  let dw = Core.Unix_time.now () -. w0 in
+  let dc = Core.Unix_time.cpu () -. c0 in
+  if dw < 0.04 then
+    Alcotest.failf "now () advanced only %.4f s across a 60 ms sleep" dw;
+  if dc > 0.04 then
+    Alcotest.failf "cpu () advanced %.4f s across a sleep — wall clock?" dc
+
+let test_clock_monotone () =
+  let prev = ref (Core.Unix_time.now ()) in
+  for _ = 1 to 1000 do
+    let t = Core.Unix_time.now () in
+    if t < !prev then Alcotest.fail "now () went backwards";
+    prev := t
+  done
+
+(* A ~1 ms timeout trips at a wall-clock-dependent point, so nothing
+   about the result is reproducible — but the solve must still land on
+   a consistent graph, not hang, and record the degradation. *)
+let test_timeout_consistent () =
+  let cfg =
+    { Cgen.default with Cgen.n_stmts = 400; n_structs = 4; cast_rate = 0.5 }
+  in
+  let prog =
+    Norm.Lower.compile ~file:"<timeout>" (Cgen.generate ~cfg ~seed:7 ())
+  in
+  let t =
+    Core.Solver.run ~budget:(limits ~timeout_s:0.001 ())
+      ~strategy:(strategy "offsets") prog
+  in
+  if Core.Solver.degradations t = [] then
+    Alcotest.fail "a 1 ms timeout never tripped on a 400-statement solve";
+  match Core.Graph.check_counts t.Core.Solver.graph with
+  | Some msg -> Alcotest.failf "graph audit: %s" msg
+  | None -> ()
+
 let suite =
   [
     tc "step budget trips and degrades" test_step_budget_trips;
@@ -348,4 +394,7 @@ let suite =
     tc "recovery inside a function body" test_recovery_mid_function;
     tc "no context means fail-fast as before" test_without_ctx_still_raises;
     tc "diagnostics cap raises instead of growing" test_diag_cap_is_fatal;
+    tc "now() is wall time, cpu() is not" test_clock_split;
+    tc "now() is monotone" test_clock_monotone;
+    tc "timeout abort leaves a consistent graph" test_timeout_consistent;
   ]

@@ -338,34 +338,36 @@ let test_serve_smoke () =
   check_contains "serve" out "\"id\":\"job2\"";
   check_contains "serve" out "\"status\":\"done\""
 
-(* [reanalyze] times the edit on the wall clock. On the CPU clock a
-   parallel solve would report up to N times the elapsed time, and the
-   base solve used to be counted as well: neither fits inside the wall
-   time of the whole command. *)
+(* The index just past the first [marker] in [s]; fails the test when
+   there is none. *)
+let after_marker s marker =
+  let n = String.length marker in
+  let rec find i =
+    if i + n > String.length s then
+      Alcotest.failf "no %s in:\n%s" marker s
+    else if String.sub s i n = marker then i + n
+    else find (i + 1)
+  in
+  find 0
+
+(* The number that follows [marker] in [s]. *)
+let number_after fmt s marker =
+  let at = after_marker s marker in
+  Scanf.sscanf (String.sub s at (String.length s - at)) fmt Fun.id
+
+(* [reanalyze] times the edit on the wall clock, and only the edit: the
+   base solve used to be counted as well, which does not fit inside the
+   wall time of the whole command. *)
 let test_reanalyze_time_is_wall () =
   let t0 = Unix.gettimeofday () in
   let code, out, _ =
     run_split
       (Filename.quote_command exe
-         [
-           "reanalyze"; "li"; "li"; "--format"; "json"; "--engine";
-           "delta-par"; "--domains"; "2";
-         ])
+         [ "reanalyze"; "li"; "li"; "--format"; "json" ])
   in
   let wall = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "exit code" 0 code;
-  let marker = "\"time_s\":" in
-  let rec find i =
-    if i + String.length marker > String.length out then
-      Alcotest.failf "no time_s in:\n%s" out
-    else if String.sub out i (String.length marker) = marker then
-      i + String.length marker
-    else find (i + 1)
-  in
-  let at = find 0 in
-  let time_s =
-    Scanf.sscanf (String.sub out at (String.length out - at)) "%f" Fun.id
-  in
+  let time_s = number_after "%f" out "\"time_s\":" in
   if time_s > wall then
     Alcotest.failf "time_s %.6f exceeds the command's wall time %.6f" time_s
       wall
@@ -390,6 +392,78 @@ let test_store_summary_engine_li () =
   Alcotest.(check bool) "a snapshot file exists" true
     (Array.length (Sys.readdir (Filename.concat store "snaps")) > 0);
   check_contains "repeat is a hit" err2 "store: exact hit (no solving)"
+
+(* A serve worker solves with the engine analyze uses: the full report,
+   solver stats included, matches [analyze --format json] of the same
+   input once analyze's trailing [time_s] field is dropped (serve renders
+   without timing). Visits, copy edges and cycles are schedule-dependent
+   counters, so a worker that widened to another engine would show up
+   here. *)
+let test_serve_worker_engine_is_analyze () =
+  let _, analyzed, _ =
+    run_split (Filename.quote_command exe [ "analyze"; "li"; "--format"; "json" ])
+  in
+  let code, served, _ =
+    run_split
+      (Printf.sprintf "echo li | %s"
+         (Filename.quote_command exe [ "serve"; "--workers"; "1" ]))
+  in
+  Alcotest.(check int) "serve exits clean" 0 code;
+  let at = after_marker served "\"result\":" in
+  (* the result object runs to the line's closing brace *)
+  let line_end = String.index_from served at '\n' in
+  let result = String.sub served at (line_end - at - 1) in
+  let time_field = ",\"time_s\":" in
+  let time_at = after_marker analyzed time_field - String.length time_field in
+  Alcotest.(check string) "same report, solver stats included"
+    (String.sub analyzed 0 time_at ^ "}")
+    result
+
+(* The naive engine is a scratch-only oracle: its retraction kept stale
+   facts on this five-statement program (12 edges warm against 8 from
+   scratch under collapse-always). reanalyze and watch refuse it as a
+   usage error; the delta engines answer the edit correctly. *)
+let naive_retraction_base =
+  "struct G0 { int f0; int * f1; int f2; };\n\
+   struct G2 { int f0; struct G0 f1; };\n\
+   struct G3 { int f0; char f1; int f2; int * f3; char f4; };\n\
+   double d0; struct G2 g2_a; struct G2 g2_b; struct G3 g3_b;\n\
+   void main(void) {\n\
+  \  g3_b = *(struct G3 *)&d0;\n\
+  \  d0 = *(double *)&g2_a.f1;\n\
+  \  *g3_b.f3 = g2_b.f1.f0;\n\
+  \  g2_b.f1.f1 = (int *)(&g2_a.f0);\n"
+
+let test_naive_refused_warm () =
+  let close = "}\n" in
+  let removed = "  g2_a.f1 = *(struct G0 *)&g2_b;\n" in
+  with_temp_source (naive_retraction_base ^ removed ^ close) (fun base ->
+      with_temp_source (naive_retraction_base ^ close) (fun edited ->
+          let ca = [ "-s"; "collapse-always"; "--format"; "json" ] in
+          let code, out =
+            run_capture ([ "reanalyze"; base; edited; "--engine"; "naive" ] @ ca)
+          in
+          Alcotest.(check int) "reanalyze refuses naive" 124 code;
+          check_contains "reanalyze" out "scratch-only oracle";
+          let code, _, err =
+            run_split
+              (Printf.sprintf "echo | %s"
+                 (Filename.quote_command exe
+                    [ "watch"; base; "--engine"; "naive" ]))
+          in
+          Alcotest.(check int) "watch refuses naive" 124 code;
+          check_contains "watch" err "scratch-only oracle";
+          let edges args =
+            let _, out = run_capture (args @ ca) in
+            number_after "%d" out "\"total_edges\":"
+          in
+          let scratch = edges [ "analyze"; edited ] in
+          Alcotest.(check int) "scratch edges" 8 scratch;
+          List.iter
+            (fun engine ->
+              Alcotest.(check int) (engine ^ " warm = scratch") scratch
+                (edges [ "reanalyze"; base; edited; "--engine"; engine ]))
+            [ "delta"; "delta-nocycle" ]))
 
 let suite =
   if Sys.file_exists exe then
@@ -424,6 +498,10 @@ let suite =
         test_reanalyze_time_is_wall;
       Helpers.tc "--store analyze li --engine summary: snapshot, then hit"
         test_store_summary_engine_li;
+      Helpers.tc "serve worker answers like analyze, solver stats included"
+        test_serve_worker_engine_is_analyze;
+      Helpers.tc "reanalyze/watch refuse the naive engine"
+        test_naive_refused_warm;
     ]
   else
     [ Alcotest.test_case "cli binary not built; skipped" `Quick (fun () -> ()) ]

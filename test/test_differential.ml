@@ -1,10 +1,10 @@
 (** Differential property test: the four solver engines — delta
-    (difference propagation with online cycle elimination), delta-par
-    (the same drain run on several domains, here at widths 1, 2 and 4),
-    delta-nocycle (the ablation baseline), and the naive reference
-    worklist — must produce the exact same points-to graph, edge-set
-    equality via {!Core.Graph.equal}, on the whole embedded corpus and
-    on fuzz-generated programs, for all four framework instances. The
+    (difference propagation with online cycle elimination),
+    delta-nocycle (the ablation baseline), the naive reference worklist,
+    and summary (the delta rules on the bottom-up call-graph schedule) —
+    must produce the exact same points-to graph, edge-set equality via
+    {!Core.Graph.equal}, on the whole embedded corpus and on
+    fuzz-generated programs, for all four framework instances. The
     stats-free JSON rendering ([~solver_stats:false]) of each engine's
     result must agree byte-for-byte.
 
@@ -25,7 +25,7 @@ let base_seed =
   | None | Some "" -> 1
   | Some s -> int_of_string (String.trim s)
 
-(* Solve [prog] under all three engines and compare fixpoints. Cost
+(* Solve [prog] under all four engines and compare fixpoints. Cost
    ordering is part of the contract:
    - the nocycle delta engine may not do MORE statement visits than
      naive (it re-visits strictly less: only when a consumed cell or
@@ -41,15 +41,7 @@ let check_program ~label (prog : Nast.program) =
     (fun id ->
       let run engine = Core.Analysis.run ~engine ~strategy:(strategy id) prog in
       let d = run `Delta and dn = run `Delta_nocycle and n = run `Naive in
-      (* width 1 must take the sequential path, 2 and 4 the parallel
-         one (when the worklist gets wide enough to spawn); the summary
-         engine exercises the bottom-up SCC schedule *)
-      let pars =
-        ("summary", run `Summary)
-        :: List.map
-             (fun nd -> (Printf.sprintf "delta-par@%d" nd, run (`Delta_par nd)))
-             [ 1; 2; 4 ]
-      in
+      let s = run `Summary in
       let graph (r : Core.Analysis.result) = r.Core.Analysis.solver.Core.Solver.graph in
       let check_eq ename (r : Core.Analysis.result) =
         if not (Core.Graph.equal (graph r) (graph n)) then
@@ -63,7 +55,7 @@ let check_program ~label (prog : Nast.program) =
       in
       check_eq "delta" d;
       check_eq "delta-nocycle" dn;
-      List.iter (fun (ename, r) -> check_eq ename r) pars;
+      check_eq "summary" s;
       let visits (r : Core.Analysis.result) =
         r.Core.Analysis.solver.Core.Solver.rounds
       in
@@ -84,7 +76,7 @@ let check_program ~label (prog : Nast.program) =
           if j <> jn then
             Alcotest.failf "%s / %s: %s stats-free report differs:\n%s\n%s"
               label id ename j jn)
-        (("delta", d) :: ("delta-nocycle", dn) :: pars))
+        [ ("delta", d); ("delta-nocycle", dn); ("summary", s) ])
     all_ids
 
 let test_corpus () =

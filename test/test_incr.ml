@@ -3,15 +3,16 @@
     fixpoint a from-scratch solve of the (aligned) edited program
     computes — {!Core.Graph.equal}, graph and copy-list audits clean, and
     stats-free-JSON byte-identical — for all four framework instances
-    and all three engines. Plus unit coverage for the differ's keying
-    and the retraction fallback ladder. *)
+    and both delta engines (naive is a scratch-only oracle with no warm
+    path). Plus unit coverage for the differ's keying and the retraction
+    fallback ladder. *)
 
 open Cfront
 open Norm
 open Helpers
 
 let all_ids = [ "collapse-always"; "collapse-on-cast"; "cis"; "offsets" ]
-let engines = [ ("delta", `Delta); ("delta-nocycle", `Delta_nocycle); ("naive", `Naive) ]
+let engines = [ ("delta", `Delta); ("delta-nocycle", `Delta_nocycle) ]
 
 let base_seed =
   match Sys.getenv_opt "STRUCTCAST_FUZZ_SEED" with
@@ -45,7 +46,6 @@ let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t) =
       | `Delta -> "delta"
       | `Delta_nocycle -> "delta-nocycle"
       | `Naive -> "naive"
-      | `Delta_par _ -> "delta-par"
       | `Summary -> "summary")
       (Core.Graph.edge_count warm.Core.Solver.graph)
       (Core.Graph.edge_count scratch.Core.Solver.graph);
@@ -858,6 +858,17 @@ let test_keyer_agrees_on_corpus () =
       done)
     Suite.programs
 
+(* The naive engine's retraction kept stale facts; it is a scratch-only
+   oracle, and the warm path refuses it outright. *)
+let test_rejects_naive () =
+  let base = compile src_base in
+  let t =
+    Core.Solver.run ~engine:`Naive ~track:true ~strategy:(strategy "cis") base
+  in
+  match Incr.Engine.reanalyze t (compile src_edited) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "reanalyze accepted a naive solver"
+
 let suite =
   [
     tc "progdiff: identical compiles diff empty" test_diff_identity;
@@ -897,4 +908,5 @@ let suite =
     tc "progdiff: golden variable keys" test_golden_var_keys;
     tc "progdiff: golden statement keys" test_golden_stmt_keys;
     tc "progdiff: keyer agrees on the corpus" test_keyer_agrees_on_corpus;
+    tc "reanalyze rejects a naive solver" test_rejects_naive;
   ]

@@ -423,7 +423,6 @@ let test_self_requeue_converges () =
               | `Delta -> "delta"
               | `Delta_nocycle -> "delta-nocycle"
               | `Naive -> "naive"
-              | `Delta_par _ -> "delta-par"
               | `Summary -> "summary")
               (String.concat "," got)))
     [ `Delta; `Delta_nocycle; `Naive ]
