@@ -11,7 +11,6 @@ let () =
       ("lower", Test_lower.suite);
       ("paper-examples", Test_paper_examples.suite);
       ("solver", Test_solver.suite);
-      ("differential", Test_differential.suite);
       ("properties", Test_properties.suite);
       ("corpus", Test_suite_corpus.suite);
       ("steensgaard", Test_steens.suite);
