@@ -819,163 +819,6 @@ let store_bench_json () =
     (store_rows ())
 
 (* ------------------------------------------------------------------ *)
-(* Summary cache: per-function summaries across a single-function edit *)
-(* ------------------------------------------------------------------ *)
-
-type summary_row = {
-  su_strategy : string;
-  su_pass : string;  (** cold | warm | edit *)
-  su_funcs : int;
-  su_hits : int;
-  su_misses : int;
-  su_written : int;
-  su_reuse : float;  (** hits / funcs *)
-  su_equal : bool;  (** stats-free report == naive scratch render *)
-  su_time : float;
-}
-
-(* a call-heavy generated program (direct calls, a mutually recursive
-   pair, callbacks through a struct-held function pointer), and the
-   same source with exactly one helper body changed *)
-let summary_src () : string =
-  let cfg =
-    { Cgen.default with n_stmts = 120; n_structs = 4; with_calls = true }
-  in
-  Cgen.generate ~cfg ~seed:2026 ()
-
-let summary_edit src =
-  let from = "int *pick_int(int *a, int *b) { if (a) return a; return b; }" in
-  let into = "int *pick_int(int *a, int *b) { if (b) return b; return a; }" in
-  let n = String.length from in
-  let rec find i =
-    if i + n > String.length src then
-      failwith "summary bench: edit anchor missing"
-    else if String.sub src i n = from then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub src 0 i ^ into
-  ^ String.sub src (i + n) (String.length src - i - n)
-
-let summary_scratch (module S : Core.Strategy.S) prog : string =
-  let solver =
-    Core.Solver.run ~budget:Core.Budget.default ~engine:`Naive ~track:true
-      ~strategy:(module S) prog
-  in
-  Core.Report.json_of_result ~timing:false ~solver_stats:false
-    ~name:"summary-bench"
-    {
-      Core.Analysis.solver;
-      metrics = Core.Metrics.summarize solver;
-      time_s = 0.;
-      degraded = Core.Solver.degradations solver;
-      diags = [];
-    }
-
-let summary_rows () : summary_row list =
-  let dir_root =
-    match Sys.getenv_opt "STRUCTCAST_BENCH_SUMMARY" with
-    | Some d when d <> "" -> d
-    | _ ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "structcast-bench-summary-%d" (Unix.getpid ()))
-  in
-  (if not (Sys.file_exists dir_root) then Unix.mkdir dir_root 0o755);
-  let src = summary_src () in
-  let src_edited = summary_edit src in
-  List.concat_map
-    (fun (module S : Core.Strategy.S) ->
-      let dir = Filename.concat dir_root S.id in
-      let config =
-        {
-          Store.Codec.strategy_id = S.id;
-          engine = `Summary;
-          layout_id = "ilp32";
-          arith = `Spread;
-          budget = Core.Budget.default;
-        }
-      in
-      let pass name text =
-        (* a fresh compile and a fresh cache handle per pass: records
-           must rebind across identities, the counters start at zero *)
-        let prog = Lower.compile ~file:"summary-bench" text in
-        let cache = Summary.Sumcache.open_cache dir in
-        let t0 = Sys.time () in
-        let solver =
-          Summary.Engine.solve ~cache ~config ~layout:Cfront.Layout.ilp32
-            ~strategy:(module S) prog
-        in
-        let dt = Sys.time () -. t0 in
-        let c = Summary.Sumcache.counters cache in
-        let funcs = List.length prog.Nast.pfuncs in
-        {
-          su_strategy = S.id;
-          su_pass = name;
-          su_funcs = funcs;
-          su_hits = c.Core.Metrics.sum_hits;
-          su_misses = c.Core.Metrics.sum_misses;
-          su_written = c.Core.Metrics.sum_written;
-          su_reuse =
-            (if funcs = 0 then 0.
-             else float_of_int c.Core.Metrics.sum_hits /. float_of_int funcs);
-          su_equal =
-            (let warm =
-               Core.Report.json_of_result ~timing:false ~solver_stats:false
-                 ~name:"summary-bench"
-                 {
-                   Core.Analysis.solver;
-                   metrics = Core.Metrics.summarize solver;
-                   time_s = 0.;
-                   degraded = Core.Solver.degradations solver;
-                   diags = [];
-                 }
-             in
-             warm = summary_scratch (module S) prog);
-          su_time = dt;
-        }
-      in
-      (* explicit sequencing: list literals evaluate right-to-left *)
-      let cold = pass "cold" src in
-      let warm = pass "warm" src in
-      let edit = pass "edit" src_edited in
-      [ cold; warm; edit ])
-    strategies
-
-let summary_bench () =
-  header
-    "Summary cache: bottom-up per-function summaries over the call-graph\n\
-     SCC-DAG (cold populate, warm recompile, then a single-function edit)";
-  Printf.printf "%-18s %-5s %6s %6s %7s %8s %7s %6s %9s\n" "strategy" "pass"
-    "funcs" "hits" "misses" "written" "reuse" "equal" "time(s)";
-  line ();
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %-5s %6d %6d %7d %8d %6.0f%% %6s %9.4f\n"
-        r.su_strategy r.su_pass r.su_funcs r.su_hits r.su_misses r.su_written
-        (100. *. r.su_reuse)
-        (if r.su_equal then "yes" else "NO!")
-        r.su_time)
-    (summary_rows ())
-
-(* Same sweep as JSON lines — the CI artifact (BENCH_summary.json). CI
-   gates: "equal" true on every row; the warm pass hits every function
-   (reuse 1.0, misses 0); the edit pass recomputes at most the edited
-   function and its transitive callers (misses < funcs, reuse > 0). *)
-let summary_bench_json () =
-  List.iter
-    (fun r ->
-      Printf.printf
-        "{\"strategy\":%s,\"pass\":%s,\"funcs\":%d,\"hits\":%d,\
-         \"misses\":%d,\"written\":%d,\"reuse\":%.3f,\"equal\":%b,\
-         \"time_s\":%.4f}\n"
-        (Core.Report.quote r.su_strategy)
-        (Core.Report.quote r.su_pass)
-        r.su_funcs r.su_hits r.su_misses r.su_written r.su_reuse r.su_equal
-        r.su_time)
-    (summary_rows ())
-
-(* ------------------------------------------------------------------ *)
 (* Overload: the serving path at 12x capacity, admission on vs off     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1239,8 +1082,6 @@ let sections : (string * (unit -> unit)) list =
     ("edit-replay-json", edit_replay_json);
     ("store", store_bench);
     ("store-json", store_bench_json);
-    ("summary", summary_bench);
-    ("summary-json", summary_bench_json);
     ("overload", overload);
     ("overload-json", overload_json);
     ("bechamel", bechamel);

@@ -28,16 +28,6 @@ let layout_of_name = function
   | "word16" -> Layout.word16
   | s -> failwith (Printf.sprintf "unknown layout %s (ilp32|lp64|word16)" s)
 
-let engine_of_name : string -> Core.Solver.engine = function
-  | "delta" -> `Delta
-  | "delta-nocycle" -> `Delta_nocycle
-  | "naive" -> `Naive
-  | "summary" -> `Summary
-  | s ->
-      failwith
-        (Printf.sprintf "unknown engine %s (delta|delta-nocycle|naive|summary)"
-           s)
-
 (* --workers auto sizes the pool to the runtime's recommended domain
    count: one worker process per core. *)
 let workers_of_flag = function
@@ -173,13 +163,6 @@ let print_metrics name (r : Core.Analysis.result) =
   Fmt.pr "cycle elimination:    %d cycles, %d cells unified, %d wasted props@."
     m.Core.Metrics.cycles_found m.Core.Metrics.cells_unified
     m.Core.Metrics.wasted_propagations;
-  if m.Core.Metrics.summary_sccs > 0 then begin
-    Fmt.pr "summary schedule:     %d sccs, %d rounds, %d instantiations@."
-      m.Core.Metrics.summary_sccs m.Core.Metrics.summary_scc_rounds
-      m.Core.Metrics.summary_instantiations;
-    Fmt.pr "summaries:            %d cache hits, %d recomputed@."
-      m.Core.Metrics.summary_hits m.Core.Metrics.summary_recomputed
-  end;
   Fmt.pr "analysis time:        %.4f s@." r.Core.Analysis.time_s;
   (* incremental counters exist only after a warm re-analysis; a plain
      analyze run keeps them at zero and prints nothing extra *)
@@ -288,7 +271,6 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       ~log:(fun m -> Fmt.epr "store: %s@." m)
       dir
   in
-  let engine = engine_of_name engine in
   match format with
   | "json" ->
       let a =
@@ -304,9 +286,8 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
   | "text" ->
       let diags = Diag.create () in
       let name, prog = compile_spec ~layout ~diags spec in
-      let sumcache = Server.Answer.open_sumcache st engine in
       let served =
-        Server.Answer.serve st ~sumcache ~want:`Solver
+        Store.serve st ~want:`Solver
           ~diags:(Diag.diagnostics diags) ~name ~strategy_id:strategy ~engine
           ~layout ~layout_id ~budget prog
       in
@@ -333,10 +314,6 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
             n
       | `Cold -> ());
       Fmt.epr "%a@." Core.Metrics.pp_store (Store.counters st);
-      (match sumcache with
-      | Some c ->
-          Fmt.epr "%a@." Core.Metrics.pp_sumcache (Summary.Sumcache.counters c)
-      | None -> ());
       let degraded = r.Core.Analysis.degraded in
       report_degradation degraded;
       exit_code ~diags ~degraded:(degraded <> [])
@@ -353,8 +330,7 @@ let analyze_cmd spec strategy layout what var budget engine format
   let diags = Diag.create () in
   let name, prog = compile_spec ~layout ~diags spec in
   let r =
-    Core.Analysis.run ~layout ~budget
-      ~engine:(engine_of_name engine)
+    Core.Analysis.run ~layout ~budget ~engine
       ~strategy:(strategy_of_name strategy)
       prog
   in
@@ -420,7 +396,6 @@ let reanalyze_cmd base_spec edited_spec strategy layout budget engine
     format retract_budget =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
-  let engine = engine_of_name engine in
   let diags = Diag.create () in
   let _, base = compile_spec ~layout ~diags base_spec in
   let t = warm_solve ~layout ~budget ~engine ~strategy base in
@@ -439,7 +414,6 @@ let watch_cmd spec strategy layout budget engine format retract_budget
     journal =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
-  let engine = engine_of_name engine in
   let jnl = Option.map Server.Journal.open_append journal in
   let journal_entry ~i ~name ~diags (r : Core.Analysis.result) =
     match jnl with
@@ -714,7 +688,8 @@ let batch_cmd specs manifest strategy layout budget workers attempts
         Server.Job.make ~idx:(i + 1)
           ~strategy:(Option.value s ~default:strategy)
           ~layout:(Option.value l ~default:layout)
-          ~budget ?store_dir:store ?deadline_ms ~engine
+          ~budget ?store_dir:store ?deadline_ms
+          ~engine:(Core.Solver.engine_name engine)
           spec)
       entries
   in
@@ -815,7 +790,8 @@ let serve_cmd strategy layout budget workers attempts job_timeout_ms
             incr idx;
             let job =
               Server.Job.make ~idx:!idx ~strategy:s ~layout:l ~budget
-                ?store_dir:store ?deadline_ms ~engine
+                ?store_dir:store ?deadline_ms
+                ~engine:(Core.Solver.engine_name engine)
                 spec
             in
             Server.Supervisor.submit t job;
@@ -951,39 +927,40 @@ let budget_term =
     const limits_of_flags $ max_steps_arg $ timeout_ms_arg
     $ max_cells_per_object_arg $ max_total_cells_arg)
 
+(* Any name outside the engine table is a usage error (exit 124). *)
+let engine_conv = Arg.enum Core.Solver.engines
+
 let engine_arg =
   Arg.(
-    value & opt string "delta"
+    value & opt engine_conv `Delta
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Solver engine: delta (difference propagation with online cycle \
            elimination, default), delta-nocycle (difference propagation \
-           only; the ablation baseline), naive (reference full-reread \
-           worklist), or summary (bottom-up per-function summaries over \
-           the call-graph SCC-DAG; with --store DIR the summaries are \
-           cached under DIR/summaries and an edit recomputes only its \
-           dependent chain). All four reach the same fixpoint; they \
-           differ only in how much work it costs.")
+           only; the ablation baseline) or naive (reference full-reread \
+           worklist). All three reach the same fixpoint; they differ only \
+           in how much work it costs.")
 
 (* reanalyze and watch keep one solver warm across edits. The naive
    engine has no warm path (its retraction kept stale facts), so the flag
    refuses it as a usage error. *)
 let warm_engine_arg =
-  let parse = function
-    | "naive" ->
+  let parse s =
+    match Arg.conv_parser engine_conv s with
+    | Ok `Naive ->
         Error
           (`Msg
-             "naive is a scratch-only oracle; reanalyze and watch take delta, \
-              delta-nocycle or summary")
-    | s -> Ok s
+             "naive is a scratch-only oracle; reanalyze and watch take delta \
+              or delta-nocycle")
+    | r -> r
   in
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_string)) "delta"
+    & opt (conv (parse, conv_printer engine_conv)) `Delta
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Solver engine: delta (default), delta-nocycle or summary, as for \
-           analyze. The naive oracle has no warm path and is refused.")
+          "Solver engine: delta (default) or delta-nocycle, as for analyze. \
+           The naive oracle has no warm path and is refused.")
 
 let format_arg =
   Arg.(

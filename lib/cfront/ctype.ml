@@ -100,7 +100,7 @@ let find_field ty name : field option =
 (* ------------------------------------------------------------------ *)
 
 (* One direct printer: these strings are part of on-disk identities
-   (store keys, summary digests, canonical temp names) and are rendered
+   (store keys, canonical temp names) and are rendered
    for every variable on every edit, where going through Format was
    most of [Progdiff.align]'s time. *)
 

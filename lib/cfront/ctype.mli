@@ -89,8 +89,8 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** C-like rendering: [unsigned int], [long long], [T*], [T[4]], [T[]],
     [ret(p1, p2, ...)], [struct T]. Part of on-disk identities
-    (variable keys in store keys and summary digests, canonical temp
-    names), so the bytes are fixed. *)
+    (variable keys in store keys, canonical temp names), so the bytes
+    are fixed. *)
 
 val equal : t -> t -> bool
 (** Structural equality; struct/union by declaration identity. *)

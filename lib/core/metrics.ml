@@ -60,7 +60,7 @@ type summary = {
       (** which objects were collapsed under budget pressure, why, and
           when; empty for a full-precision run *)
   engine : string;
-      (** ["delta"], ["delta-nocycle"], ["naive"] or ["summary"] *)
+      (** the engine's name in {!Solver.engines} *)
   solver_visits : int;  (** statement visits the worklist dispatched *)
   facts_consumed : int;
       (** facts read by rule visits plus facts pushed along copy edges *)
@@ -92,17 +92,6 @@ type summary = {
   incr_fallback_planned : int;
       (** 1 when the incremental engine's cost estimate chose a scratch
           solve over retraction (a plan, not a degradation) *)
-  summary_sccs : int;
-      (** call-graph SCCs the bottom-up schedule solved ([`Summary]
-          only; 0 otherwise) *)
-  summary_scc_rounds : int;
-      (** SCC fixpoint rounds — extras over [summary_sccs] are
-          function-pointer callee sets stabilizing at an SCC boundary *)
-  summary_instantiations : int;
-      (** distinct (call site, resolved callee) summary instantiations *)
-  summary_hits : int;
-      (** functions whose summary was injected from the summary cache *)
-  summary_recomputed : int;  (** functions summarized from scratch *)
 }
 
 module Itbl = Hashtbl.Make (Int)
@@ -168,12 +157,7 @@ let summarize (solver : Solver.t) : summary =
        order than a cold one, but the set is identical *)
     unknown_externs = List.sort_uniq compare solver.Solver.unknown_externs;
     degraded = Budget.events solver.Solver.budget;
-    engine =
-      (match solver.Solver.engine with
-      | `Delta -> "delta"
-      | `Delta_nocycle -> "delta-nocycle"
-      | `Naive -> "naive"
-      | `Summary -> "summary");
+    engine = Solver.engine_name solver.Solver.engine;
     solver_visits = solver.Solver.rounds;
     facts_consumed = solver.Solver.facts_consumed;
     delta_facts = solver.Solver.delta_facts;
@@ -188,11 +172,6 @@ let summarize (solver : Solver.t) : summary =
     incr_warm_visits = solver.Solver.incr_warm_visits;
     incr_stmts_replayed = solver.Solver.incr_stmts_replayed;
     incr_fallback_planned = solver.Solver.incr_fallback_planned;
-    summary_sccs = solver.Solver.summary_sccs;
-    summary_scc_rounds = solver.Solver.summary_scc_rounds;
-    summary_instantiations = solver.Solver.summary_instantiations;
-    summary_hits = solver.Solver.summary_hits;
-    summary_recomputed = solver.Solver.summary_recomputed;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -311,52 +290,6 @@ let pp_store ppf (s : store) =
     (if s.ancestor_warm_starts = 1 then "" else "s")
     s.corrupt_quarantined s.evictions s.snapshots_written s.write_failures
     (if s.write_failures = 1 then "" else "s")
-
-(* ------------------------------------------------------------------ *)
-(* Per-function summary-cache counters, owned by lib/summary           *)
-(* ------------------------------------------------------------------ *)
-
-type sumcache = {
-  mutable sum_hits : int;
-  mutable sum_misses : int;
-  mutable sum_unmapped : int;
-  mutable sum_written : int;
-  mutable sum_write_failures : int;
-  mutable sum_corrupt : int;
-  mutable sum_facts_injected : int;
-  mutable sum_copies_injected : int;
-}
-
-let sumcache_create () =
-  {
-    sum_hits = 0;
-    sum_misses = 0;
-    sum_unmapped = 0;
-    sum_written = 0;
-    sum_write_failures = 0;
-    sum_corrupt = 0;
-    sum_facts_injected = 0;
-    sum_copies_injected = 0;
-  }
-
-let sumcache_json (s : sumcache) : string =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"unmapped\":%d,\"records_written\":%d,\"write_failures\":%d,\"corrupt\":%d,\"facts_injected\":%d,\"copies_injected\":%d}"
-    s.sum_hits s.sum_misses s.sum_unmapped s.sum_written
-    s.sum_write_failures s.sum_corrupt s.sum_facts_injected
-    s.sum_copies_injected
-
-let pp_sumcache ppf (s : sumcache) =
-  Fmt.pf ppf
-    "summary cache: %d hit%s, %d miss%s, %d unmapped, %d written, %d write \
-     failure%s, %d corrupt, %d facts + %d copies injected"
-    s.sum_hits
-    (if s.sum_hits = 1 then "" else "s")
-    s.sum_misses
-    (if s.sum_misses = 1 then "" else "es")
-    s.sum_unmapped s.sum_written s.sum_write_failures
-    (if s.sum_write_failures = 1 then "" else "s")
-    s.sum_corrupt s.sum_facts_injected s.sum_copies_injected
 
 let pp_fleet ppf (f : fleet) =
   Fmt.pf ppf

@@ -35,7 +35,7 @@ type summary = {
       (** which objects were collapsed under budget pressure, why, and
           when; empty for a full-precision run *)
   engine : string;
-      (** ["delta"], ["delta-nocycle"], ["naive"] or ["summary"] *)
+      (** the engine's name in {!Solver.engines} *)
   solver_visits : int;  (** statement visits the worklist dispatched *)
   facts_consumed : int;
       (** facts read by rule visits plus facts pushed along copy edges *)
@@ -65,17 +65,6 @@ type summary = {
   incr_fallback_planned : int;
       (** 1 when the incremental engine's cost estimate chose a scratch
           solve over retraction (a plan, not a degradation) *)
-  summary_sccs : int;
-      (** call-graph SCCs the bottom-up schedule solved ([`Summary]
-          only; 0 otherwise) *)
-  summary_scc_rounds : int;
-      (** SCC fixpoint rounds — extras over [summary_sccs] are
-          function-pointer callee sets stabilizing at an SCC boundary *)
-  summary_instantiations : int;
-      (** distinct (call site, resolved callee) summary instantiations *)
-  summary_hits : int;
-      (** functions whose summary was injected from the summary cache *)
-  summary_recomputed : int;  (** functions summarized from scratch *)
 }
 
 val summarize : Solver.t -> summary
@@ -169,40 +158,4 @@ val store_json : store -> string
 (** Single-line JSON object with the counters above. *)
 
 val pp_store : Format.formatter -> store -> unit
-(** Human-readable one-liner for stderr summaries. *)
-
-(** {1 Per-function summary-cache counters}
-
-    Owned by [lib/summary]: what the persistent per-function summary
-    cache did for one [`Summary]-engine run — injected cached function
-    summaries, recomputed invalidated ones, refused records whose cell
-    keys no longer map onto the edited program. Spliced into report
-    JSON as a ["summary_cache"] object, separate from the snapshot
-    store's ["store"] block. *)
-
-type sumcache = {
-  mutable sum_hits : int;
-      (** functions served from a cached summary record *)
-  mutable sum_misses : int;  (** functions with no record under their key *)
-  mutable sum_unmapped : int;
-      (** records found but refused because an endpoint's identity-free
-          cell key did not map onto exactly one current cell *)
-  mutable sum_written : int;  (** summary records written *)
-  mutable sum_write_failures : int;
-      (** contained write faults: the record was not stored, the
-          analysis answer was unaffected *)
-  mutable sum_corrupt : int;
-      (** records that failed checksum/version/decode (quarantined) *)
-  mutable sum_facts_injected : int;
-      (** direct points-to edges injected from cached summaries *)
-  mutable sum_copies_injected : int;
-      (** subset-constraint edges injected from cached summaries *)
-}
-
-val sumcache_create : unit -> sumcache
-
-val sumcache_json : sumcache -> string
-(** Single-line JSON object with the counters above. *)
-
-val pp_sumcache : Format.formatter -> sumcache -> unit
 (** Human-readable one-liner for stderr summaries. *)

@@ -86,12 +86,7 @@ let json_of_result ?(timing = true) ?(solver_stats = true) ~name
     field ",\"incr_facts_retracted\":%d" m.Metrics.incr_facts_retracted;
     field ",\"incr_warm_visits\":%d" m.Metrics.incr_warm_visits;
     field ",\"incr_stmts_replayed\":%d" m.Metrics.incr_stmts_replayed;
-    field ",\"incr_fallback_planned\":%d" m.Metrics.incr_fallback_planned;
-    field ",\"summary_sccs\":%d" m.Metrics.summary_sccs;
-    field ",\"summary_scc_rounds\":%d" m.Metrics.summary_scc_rounds;
-    field ",\"summary_instantiations\":%d" m.Metrics.summary_instantiations;
-    field ",\"summary_hits\":%d" m.Metrics.summary_hits;
-    field ",\"summary_recomputed\":%d" m.Metrics.summary_recomputed
+    field ",\"incr_fallback_planned\":%d" m.Metrics.incr_fallback_planned
   end;
   field ",\"unknown_externs\":[%s]"
     (String.concat "," (List.map quote m.Metrics.unknown_externs));

@@ -61,7 +61,13 @@ open Norm
 
 module Itbl = Hashtbl.Make (Int)
 
-type engine = [ `Delta | `Delta_nocycle | `Naive | `Summary ]
+type engine = [ `Delta | `Delta_nocycle | `Naive ]
+
+let engines : (string * engine) list =
+  [ ("delta", `Delta); ("delta-nocycle", `Delta_nocycle); ("naive", `Naive) ]
+
+let engine_name (e : engine) : string =
+  fst (List.find (fun (_, e') -> e' = e) engines)
 
 type t = {
   ctx : Actx.t;
@@ -190,35 +196,6 @@ type t = {
   mutable incr_fallback_planned : int;
       (** 1 when the incremental engine chose a scratch solve because
           its cost estimate said retraction could not win *)
-  (* --- bottom-up summary schedule (the [`Summary] engine) ----------- *)
-  mutable summary_probe : (Nast.func -> bool) option;
-      (** consulted before a function's statements are enqueued in the
-          bottom-up pass; returning [true] means a cached summary was
-          injected for it ([lib/summary]'s store hook), so the pass
-          skips its statements — the closing whole-program pass still
-          visits them, which is what makes a stale or partial injection
-          harmless *)
-  mutable summary_commit : (Nast.func -> unit) option;
-      (** called once per freshly summarized function, at the moment its
-          SCC (and every callee below it) reached fixpoint but no caller
-          has been solved — the point where the function's attributed
-          constraints are a pure function of its body, its transitive
-          callees, and the configuration *)
-  inst_mem : (int * string, unit) Hashtbl.t;
-      (** (call stmt id, callee) pairs already counted as summary
-          instantiations *)
-  mutable summary_sccs : int;
-      (** [`Summary]: call-graph SCCs scheduled bottom-up *)
-  mutable summary_scc_rounds : int;
-      (** [`Summary]: SCC fixpoint rounds, ≥ one per SCC — extra rounds
-          are function-pointer callee sets stabilizing at the boundary *)
-  mutable summary_instantiations : int;
-      (** [`Summary]: distinct (call site, resolved callee) bindings
-          instantiated *)
-  mutable summary_hits : int;
-      (** functions whose summary was injected from the cache *)
-  mutable summary_recomputed : int;
-      (** functions summarized from scratch *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -350,23 +327,13 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     incr_warm_visits = 0;
     incr_stmts_replayed = 0;
     incr_fallback_planned = 0;
-    summary_probe = None;
-    summary_commit = None;
-    inst_mem = Hashtbl.create (if engine = `Summary then 64 else 1);
-    summary_sccs = 0;
-    summary_scc_rounds = 0;
-    summary_instantiations = 0;
-    summary_hits = 0;
-    summary_recomputed = 0;
   }
 
 (** Both difference-propagation engines ([`Delta] and [`Delta_nocycle]). *)
 let is_delta t = t.engine <> `Naive
 
-(** Cycle elimination runs under the full [`Delta] engine and the
-    bottom-up summary schedule (whose drains are the delta ones). *)
-let cycles_on t =
-  match t.engine with `Delta | `Summary -> true | `Delta_nocycle | `Naive -> false
+(** Cycle elimination runs under the full [`Delta] engine only. *)
+let cycles_on t = t.engine = `Delta
 
 let canon_id t (cid : int) : int =
   Cell.id (Graph.canon t.graph (Cell.of_id cid))
@@ -902,7 +869,7 @@ let add_edge t (c : Cell.t) (w : Cell.t) =
         match Cvar.Tbl.find_opt t.subscribers c.Cell.base with
         | Some lst -> List.iter (enqueue t) !lst
         | None -> ())
-    | `Delta | `Delta_nocycle | `Summary ->
+    | `Delta | `Delta_nocycle ->
         let rid = canon_id t (Cell.id c) in
         (* the new fact flows along the class's copy edges… *)
         push_cell t rid;
@@ -1234,15 +1201,6 @@ let process t (stmt : Nast.stmt) =
   let bind_call (call : Nast.call) (fname : string) =
     match Hashtbl.find_opt t.funcs fname with
     | Some f ->
-        (* under the summary schedule, a (call site, callee) binding is
-           one instantiation of the callee's parameterized summary —
-           counted once, however many visits re-derive it *)
-        (if t.engine = `Summary then
-           let key = (stmt.Nast.id, fname) in
-           if not (Hashtbl.mem t.inst_mem key) then begin
-             Hashtbl.replace t.inst_mem key ();
-             t.summary_instantiations <- t.summary_instantiations + 1
-           end);
         (* actuals into formals, extras into the vararg blob *)
         let rec bind params args =
           match (params, args) with
@@ -1604,156 +1562,9 @@ let resume t : unit =
   loop ();
   drop_intra_edges t
 
-(* ------------------------------------------------------------------ *)
-(* Bottom-up summary schedule (the [`Summary] engine)                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Defined functions an indirect call in [f] currently resolves to —
-    the function-pointer-induced call edges, read off the fixpoint so
-    far. Sorted, so the SCC-boundary stabilization loop compares sets. *)
-let fp_callees t (f : Nast.func) : string list =
-  let module S = (val t.strategy : Strategy.S) in
-  List.fold_left
-    (fun acc (s : Nast.stmt) ->
-      match s.Nast.kind with
-      | Nast.Call { Nast.cfn = Nast.Indirect fp; _ } ->
-          Cell.Set.fold
-            (fun (w : Cell.t) acc ->
-              match w.Cell.base.Cvar.vkind with
-              | Cvar.Funval n when Hashtbl.mem t.funcs n -> n :: acc
-              | _ -> acc)
-            (Graph.pts t.graph (S.normalize t.ctx fp []))
-            acc
-      | _ -> acc)
-    [] f.Nast.fstmts
-  |> List.sort_uniq compare
-
-(** The [`Summary] schedule: condense the direct-call graph into an
-    SCC-DAG with {!Tarjan} and solve it bottom-up — each SCC to
-    fixpoint, iterating until the function-pointer-induced callee set at
-    its boundary stabilizes — then close with a whole-program pass.
-
-    Per SCC, each member function is first offered to [summary_probe]
-    (the store hook): a hit means its recorded constraints were injected
-    and its statements are not enqueued in this pass; a miss enqueues
-    them. After the SCC stabilizes — and before any caller is solved —
-    [summary_commit] extracts each missed member's attributed
-    constraints, which at that moment are a pure function of its body,
-    its transitive callees, and the configuration (callers and global
-    initializers have contributed nothing yet).
-
-    The closing pass enqueues every statement (the global initializers
-    for the first time) and resumes to the global fixpoint. It is what
-    makes the schedule unconditionally exact: cursors make re-visits
-    cheap for work the bottom-up pass already did, and any constraint an
-    injected summary did not carry is re-derived. The rules are monotone
-    and confluent, so this schedule reaches the same least fixpoint —
-    and the same stats-free report, byte for byte — as the
-    whole-program engines. *)
-let solve_summary t =
-  let funcs = Array.of_list t.prog.Nast.pfuncs in
-  let index = Hashtbl.create 32 in
-  Array.iteri
-    (fun i (f : Nast.func) -> Hashtbl.replace index f.Nast.fname i)
-    funcs;
-  let succs i =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (s : Nast.stmt) ->
-           match s.Nast.kind with
-           | Nast.Call { Nast.cfn = Nast.Direct n; _ } ->
-               Hashtbl.find_opt index n
-           | _ -> None)
-         funcs.(i).Nast.fstmts)
-  in
-  let roots = List.init (Array.length funcs) Fun.id in
-  (* topological order puts callers first; reverse for bottom-up *)
-  let bottom_up = List.rev (Tarjan.sccs ~roots ~succs) in
-  t.summary_sccs <- List.length bottom_up;
-  List.iter
-    (fun scc ->
-      let members = List.map (fun i -> funcs.(i)) scc in
-      let missed =
-        List.filter
-          (fun (f : Nast.func) ->
-            match t.summary_probe with
-            | Some probe when probe f ->
-                t.summary_hits <- t.summary_hits + 1;
-                false
-            | _ ->
-                t.summary_recomputed <- t.summary_recomputed + 1;
-                true)
-          members
-      in
-      List.iter
-        (fun (f : Nast.func) -> List.iter (enqueue t) f.Nast.fstmts)
-        missed;
-      (* solve the SCC, then iterate while the boundary's resolved
-         callee set still grows: each new function-pointer target's
-         bindings were installed by the re-woken call statements during
-         the resume, which can resolve further targets *)
-      let callees () =
-        List.sort_uniq compare (List.concat_map (fp_callees t) members)
-      in
-      let rec stabilize prev =
-        resume t;
-        t.summary_scc_rounds <- t.summary_scc_rounds + 1;
-        let now = callees () in
-        if now <> prev then begin
-          List.iter
-            (fun (f : Nast.func) ->
-              List.iter
-                (fun (s : Nast.stmt) ->
-                  match s.Nast.kind with
-                  | Nast.Call { Nast.cfn = Nast.Indirect _; _ } ->
-                      enqueue t s
-                  | _ -> ())
-                f.Nast.fstmts)
-            members;
-          stabilize now
-        end
-      in
-      stabilize (callees ());
-      match t.summary_commit with
-      | Some commit -> List.iter commit missed
-      | None -> ())
-    bottom_up;
-  (* closing whole-program pass: global initializers join, cache hits
-     get their statements visited, and the fixpoint goes global *)
+let solve t : unit =
   List.iter (enqueue t) (Nast.all_stmts t.prog);
   resume t
-
-(** Inject an externally derived points-to fact (a cached summary's
-    direct edge) through the full [add_edge] path — consumers wake,
-    drains queue, budgets charge — without attributing it to any
-    statement. Callers must only inject facts that hold in the program's
-    least fixpoint; a per-function summary recorded under the same body,
-    callee, and configuration digests qualifies (it was derived from a
-    subset of the contexts the full solve sees). *)
-let inject_edge t (c : Cell.t) (w : Cell.t) =
-  let saved = t.cur_stmt in
-  t.cur_stmt <- -1;
-  add_edge t c w;
-  t.cur_stmt <- saved
-
-(** Inject a subset constraint (a cached summary's copy edge), likewise
-    unattributed. Constraints between cells that are equal or ordered in
-    the least fixpoint leave it unchanged, which a replayed summary
-    edge is. *)
-let inject_copy t ~(dst : Cell.t) ~(src : Cell.t) =
-  if is_delta t then begin
-    let saved = t.cur_stmt in
-    t.cur_stmt <- -1;
-    ensure_copy t (redirect_cell t dst) (redirect_cell t src);
-    t.cur_stmt <- saved
-  end
-
-let solve t : unit =
-  match t.engine with
-  | `Summary -> solve_summary t
-  | _ ->
-      List.iter (enqueue t) (Nast.all_stmts t.prog);
-      resume t
 
 (** Swap in a new program (the incremental engine's aligned edit),
     keeping the function table consistent. The strategy memo is dropped:

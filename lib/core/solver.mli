@@ -7,7 +7,7 @@
     pointers' points-to sets as the fixpoint grows. Library calls use
     {!Norm.Summaries}.
 
-    Four engines produce identical fixpoints:
+    Three engines produce identical fixpoints:
 
     - [`Delta] (default) — difference propagation with online cycle
       elimination: statement visits consume only the facts added since
@@ -22,17 +22,6 @@
       off: the ablation baseline for benchmarks and differential tests.
     - [`Naive] — the reference worklist that re-reads full sets on every
       visit; retained as the differential-testing oracle.
-    - [`Summary] — the delta rules on a bottom-up modular schedule: the
-      direct-call graph is condensed into an SCC-DAG ({!Tarjan}) and
-      solved callees-first, each SCC to fixpoint with the
-      function-pointer-induced callee set iterated at the SCC boundary
-      until it stabilizes, then a closing whole-program pass joins the
-      global initializers and drives the fixpoint global. Per-function
-      summary hooks ([summary_probe]/[summary_commit]) let
-      [lib/summary] inject cached constraints and extract fresh ones at
-      the caller-independent point; the closing pass makes the result
-      exact regardless of what the cache held. Byte-identical stats-free
-      reports.
 
     Resilience: every worklist step is charged against a {!Budget.t}.
     When a budget trips the solver degrades gracefully — the offending
@@ -50,9 +39,15 @@ open Norm
 
 module Itbl : Hashtbl.S with type key = int
 
-type engine = [ `Delta | `Delta_nocycle | `Naive | `Summary ]
-(** [`Summary] runs the delta rules on the bottom-up per-function
-    schedule. *)
+type engine = [ `Delta | `Delta_nocycle | `Naive ]
+
+val engines : (string * engine) list
+(** Every engine under its CLI, wire and store-key name, default first:
+    the one table the command line, the job wire, the snapshot key and
+    the metrics read. *)
+
+val engine_name : engine -> string
+(** The engine's name in {!engines}. *)
 
 type t = {
   ctx : Actx.t;
@@ -160,30 +155,6 @@ type t = {
   mutable incr_fallback_planned : int;
       (** 1 when the incremental engine chose a scratch solve because
           its cost estimate said retraction could not win *)
-  mutable summary_probe : (Nast.func -> bool) option;
-      (** [`Summary]: consulted per function before its statements join
-          the bottom-up pass; [true] means a cached summary was injected
-          (via {!inject_edge}/{!inject_copy}) and the pass skips it —
-          the closing whole-program pass still visits it, so a stale or
-          partial injection costs work, never precision *)
-  mutable summary_commit : (Nast.func -> unit) option;
-      (** [`Summary]: called once per freshly summarized function when
-          its SCC reached fixpoint but no caller has been solved — the
-          point where its attributed constraints ([stmt_edges],
-          [stmt_copies], under [track]) are a pure function of body,
-          transitive callees, and configuration *)
-  inst_mem : (int * string, unit) Hashtbl.t;
-  mutable summary_sccs : int;
-      (** [`Summary]: call-graph SCCs scheduled bottom-up *)
-  mutable summary_scc_rounds : int;
-      (** [`Summary]: SCC fixpoint rounds (≥ one per SCC; extras are
-          function-pointer callee sets stabilizing at the boundary) *)
-  mutable summary_instantiations : int;
-      (** [`Summary]: distinct (call site, resolved callee) bindings *)
-  mutable summary_hits : int;
-      (** functions whose summary was injected from the cache *)
-  mutable summary_recomputed : int;
-      (** functions summarized from scratch *)
 }
 
 val collapse_sel : Cell.t -> Cell.t
@@ -266,18 +237,6 @@ val retract_cells :
     aliasing install-time pair still supports them. Returns the
     member-expanded number of facts retracted. Requires a quiescent
     solver. *)
-
-val inject_edge : t -> Cell.t -> Cell.t -> unit
-(** Inject an externally derived points-to fact (a cached summary's
-    direct edge) through the full [add_edge] path — consumers wake,
-    drains queue, budgets charge — attributed to no statement. Callers
-    must only inject facts that hold in the program's least fixpoint; a
-    summary recorded under matching body, callee, and configuration
-    digests qualifies. *)
-
-val inject_copy : t -> dst:Cell.t -> src:Cell.t -> unit
-(** Inject a subset constraint (a cached summary's copy edge),
-    likewise unattributed; no-op under [`Naive]. *)
 
 val run :
   ?layout:Layout.config ->

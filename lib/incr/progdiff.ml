@@ -19,8 +19,8 @@ open Norm
 
 (* Every key is built with [String.concat], never [Printf]: keys are
    rendered for every variable occurrence of both program versions on
-   each edit, and their bytes are durable identities (store keys,
-   summary digests), so the grammar below is fixed. *)
+   each edit, and their bytes are durable identities (store keys), so
+   the grammar below is fixed. *)
 
 let kind_part : Cvar.kind -> string = function
   | Cvar.Global -> "g"
@@ -349,33 +349,3 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
     } )
 
 let diff ~base edited : t = snd (align ~base edited)
-
-let funcs_changed ~(base : Nast.program) (edited : Nast.program) :
-    string list =
-  let kr = Keyer.create () in
-  let body_sig (p : Nast.program) =
-    let iface = Keyer.iface_of_program kr p in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (f : Nast.func) ->
-        let keys =
-          List.map (Keyer.stmt kr ~iface ~scope:f.Nast.fname) f.Nast.fstmts
-        in
-        Hashtbl.replace tbl f.Nast.fname
-          (Keyer.interface kr f :: List.sort compare keys))
-      p.Nast.pfuncs;
-    tbl
-  in
-  let b = body_sig base and e = body_sig edited in
-  let changed = Hashtbl.create 16 in
-  let scan one other =
-    Hashtbl.iter
-      (fun name sg ->
-        match Hashtbl.find_opt other name with
-        | Some sg' when sg = sg' -> ()
-        | _ -> Hashtbl.replace changed name ())
-      one
-  in
-  scan b e;
-  scan e b;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) changed [])

@@ -50,8 +50,7 @@ val var_key : Cvar.t -> string
 val interface_key : Nast.func -> string
 (** Identity-free fingerprint of a function's calling interface: its
     name plus the {!var_key}s of parameters, return slot, and vararg
-    sink. Embedded in call-statement keys and in [lib/summary]'s body
-    digests. *)
+    sink. Embedded in call-statement keys. *)
 
 val stmt_key : iface:(string -> string) -> scope:string -> Nast.stmt -> string
 (** Canonical key of a statement inside [scope] (a function name, or
@@ -67,7 +66,7 @@ val iface_of_program : Nast.program -> string -> string
     one-shot functions above. A [Cvar.t] is immutable and only built by
     [Cvar.fresh], so a [vid] stands for one value for the life of the
     process and the memo can never go stale; it is still meant to live
-    for one call (one alignment, one store key, one digest pass) and be
+    for one call (one alignment, one store key) and be
     dropped with the programs it keyed. *)
 module Keyer : sig
   type t
@@ -104,11 +103,3 @@ val align : base:Nast.program -> Nast.program -> Nast.program * t
 
 val diff : base:Nast.program -> Nast.program -> t
 (** Just the delta of {!align}. *)
-
-val funcs_changed : base:Nast.program -> Nast.program -> string list
-(** Names of functions whose interface or body statement-key multiset
-    differs between the two programs (added and removed functions
-    included), sorted. Because indirect calls key on the fingerprint of
-    {e all} defined interfaces, a signature change anywhere also lists
-    every function containing an indirect call — exactly the set whose
-    summaries {!Summary} must recompute. *)

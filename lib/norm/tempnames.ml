@@ -4,9 +4,9 @@
     counter ([$t1], [$t2], …), so inserting one statement mid-function
     renumbers every later temporary in the program. Identity-free keys
     built from variable names ([Incr.Progdiff.var_key], the store
-    codec's statement keys, per-function summary digests) then see every
-    downstream statement as changed, which defeats the store's additive
-    ancestor match and summary reuse for what was a one-line edit.
+    codec's statement keys) then see every downstream statement as
+    changed, which defeats the store's additive ancestor match for what
+    was a one-line edit.
 
     This pass renames each temporary from its first occurrence: the
     containing statement's {e erased shape} (temporaries print as a

@@ -10,24 +10,6 @@ type t = {
   diag_errors : bool;
 }
 
-let open_sumcache st engine =
-  if engine = `Summary then
-    Some
-      (Summary.Sumcache.open_cache
-         ~log:(fun m -> prerr_endline ("summary: " ^ m))
-         (Filename.concat (Store.dir st) "summaries"))
-  else None
-
-let serve st ~sumcache ~want ~diags ~name ~strategy_id ~engine ~layout
-    ~layout_id ~budget prog =
-  match sumcache with
-  | Some cache ->
-      Summary.Engine.serve ~store:st ~cache ~want ~diags ~name ~strategy_id
-        ~layout ~layout_id ~budget prog
-  | None ->
-      Store.serve st ~want ~diags ~name ~strategy_id ~engine ~layout
-        ~layout_id ~budget prog
-
 let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
     t =
   let name = src.Source.name in
@@ -36,16 +18,8 @@ let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
       { Store.Codec.strategy_id; engine; layout_id; arith = `Spread; budget }
       ~name ~source:src.Source.text
   in
-  (* the summary cache's counter block rides along even on a hit *)
-  let sumcache = open_sumcache st engine in
   let answer report ~degraded ~diag_errors =
-    let json = Store.with_counters st report in
-    let json =
-      match sumcache with
-      | Some c -> Summary.Engine.with_counters c json
-      | None -> json
-    in
-    { report; json; degraded; diag_errors }
+    { report; json = Store.with_counters st report; degraded; diag_errors }
   in
   match
     Store.find_record st ~key ~include_digest:(Source.include_digest src)
@@ -58,7 +32,7 @@ let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
           ~file:name src.Source.text
       in
       let served =
-        serve st ~sumcache ~want:`Json ~diags:(Diag.diagnostics diags) ~name
+        Store.serve st ~want:`Json ~diags:(Diag.diagnostics diags) ~name
           ~strategy_id ~engine ~layout ~layout_id ~budget prog
       in
       (* an exact snapshot hit carries no solver, but only clean runs

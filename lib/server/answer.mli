@@ -8,42 +8,18 @@
     recorded digest, the stored stats-free report is the answer: no
     preprocessing, parsing, lowering, {!Store.Codec.key} or snapshot
     decode. Anything else — no record, a changed include, a quarantined
-    record — takes the compiled path unchanged ({!Store.serve}, or
-    {!Summary.Engine.serve} under the summary engine), and a clean
-    answer from it writes the record for the next repeat. *)
+    record — takes the compiled path unchanged ({!Store.serve}), and a
+    clean answer from it writes the record for the next repeat. *)
 
 type t = {
   report : string;  (** stats-free report JSON, a pure function of the input *)
   json : string;
-      (** [report] with the ["store"] counter block spliced in, and the
-          ["summary_cache"] block under the summary engine *)
+      (** [report] with the ["store"] counter block spliced in *)
   degraded : Core.Budget.event list;
       (** where the solve gave up precision under its budget; always
           empty on a hit, since only clean answers are stored *)
   diag_errors : bool;  (** the front end reported errors *)
 }
-
-val open_sumcache : Store.t -> Core.Solver.engine -> Summary.Sumcache.t option
-(** The summary engine's per-function cache under [DIR/summaries];
-    [None] for every other engine. *)
-
-val serve :
-  Store.t ->
-  sumcache:Summary.Sumcache.t option ->
-  want:[ `Json | `Solver ] ->
-  diags:Cfront.Diag.payload list ->
-  name:string ->
-  strategy_id:string ->
-  engine:Core.Solver.engine ->
-  layout:Cfront.Layout.config ->
-  layout_id:string ->
-  budget:Core.Budget.limits ->
-  Norm.Nast.program ->
-  Store.served
-(** The compiled path: {!Summary.Engine.serve} when [sumcache] is
-    given (the snapshot store still answers exact repeats and additive
-    edits; a cold solve consults the per-function cache), {!Store.serve}
-    otherwise. [--format text] calls it directly with [`Solver]. *)
 
 val run :
   Store.t ->

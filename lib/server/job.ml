@@ -14,8 +14,6 @@ type t = {
   engine : string;
 }
 
-let engine_ids = [ "delta"; "delta-nocycle"; "naive"; "summary" ]
-
 let make ~idx ?(strategy = "cis") ?(layout = "ilp32")
     ?(budget = Core.Budget.default) ?store_dir ?deadline_ms
     ?(engine = "delta") spec =
@@ -30,12 +28,8 @@ let make ~idx ?(strategy = "cis") ?(layout = "ilp32")
     engine;
   }
 
-let engine_of (t : t) : Core.Solver.engine =
-  match t.engine with
-  | "delta-nocycle" -> `Delta_nocycle
-  | "naive" -> `Naive
-  | "summary" -> `Summary
-  | _ -> `Delta
+let engine_of (t : t) : Core.Solver.engine option =
+  List.assoc_opt t.engine Core.Solver.engines
 
 let layout_of_id = function
   | "ilp32" -> Some Layout.ilp32
@@ -59,10 +53,10 @@ let validate (t : t) : (unit, string) result =
     Error
       (Printf.sprintf "%s: unknown layout %s (ilp32|lp64|word16)" t.id
          t.layout_id)
-  else if not (List.mem t.engine engine_ids) then
+  else if engine_of t = None then
     Error
       (Printf.sprintf "%s: unknown engine %s (have: %s)" t.id t.engine
-         (String.concat "|" engine_ids))
+         (String.concat "|" (List.map fst Core.Solver.engines)))
   else Ok ()
 
 (* ------------------------------------------------------------------ *)

@@ -32,9 +32,7 @@ type t = {
           [timeout_s] at dispatch, and kills a worker still running
           past it ([None] = no deadline) *)
   engine : string;
-      (** solver engine id (delta | delta-nocycle | naive | summary);
-          ["summary"] with a [store_dir] additionally consults the
-          per-function summary cache under [store_dir/summaries] *)
+      (** solver engine name, one of {!Core.Solver.engines} *)
 }
 
 val make :
@@ -52,16 +50,14 @@ val make :
     engine ["delta"]. *)
 
 val validate : t -> (unit, string) result
-(** Reject tabs/newlines in string fields, unknown strategies, and
-    unknown layouts. *)
+(** Reject tabs/newlines in string fields, unknown strategies, unknown
+    layouts, and unknown engines. *)
 
 val layout_of_id : string -> Cfront.Layout.config option
 
-val engine_ids : string list
-(** The engine ids {!validate} accepts. *)
-
-val engine_of : t -> Core.Solver.engine
-(** Resolve the job's engine id to a solver engine. *)
+val engine_of : t -> Core.Solver.engine option
+(** The job's engine, looked up in {!Core.Solver.engines}; [None] for a
+    name no engine carries (one an older binary wrote, say). *)
 
 (** {1 Degradation ladder} *)
 

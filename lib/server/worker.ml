@@ -46,7 +46,11 @@ let run_job (job : Job.t) ~attempt ~rung :
       | None -> failwith ("unknown strategy " ^ strategy_id)
     in
     let budget = Job.budget_for_rung job.Job.budget rung in
-    let engine = Job.engine_of job in
+    let engine =
+      match Job.engine_of job with
+      | Some e -> e
+      | None -> failwith ("unknown engine " ^ job.Job.engine)
+    in
     let src = Source.load job.Job.spec in
     let name = src.Source.name in
     let result_json, solve_degraded, diag_errors =

@@ -17,12 +17,6 @@ type config = {
 
 let version_line = "structcast-snap v1"
 
-let engine_id : Solver.engine -> string = function
-  | `Delta -> "delta"
-  | `Delta_nocycle -> "delta-nocycle"
-  | `Naive -> "naive"
-  | `Summary -> "summary"
-
 let arith_id : arith -> string = function
   | `Spread -> "spread"
   | `Copy -> "copy"
@@ -44,7 +38,7 @@ let budget_id (b : Budget.limits) : string =
     (o b.Budget.max_total_cells)
 
 let config_line (c : config) : string =
-  Printf.sprintf "%s|%s|%s|%s|%s" c.strategy_id (engine_id c.engine)
+  Printf.sprintf "%s|%s|%s|%s|%s" c.strategy_id (Solver.engine_name c.engine)
     c.layout_id (arith_id c.arith) (budget_id c.budget)
 
 let config_digest (c : config) : string =

@@ -80,8 +80,7 @@ val key :
 val enc_str : string -> string
 (** Percent-escape a string into one whitespace-free token (percent,
     space, and control bytes become [%XX]), so codec lines split on
-    single spaces with no quoting rules. Shared with [lib/summary]'s
-    record format. *)
+    single spaces with no quoting rules. *)
 
 val dec_str_opt : string -> string option
 (** Inverse of {!enc_str}; [None] on a malformed escape. *)

@@ -377,8 +377,7 @@ type served = {
 
 let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
     ~name ~strategy_id ~engine ~layout ~layout_id ?(arith = `Spread)
-    ~budget ?cold (prog : Nast.program) : served =
-  let cold_override = cold in
+    ~budget (prog : Nast.program) : served =
   let strategy =
     match Analysis.strategy_of_id strategy_id with
     | Some s -> s
@@ -430,10 +429,7 @@ let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
   let cold () =
     let t0 = Sys.time () in
     let solver =
-      match cold_override with
-      | Some f -> f ()
-      | None ->
-          Solver.run ~layout ~arith ~budget ~engine ~track:true ~strategy prog
+      Solver.run ~layout ~arith ~budget ~engine ~track:true ~strategy prog
     in
     let r = mk_result solver (Sys.time () -. t0) in
     let json = render r in

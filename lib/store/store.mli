@@ -109,7 +109,6 @@ val serve :
   layout_id:string ->
   ?arith:Codec.arith ->
   budget:Budget.limits ->
-  ?cold:(unit -> Solver.t) ->
   Nast.program ->
   served
 (** Satisfy one analysis request through the store. Exact hit in
@@ -167,15 +166,6 @@ val put_record :
     each include the preprocessor resolved as (path, digest of its
     text, or [None] when it was absent). Write failures are contained
     and counted like a snapshot's. *)
-
-val temp_path : string -> string
-(** The temp file this process writes [dest] through: [<dest>.<pid>.tmp]. *)
-
-val sweep_temps : string -> unit
-(** Remove the stray temps in a directory: those written by this
-    process (it has no write in flight while it opens a store) or by a
-    process that no longer runs, and pid-less ones from older
-    versions. Another live process's in-flight temp stays. *)
 
 (** {2 Test access} *)
 

@@ -1,8 +1,7 @@
-(** Differential property test: the four solver engines — delta
+(** Differential property test: the three solver engines — delta
     (difference propagation with online cycle elimination),
-    delta-nocycle (the ablation baseline), the naive reference worklist,
-    and summary (the delta rules on the bottom-up call-graph schedule) —
-    must produce the exact same points-to graph, edge-set equality via
+    delta-nocycle (the ablation baseline) and the naive reference
+    worklist — must produce the exact same points-to graph, edge-set equality via
     {!Core.Graph.equal}, on the whole embedded corpus and on
     fuzz-generated programs, for all four framework instances. The
     stats-free JSON rendering ([~solver_stats:false]) of each engine's
@@ -25,7 +24,7 @@ let base_seed =
   | None | Some "" -> 1
   | Some s -> int_of_string (String.trim s)
 
-(* Solve [prog] under all four engines and compare fixpoints. Cost
+(* Solve [prog] under all three engines and compare fixpoints. Cost
    ordering is part of the contract:
    - the nocycle delta engine may not do MORE statement visits than
      naive (it re-visits strictly less: only when a consumed cell or
@@ -41,7 +40,6 @@ let check_program ~label (prog : Nast.program) =
     (fun id ->
       let run engine = Core.Analysis.run ~engine ~strategy:(strategy id) prog in
       let d = run `Delta and dn = run `Delta_nocycle and n = run `Naive in
-      let s = run `Summary in
       let graph (r : Core.Analysis.result) = r.Core.Analysis.solver.Core.Solver.graph in
       let check_eq ename (r : Core.Analysis.result) =
         if not (Core.Graph.equal (graph r) (graph n)) then
@@ -55,7 +53,6 @@ let check_program ~label (prog : Nast.program) =
       in
       check_eq "delta" d;
       check_eq "delta-nocycle" dn;
-      check_eq "summary" s;
       let visits (r : Core.Analysis.result) =
         r.Core.Analysis.solver.Core.Solver.rounds
       in
@@ -76,7 +73,7 @@ let check_program ~label (prog : Nast.program) =
           if j <> jn then
             Alcotest.failf "%s / %s: %s stats-free report differs:\n%s\n%s"
               label id ename j jn)
-        [ ("delta", d); ("delta-nocycle", dn); ("summary", s) ])
+        [ ("delta", d); ("delta-nocycle", dn) ])
     all_ids
 
 let test_corpus () =

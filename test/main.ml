@@ -31,5 +31,4 @@ let () =
       ("isolation", Test_isolation.suite);
       ("server", Test_server.suite);
       ("store", Test_store.suite);
-      ("summary-cache", Test_summary_cache.suite);
     ]

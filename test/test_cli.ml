@@ -372,26 +372,40 @@ let test_reanalyze_time_is_wall () =
     Alcotest.failf "time_s %.6f exceeds the command's wall time %.6f" time_s
       wall
 
-(* The summary engine stores li's fixpoint like the default engine: no
-   two of li's variables share one identity key, so the snapshot is not
-   refused and the repeat is an exact hit. *)
-let test_store_summary_engine_li () =
+(* The engine table has no [summary] entry (that engine was removed):
+   naming it is a cmdliner usage error that lists the accepted engines,
+   raised before the store is opened, so DIR is never created. *)
+let test_store_removed_engine_li () =
   let store = fresh_store () in
-  let cmd =
-    Filename.quote_command exe
-      [ "analyze"; "li"; "--engine"; "summary"; "--store"; store ]
+  let code, _, err =
+    run_split
+      (Filename.quote_command exe
+         [ "analyze"; "li"; "--engine"; "summary"; "--store"; store ])
   in
-  let code1, _, err1 = run_split cmd in
-  let code2, _, err2 = run_split cmd in
-  Alcotest.(check int) "cold run exits 0" 0 code1;
-  Alcotest.(check int) "repeat exits 0" 0 code2;
-  Alcotest.(check bool) "no snapshot refused" false
-    (contains err1 "snapshot refused");
-  check_contains "cold run writes its snapshot" err1 "1 miss";
-  check_contains "cold run writes its snapshot" err1 "1 written";
-  Alcotest.(check bool) "a snapshot file exists" true
-    (Array.length (Sys.readdir (Filename.concat store "snaps")) > 0);
-  check_contains "repeat is a hit" err2 "store: exact hit (no solving)"
+  Alcotest.(check int) "usage error" 124 code;
+  check_contains "accepted engines listed" err "delta-nocycle";
+  Alcotest.(check bool) "store never created" false (Sys.file_exists store)
+
+(* Every command that takes --engine checks it against the same table:
+   an unknown name, the removed [summary] included, exits 124 with the
+   accepted values instead of running with some other engine. *)
+let test_unknown_engine_usage_error () =
+  List.iter
+    (fun (label, args) ->
+      let code, _, err =
+        run_split
+          (Printf.sprintf "echo | %s" (Filename.quote_command exe args))
+      in
+      Alcotest.(check int) (label ^ " exits 124") 124 code;
+      check_contains label err "delta-nocycle")
+    [
+      ("analyze bogus", [ "analyze"; "wc"; "--engine"; "bogus" ]);
+      ("analyze summary", [ "analyze"; "wc"; "--engine"; "summary" ]);
+      ("reanalyze", [ "reanalyze"; "wc"; "wc"; "--engine"; "summary" ]);
+      ("watch", [ "watch"; "wc"; "--engine"; "summary" ]);
+      ("batch", [ "batch"; "wc"; "--engine"; "summary" ]);
+      ("serve", [ "serve"; "--engine"; "summary" ]);
+    ]
 
 (* A serve worker solves with the engine analyze uses: the full report,
    solver stats included, matches [analyze --format json] of the same
@@ -496,8 +510,10 @@ let suite =
         test_store_serve_two_workers;
       Helpers.tc "reanalyze times the edit on the wall clock"
         test_reanalyze_time_is_wall;
-      Helpers.tc "--store analyze li --engine summary: snapshot, then hit"
-        test_store_summary_engine_li;
+      Helpers.tc "--store analyze li --engine summary: usage error"
+        test_store_removed_engine_li;
+      Helpers.tc "unknown engines are usage errors on every command"
+        test_unknown_engine_usage_error;
       Helpers.tc "serve worker answers like analyze, solver stats included"
         test_serve_worker_engine_is_analyze;
       Helpers.tc "reanalyze/watch refuse the naive engine"

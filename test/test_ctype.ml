@@ -155,8 +155,8 @@ let test_type_at_path () =
   | _ -> Alcotest.fail "expected error for bad field"
 
 (* The printer's bytes are on-disk identities (variable keys inside
-   store keys and summary digests, erased shapes inside canonical temp
-   names), so every constructor's rendering is pinned literally. *)
+   store keys, erased shapes inside canonical temp names), so every
+   constructor's rendering is pinned literally. *)
 let test_golden_strings () =
   let s = Ctype.fresh_comp ~tag:"S" ~is_union:false in
   let u = Ctype.fresh_comp ~tag:"U" ~is_union:true in

@@ -42,11 +42,7 @@ let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t) =
   then
     Alcotest.failf "%s / %s / %s: warm fixpoint (%d edges) <> scratch (%d)"
       label id
-      (match engine with
-      | `Delta -> "delta"
-      | `Delta_nocycle -> "delta-nocycle"
-      | `Naive -> "naive"
-      | `Summary -> "summary")
+      (Core.Solver.engine_name engine)
       (Core.Graph.edge_count warm.Core.Solver.graph)
       (Core.Graph.edge_count scratch.Core.Solver.graph);
   (match audit warm with
@@ -728,9 +724,9 @@ let test_corpus_differential () =
   if !warms = 0 then
     Alcotest.failf "every corpus edit fell back to scratch (%d)" !fallbacks
 
-(* Keys are durable identities — store keys, summary digests and the
-   ancestor match all hash them — so their bytes are pinned here, taken
-   from the Format-based renderer they replaced. *)
+(* Keys are durable identities — store keys and the ancestor match
+   both hash them — so their bytes are pinned here, taken from the
+   Format-based renderer they replaced. *)
 let test_golden_var_keys () =
   let loc = { Srcloc.dummy with Srcloc.line = 12 } in
   List.iter

@@ -271,6 +271,39 @@ let test_wire_timeout_clamps () =
   Alcotest.check timeout_opt "rung-1 keeps a shorter timeout" (Some 0.5)
     (Job.budget_for_rung short 1).Core.Budget.timeout_s
 
+(* The engine table has no [summary] entry (that engine was removed). A
+   job naming it, whether built here or decoded from a request line an
+   older binary wrote, is refused by [Job.validate], and a worker handed
+   one answers with an error instead of solving under another engine. *)
+let test_removed_engine_refused () =
+  let unknown_engine j =
+    match Job.validate j with
+    | Ok () -> Alcotest.fail "a summary job validated"
+    | Error e ->
+        if not (contains e "unknown engine summary") then
+          Alcotest.failf "unexpected refusal: %s" e
+  in
+  let j = Job.make ~idx:1 ~engine:"summary" "wc" in
+  unknown_engine j;
+  Alcotest.(check bool) "no engine resolves" true (Job.engine_of j = None);
+  let line =
+    String.concat "\t"
+      [ "2"; "job7"; "1"; "0"; "cis"; "ilp32"; "0"; "0"; "0"; "0"; ""; "0";
+        "summary"; "wc" ]
+  in
+  (match Job.of_wire line with
+  | Ok (j', _, _) ->
+      Alcotest.(check string) "engine field kept" "summary" j'.Job.engine;
+      unknown_engine j'
+  | Error e -> Alcotest.fail e);
+  match
+    Worker.response_of_wire (Worker.execute j ~attempt:1 ~rung:0 ~faults:[])
+  with
+  | Ok (_, _, `Error m) ->
+      Alcotest.(check string) "worker error" "unknown engine summary" m
+  | Ok (_, _, `Ok _) -> Alcotest.fail "the worker solved a summary job"
+  | Error e -> Alcotest.fail e
+
 let shed_reason = function
   | Supervisor.Shed { reason; _ } -> reason
   | Supervisor.Done _ -> Alcotest.fail "expected shed, got done"
@@ -813,6 +846,8 @@ let in_process =
       test_journal_tolerates_torn_tail;
     tc "wire timeout clamps: 1 ms floor, rung-1 2 s cap"
       test_wire_timeout_clamps;
+    tc "removed summary engine is refused, never solved"
+      test_removed_engine_refused;
     tc "admission control sheds deterministically"
       test_admission_shed_deterministic;
     tc "request deadline expires while queued" test_deadline_expires_in_queue;

@@ -419,11 +419,7 @@ let test_self_requeue_converges () =
           let got = target_bases r "p" in
           if got <> [ "a"; "b"; "c" ] then
             Alcotest.failf "%s (%s): p = %s (chain stopped early)" id
-              (match engine with
-              | `Delta -> "delta"
-              | `Delta_nocycle -> "delta-nocycle"
-              | `Naive -> "naive"
-              | `Summary -> "summary")
+              (Core.Solver.engine_name engine)
               (String.concat "," got)))
     [ `Delta; `Delta_nocycle; `Naive ]
 

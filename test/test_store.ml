@@ -678,9 +678,10 @@ let test_fault_plan_parsing () =
   | Ok _ -> Alcotest.fail "unknown fault kind must be rejected"
   | Error _ -> ()
 
-(* The store key and the summary digests are the names of files already
-   on disk: a drift in any key byte turns every existing store into
-   misses. The hex is pinned from the Format-based key renderer. *)
+(* The store key is the name of files already on disk: a drift in any
+   key byte turns every existing store into misses. The hex is pinned
+   from the Format-based key renderer. (The test's name predates the
+   removal of the per-function summary digests it also pinned.) *)
 let test_golden_keys () =
   let p = compile golden_keys_src in
   let c = cfg `Delta in
@@ -690,27 +691,7 @@ let test_golden_keys () =
   ignore (Store.Codec.stmt_keys ~keyer p);
   Alcotest.(check string) "codec key, warm keyer"
     "e6058e030503fae78aecdc1fd44245c3"
-    (Store.Codec.key ~keyer c ~name:"t" ~diags_fp:"" p);
-  let iface = Incr.Progdiff.iface_of_program p in
-  let body name =
-    Summary.Sumdigest.body_digest ~iface
-      (Option.get (Norm.Nast.func_by_name p name))
-  in
-  Alcotest.(check string) "body id" "928e20fe00c403f2c00f53e4f8784e4f"
-    (body "id");
-  Alcotest.(check string) "body main" "1caaab682ff45587ed6d226973eb600e"
-    (body "main");
-  let sc = { c with Store.Codec.engine = `Summary } in
-  let keys =
-    Summary.Sumdigest.keys ~config_line:(Store.Codec.config_line sc) p
-      (Summary.Callgraph.build p)
-  in
-  Alcotest.(check (option string)) "summary key id"
-    (Some "bbeb2e00d42437cbaaaa505f0f291709")
-    (Summary.Sumdigest.key_of keys "id");
-  Alcotest.(check (option string)) "summary key main"
-    (Some "6e67ede60b4d451be7cef76e08c8f91a")
-    (Summary.Sumdigest.key_of keys "main")
+    (Store.Codec.key ~keyer c ~name:"t" ~diags_fp:"" p)
 
 let suite =
   [
