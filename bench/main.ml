@@ -685,13 +685,14 @@ let edit_replay_json () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint store: edit-replay session served through the cache        *)
+(* Report store: edit-replay session served through the cache          *)
 (* ------------------------------------------------------------------ *)
 
-(* The same edit-replay chain of programs, answered through a fixpoint
-   store: a cold pass populates it, a replay pass must be 100% exact
-   hits with zero solver visits, and every answer — whatever its origin
-   — must render the byte-identical stats-free report a scratch solve
+(* The same edit-replay chain of programs, answered through a report
+   store in JSON mode, as a --store serve job's compiled path: a cold
+   pass populates it, a replay pass must be 100% exact hits, which build
+   no solver (zero visits), and every answer — whatever its origin —
+   must render the byte-identical stats-free report a scratch solve
    produces. CI runs this twice against one store directory and gates
    the replay pass. *)
 
@@ -699,7 +700,7 @@ type store_row = {
   sr_strategy : string;
   sr_pass : string;  (** populate | replay *)
   sr_step : int;
-  sr_origin : string;  (** hit | ancestor | cold *)
+  sr_origin : string;  (** hit | cold *)
   sr_visits : int;  (** statement visits this request performed *)
   sr_scratch : int;  (** visits a scratch solve of the same input needs *)
   sr_equal : bool;  (** report JSON byte-identical to the scratch render *)
@@ -756,7 +757,7 @@ let store_rows () : store_row list =
           (fun i (prog, (scratch_visits, scratch_json)) ->
             let t0 = Sys.time () in
             let s =
-              Store.serve st ~want:`Solver ~diags:[] ~name:"edit-replay"
+              Store.serve st ~want:`Json ~diags:[] ~name:"edit-replay"
                 ~strategy_id:S.id ~engine:`Delta ~layout:Cfront.Layout.ilp32
                 ~layout_id:"ilp32" ~budget:Core.Budget.default prog
             in
@@ -773,8 +774,7 @@ let store_rows () : store_row list =
               sr_origin =
                 (match s.Store.sv_origin with
                 | `Hit -> "hit"
-                | `Ancestor _ -> "ancestor"
-                | `Cold -> "cold");
+                | `Ancestor _ | `Cold -> "cold");
               sr_visits = visits;
               sr_scratch = scratch_visits;
               sr_equal = s.Store.sv_json = scratch_json;
@@ -788,8 +788,8 @@ let store_rows () : store_row list =
 
 let store_bench () =
   header
-    "Fixpoint store: the edit-replay program chain served through a\n\
-     content-addressed snapshot store (populate pass, then replay pass)";
+    "Report store: the edit-replay program chain served through a\n\
+     content-addressed report store (populate pass, then replay pass)";
   Printf.printf "%-18s %-9s %4s %-9s %8s %9s %6s %9s\n" "strategy" "pass"
     "step" "origin" "visits" "scratch" "equal" "time(s)";
   line ();

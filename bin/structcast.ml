@@ -241,15 +241,16 @@ let print_dot_callgraph (r : Core.Analysis.result) =
     (Clients.Queries.call_graph q);
   Fmt.pr "}@."
 
-(* analyze, routed through the fixpoint store (--store DIR). JSON mode
+(* analyze, routed through the report store (--store DIR). JSON mode
    is the same request a --store serve job makes (Server.Answer): an
    exact repeat of (source bytes, includes, configuration) is answered
    from its report record before any front-end work, a repeat of the
-   normalized program from its snapshot, a near-repeat warm-starts from
-   the nearest cached ancestor. The output is the stats-free rendering
-   (a pure function of the input, byte-identical whatever the cache
-   did) with the store counter block spliced in. Text mode needs a live
-   solver, so it restores the snapshot instead. *)
+   normalized program from its snapshot; anything else solves cold. The
+   output is the stats-free rendering (a pure function of the input,
+   byte-identical whatever the cache did) with the store counter block
+   spliced in. Text mode needs a live solver, which no stored report
+   holds, so it solves every time and prints what plain analyze
+   prints. *)
 let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
     what var budget engine format =
   ignore (strategy_of_name strategy);
@@ -306,13 +307,6 @@ let analyze_store_cmd ~dir ~store_max_mb ~store_faults spec strategy layout_id
       | "dot-callgraph" -> print_dot_callgraph r
       | w -> failwith (Printf.sprintf "unknown --print %s" w));
       report_diags diags;
-      (match served.Store.sv_origin with
-      | `Hit -> Fmt.epr "store: exact hit (no solving)@."
-      | `Ancestor n ->
-          Fmt.epr "store: warm-started from a cached ancestor (+%d \
-                   statements)@."
-            n
-      | `Cold -> ());
       Fmt.epr "%a@." Core.Metrics.pp_store (Store.counters st);
       let degraded = r.Core.Analysis.degraded in
       report_degradation degraded;
@@ -1158,14 +1152,14 @@ let store_arg =
     value & opt (some string) None
     & info [ "store" ] ~docv:"DIR"
         ~doc:
-          "Content-addressed fixpoint store: serve exact repeats from \
-           cache (no solving), warm-start near-repeats from the nearest \
-           cached ancestor, and cache clean results. With --format json \
-           an exact repeat of the source bytes and configuration is \
-           answered from a report record before any front-end work, \
-           once every #include it lists is re-checked against its \
-           recorded MD5; otherwise the compiled program is looked up \
-           among the snapshots. A corrupt store can cost time but never \
+          "Content-addressed report store: cache the stats-free report \
+           of every clean result. With --format json an exact repeat of \
+           the source bytes and configuration is answered from a report \
+           record before any front-end work, once every #include it \
+           lists is re-checked against its recorded MD5; otherwise the \
+           compiled program is looked up among the snapshots, and a \
+           miss solves cold. --format text needs a live solver, so it \
+           always solves. A corrupt store can cost time but never \
            change a report: records and snapshots are checksum-verified \
            and quarantined on any mismatch, degrading to a scratch \
            solve. With --format json the report is the stats-free \

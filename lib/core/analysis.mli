@@ -17,7 +17,7 @@ val strategy_of_id : string -> (module Strategy.S) option
 type result = {
   solver : Solver.t;
   metrics : Metrics.summary;
-  time_s : float;  (** CPU seconds spent solving *)
+  time_s : float;  (** wall-clock seconds spent solving *)
   degraded : Budget.event list;
       (** budget degradations, oldest first; empty for a full-precision
           run *)

@@ -371,27 +371,6 @@ let fold_sources g f init =
       List.fold_left (fun acc c -> f c set acc) acc (members_of g rid))
     g.edges init
 
-(** Raw class structure for serialization: every fact-bearing class and
-    every multi-member class (fact-free unified classes included —
-    they're invisible to [fold_sources] but their sharing matters to a
-    restored solver's cursors). Targets come in insertion-log order, so
-    replaying [add_edge rep target] in list order reproduces the log a
-    cursor indexes. Unsorted; callers wanting deterministic bytes sort
-    by semantic cell identity. *)
-let dump_classes g : (Cell.t * Cell.t list * int list) list =
-  let acc = ref [] in
-  Itbl.iter
-    (fun rid s ->
-      let log = List.rev (Idset.fold (fun i l -> i :: l) s []) in
-      acc := (Cell.of_id rid, members_of g rid, log) :: !acc)
-    g.edges;
-  Itbl.iter
-    (fun rid _ ->
-      if not (Itbl.mem g.edges rid) then
-        acc := (Cell.of_id rid, members_of g rid, []) :: !acc)
-    g.classes;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Audits and equality                                                 *)
 (* ------------------------------------------------------------------ *)

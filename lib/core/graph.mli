@@ -114,15 +114,6 @@ val iter_edges : t -> (Cell.t -> Cell.t -> unit) -> unit
 
 val fold_sources : t -> (Cell.t -> Cell.Set.t -> 'a -> 'a) -> 'a -> 'a
 
-val dump_classes : t -> (Cell.t * Cell.t list * int list) list
-(** Raw class structure for serialization: [(representative, members
-    including the representative, target cell ids in insertion-log
-    order)] for every fact-bearing class and every multi-member class —
-    fact-free unified classes included, which no other observation
-    surfaces. Replaying [add_edge rep target] in list order and then
-    unifying the members reproduces both the shared set's log (so
-    cursors into it stay valid) and the class structure. Unsorted. *)
-
 val check_counts : t -> string option
 (** Audit the bookkeeping invariants: sets are keyed by class
     representatives; every class's member chain visits exactly its

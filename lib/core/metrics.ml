@@ -248,7 +248,7 @@ let fleet_json (f : fleet) : string =
     (percentile f.latencies_ms 99.)
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint-store counters, owned by lib/store                         *)
+(* Report-store counters, owned by lib/store                           *)
 (* ------------------------------------------------------------------ *)
 
 type store = {
@@ -280,14 +280,12 @@ let store_json (s : store) : string =
 
 let pp_store ppf (s : store) =
   Fmt.pf ppf
-    "store: %d hit%s, %d miss%s, %d ancestor warm start%s, %d quarantined, \
-     %d evicted, %d written, %d write failure%s"
+    "store: %d hit%s, %d miss%s, %d quarantined, %d evicted, %d written, \
+     %d write failure%s"
     s.hits
     (if s.hits = 1 then "" else "s")
     s.misses
     (if s.misses = 1 then "" else "es")
-    s.ancestor_warm_starts
-    (if s.ancestor_warm_starts = 1 then "" else "s")
     s.corrupt_quarantined s.evictions s.snapshots_written s.write_failures
     (if s.write_failures = 1 then "" else "s")
 

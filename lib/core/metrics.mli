@@ -128,28 +128,27 @@ val fleet_json : fleet -> string
 val pp_fleet : Format.formatter -> fleet -> unit
 (** Human-readable one-liner for stderr summaries. *)
 
-(** {1 Fixpoint-store counters}
+(** {1 Report-store counters}
 
-    Owned by [lib/store]: what the content-addressed snapshot store did
-    for one run — served exact repeats, warm-started near-repeats from
-    a cached ancestor, quarantined corruption, evicted under its size
-    budget. Spliced into report JSON as a ["store"] object and printed
-    on the CLI, so a fault in the store is always visible even though
-    it can never change the report proper. *)
+    Owned by [lib/store]: what the content-addressed report store did
+    for one run — served exact repeats, quarantined corruption, evicted
+    under its size budget. Spliced into report JSON as a ["store"]
+    object and printed on the CLI, so a fault in the store is always
+    visible even though it can never change the report proper. *)
 
 type store = {
-  mutable hits : int;  (** exact-key snapshot loads served *)
-  mutable misses : int;  (** requests that found no usable exact match *)
+  mutable hits : int;  (** snapshot or record reports served *)
+  mutable misses : int;  (** requests that solved *)
   mutable ancestor_warm_starts : int;
-      (** misses warm-started from the nearest cached ancestor *)
+      (** always 0; kept only because perfbench/tool/pbtool.ml reads it *)
   mutable corrupt_quarantined : int;
-      (** snapshots that failed checksum/version/decode and were moved
-          to quarantine (never deleted) *)
-  mutable evictions : int;  (** snapshots deleted by the LRU size budget *)
+      (** files that failed checksum/version/key and were moved to
+          quarantine (never deleted) *)
+  mutable evictions : int;  (** files deleted by the LRU size budget *)
   mutable snapshots_written : int;
   mutable write_failures : int;
       (** contained write faults (ENOSPC, crash-before-rename): the
-          snapshot was not stored, the answer was unaffected *)
+          file was not stored, the answer was unaffected *)
 }
 
 val store_create : unit -> store

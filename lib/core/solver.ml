@@ -1536,7 +1536,7 @@ let visit_stmt t (stmt : Nast.stmt) =
     class. The drain drops such an edge when it finds it behind its
     source's log; one left caught up by a merge of equal sets (the
     common case for a collapsed cycle) waits for this sweep, which runs
-    at quiescence so a fixpoint — and any snapshot of it — holds none.
+    at quiescence so a fixpoint holds none.
     Dropping is safe: a class only dissolves through {!retract_cells},
     which drops an affected class's whole [copy_out] list and replays
     the statements that installed its edges (their install-time pairs

@@ -43,7 +43,7 @@ type engine = [ `Delta | `Delta_nocycle | `Naive ]
 
 val engines : (string * engine) list
 (** Every engine under its CLI, wire and store-key name, default first:
-    the one table the command line, the job wire, the snapshot key and
+    the one table the command line, the job wire, the store key and
     the metrics read. *)
 
 val engine_name : engine -> string

@@ -3,10 +3,9 @@
     {!Lower.fresh_temp} names temporaries from a single program-wide
     counter ([$t1], [$t2], …), so inserting one statement mid-function
     renumbers every later temporary in the program. Identity-free keys
-    built from variable names ([Incr.Progdiff.var_key], the store
-    codec's statement keys) then see every downstream statement as
-    changed, which defeats the store's additive ancestor match for what
-    was a one-line edit.
+    built from variable names ([Incr.Progdiff.var_key] and statement
+    keys) then see every downstream statement as changed, which turns a
+    one-line edit into a program-wide diff for [Incr.Progdiff.align].
 
     This pass renames each temporary from its first occurrence: the
     containing statement's {e erased shape} (temporaries print as a

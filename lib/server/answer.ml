@@ -14,7 +14,7 @@ let run st ~layout ~layout_id ~strategy_id ~engine ~budget (src : Source.t) :
     t =
   let name = src.Source.name in
   let key =
-    Store.record_key
+    Store.Codec.record_key
       { Store.Codec.strategy_id; engine; layout_id; arith = `Spread; budget }
       ~name ~source:src.Source.text
   in

@@ -2,7 +2,7 @@
     json] and a [--store] serve or batch job share.
 
     {b Direct mode.} Before any front-end work the request is keyed on
-    what it already has ({!Store.record_key}: configuration, report
+    what it already has ({!Store.Codec.record_key}: configuration, report
     name, MD5 of the raw source) and the store's report record for that
     key is probed. When every [#include] the record lists still has its
     recorded digest, the stored stats-free report is the answer: no

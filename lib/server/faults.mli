@@ -69,7 +69,7 @@ val to_string : plan -> string
 
 (** {1 Store-I/O faults}
 
-    A second plan family for the fixpoint store ({!Store}): each
+    A second plan family for the report store ({!Store}): each
     trigger names a fault kind and the 1-based {e write ordinal} it
     fires on, counted across every physical write the store performs
     (snapshot temp files, index appends, compaction). Parsed from

@@ -1,4 +1,4 @@
-(** Crash-safe content-addressed fixpoint store. See the interface for
+(** Crash-safe content-addressed report store. See the interface for
     the directory layout, durability story, and the degrade-to-recompute
     guarantee. *)
 
@@ -38,8 +38,8 @@ let record_path st key = Filename.concat st.records_dir (key ^ ".rec")
 let quarantine_path st key = Filename.concat st.quarantine_dir (key ^ ".snap")
 
 (* Index rows of report records carry this marker where a snapshot row
-   carries its configuration digest (32 hex digits), so the ancestor
-   scan never mistakes a record for a snapshot. *)
+   carries its configuration digest (32 hex digits), so eviction
+   knows which directory a row's file lives in. *)
 let record_cfg = "record"
 
 let row_path st r =
@@ -265,9 +265,6 @@ let quarantine_file st key ~path ~what ~why =
     st.counters.Metrics.corrupt_quarantined + 1;
   st.log (Printf.sprintf "quarantined %s %s: %s" what key why)
 
-let quarantine st key ~why =
-  quarantine_file st key ~path:(snap_path st key) ~what:"snapshot" ~why
-
 let rec evict st =
   let total = List.fold_left (fun a r -> a + r.r_size) 0 st.rows in
   if total > st.max_bytes && List.length st.rows > 1 then begin
@@ -303,65 +300,37 @@ let put_file st ~key ~cfg ~dest (bytes : string) : bool =
       st.log (Printf.sprintf "write failed for %s" (Filename.basename dest));
       false
 
-let put st ~key ~cfg_digest (bytes : string) : unit =
-  if put_file st ~key ~cfg:cfg_digest ~dest:(snap_path st key) bytes then
-    st.counters.Metrics.snapshots_written <-
-      st.counters.Metrics.snapshots_written + 1
-
 let touch st key = append_index_soft ~sync:false st ("v1\ttouch\t" ^ key)
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Exact lookup probes the snapshot file directly — content addressing
-   makes the filesystem the authoritative index; index rows only feed
-   recency, sizes, and the ancestor scan. *)
-let lookup_exact st key : Codec.decoded option =
-  let path = snap_path st key in
+(* Read and verify the file at [path]: [None] when it is absent or
+   unreadable, and, after quarantining it, when it fails its checksum,
+   version or key check. Content addressing makes the filesystem the
+   authoritative index; index rows only feed recency and sizes. *)
+let read_verified st ~key ~path ~what : Codec.report_file option =
   if not (Sys.file_exists path) then None
   else
     match read_file path with
     | exception Sys_error why ->
-        st.log (Printf.sprintf "unreadable snapshot %s: %s" key why);
+        st.log (Printf.sprintf "unreadable %s %s: %s" what key why);
         None
     | bytes -> (
+        let quarantine why =
+          quarantine_file st key ~path ~what ~why;
+          None
+        in
         match Codec.decode bytes with
-        | Ok d when Codec.decoded_key d = key -> Some d
-        | Ok _ ->
-            quarantine st key ~why:"key does not match its content";
-            None
-        | Error why ->
-            quarantine st key ~why;
-            None)
+        | Error why -> quarantine why
+        | Ok f when f.Codec.key <> key ->
+            quarantine "key does not match its content"
+        | Ok f -> Some f)
 
-let ancestor_scan_cap = 8
-
-let find_ancestor st ~cfg_digest ~exact_key ~request_keys :
-    (Codec.decoded * int) option =
-  let req_n = List.length request_keys in
-  let limit = max 1 (req_n / 2) in
-  let candidates =
-    List.filteri
-      (fun i _ -> i < ancestor_scan_cap)
-      (List.filter
-         (fun r -> r.r_cfg = cfg_digest && r.r_key <> exact_key)
-         st.rows)
-  in
-  List.fold_left
-    (fun best r ->
-      match lookup_exact st r.r_key with
-      | None -> best
-      | Some d -> (
-          match Codec.ancestor_distance d ~request_keys with
-          | Some dist
-            when dist <= limit
-                 && (match best with
-                    | None -> true
-                    | Some (_, b) -> dist < b) ->
-              Some (d, dist)
-          | _ -> best))
-    None candidates
+let hit st key =
+  st.counters.Metrics.hits <- st.counters.Metrics.hits + 1;
+  touch st key
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -376,229 +345,80 @@ type served = {
 }
 
 let serve st ~(want : [ `Json | `Solver ]) ~(diags : Diag.payload list)
-    ~name ~strategy_id ~engine ~layout ~layout_id ?(arith = `Spread)
-    ~budget (prog : Nast.program) : served =
+    ~name ~strategy_id ~engine ~layout ~layout_id ~budget
+    (prog : Nast.program) : served =
   let strategy =
     match Analysis.strategy_of_id strategy_id with
     | Some s -> s
     | None -> invalid_arg ("store: unknown strategy " ^ strategy_id)
   in
   let cfg =
-    { Codec.strategy_id; engine; layout_id; arith; budget }
+    { Codec.strategy_id; engine; layout_id; arith = `Spread; budget }
   in
-  let cfg_digest = Codec.config_digest cfg in
   let diags_fp = String.concat "" (List.map Report.json_of_diag diags) in
-  (* one keyer for the whole request: key, ancestor search, restore and
-     encode all render the same variables *)
   let keyer = Incr.Progdiff.Keyer.create () in
   let key = Codec.key ~keyer cfg ~name ~diags_fp prog in
-  let c = st.counters in
-  let mk_result solver time_s =
-    {
-      Analysis.solver;
-      metrics = Metrics.summarize solver;
-      time_s;
-      degraded = Solver.degradations solver;
-      diags;
-    }
+  let path = snap_path st key in
+  let shadowed = Codec.shadowed_key ~keyer prog in
+  (* a live solver cannot come from a report: [`Solver] always solves *)
+  let cached =
+    match (want, shadowed) with
+    | `Json, None -> read_verified st ~key ~path ~what:"snapshot"
+    | _ -> None
   in
-  let render r = Report.json_of_result ~timing:false ~solver_stats:false ~name r in
-  let save solver json =
-    if Solver.degradations solver = [] then
-      match
-        Codec.encode ~keyer solver ~config:cfg ~name ~key ~report_json:json
-      with
-      | Ok bytes -> put st ~key ~cfg_digest bytes
-      | Error why -> st.log ("snapshot refused: " ^ why)
-  in
-  (* restore + resume; [added] empty on an exact repeat, so the resume
-     returns without one solver visit *)
-  let warm d =
-    match Codec.restore ~keyer d ~config:cfg ~layout ~strategy prog with
-    | Error why ->
-        quarantine st (Codec.decoded_key d) ~why:("restore: " ^ why);
-        None
-    | Ok (solver, added) ->
-        let t0 = Sys.time () in
-        List.iter (Solver.enqueue solver) added;
-        Solver.resume solver;
-        solver.Solver.incr_stmts_added <- List.length added;
-        solver.Solver.incr_warm_visits <- solver.Solver.rounds;
-        Some (solver, added, Sys.time () -. t0)
-  in
-  let cold () =
-    let t0 = Sys.time () in
-    let solver =
-      Solver.run ~layout ~arith ~budget ~engine ~track:true ~strategy prog
-    in
-    let r = mk_result solver (Sys.time () -. t0) in
-    let json = render r in
-    save solver json;
-    { sv_json = json; sv_result = Some r; sv_origin = `Cold }
-  in
-  let miss () =
-    c.Metrics.misses <- c.Metrics.misses + 1;
-    match
-      find_ancestor st ~cfg_digest ~exact_key:key
-        ~request_keys:(Codec.stmt_keys ~keyer prog)
-    with
-    | None -> cold ()
-    | Some (d, dist) -> (
-        match warm d with
-        | None -> cold ()
-        | Some (solver, _, dt) ->
-            c.Metrics.ancestor_warm_starts <-
-              c.Metrics.ancestor_warm_starts + 1;
-            touch st (Codec.decoded_key d);
-            let r = mk_result solver dt in
-            let json = render r in
-            save solver json;
-            { sv_json = json; sv_result = Some r; sv_origin = `Ancestor dist })
-  in
-  match lookup_exact st key with
-  | None -> miss ()
-  | Some d -> (
-      match want with
-      | `Json ->
-          c.Metrics.hits <- c.Metrics.hits + 1;
-          touch st key;
-          {
-            sv_json = Codec.decoded_report d;
-            sv_result = None;
-            sv_origin = `Hit;
-          }
-      | `Solver -> (
-          match warm d with
-          | None -> miss () (* quarantined by [warm] *)
-          | Some (solver, _, dt) ->
-              c.Metrics.hits <- c.Metrics.hits + 1;
-              touch st key;
-              let r = mk_result solver dt in
-              {
-                sv_json = Codec.decoded_report d;
-                sv_result = Some r;
-                sv_origin = `Hit;
-              }))
+  match cached with
+  | Some f ->
+      hit st key;
+      { sv_json = f.Codec.report; sv_result = None; sv_origin = `Hit }
+  | None ->
+      st.counters.Metrics.misses <- st.counters.Metrics.misses + 1;
+      let r =
+        { (Analysis.run ~layout ~budget ~engine ~strategy prog) with diags }
+      in
+      let json =
+        Report.json_of_result ~timing:false ~solver_stats:false ~name r
+      in
+      (match shadowed with
+      | Some k -> st.log ("snapshot refused: shadowed variable key " ^ k)
+      | None when r.Analysis.degraded = [] ->
+          let diag_errors =
+            List.exists (fun d -> d.Diag.severity = Diag.Error_sev) diags
+          in
+          let bytes =
+            Codec.encode { key; includes = []; diag_errors; report = json }
+          in
+          if put_file st ~key ~cfg:(Codec.config_digest cfg) ~dest:path bytes
+          then
+            st.counters.Metrics.snapshots_written <-
+              st.counters.Metrics.snapshots_written + 1
+      | None -> ());
+      { sv_json = json; sv_result = Some r; sv_origin = `Cold }
 
 (* ------------------------------------------------------------------ *)
 (* Report records (direct mode)                                        *)
 (* ------------------------------------------------------------------ *)
 
-let record_version = "structcast-report v1"
-
-(* Everything a request has before its frontend runs. The included
-   files are not in the key — the record lists them, and a hit
-   re-checks each one — so an edited header is a plain miss whose
-   answer then overwrites the record. *)
-let record_key (cfg : Codec.config) ~name ~source =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            record_version;
-            Codec.config_line cfg;
-            Codec.enc_str name;
-            Digest.to_hex (Digest.string source);
-          ]))
-
-type record = {
-  rc_key : string;
-  rc_includes : (string * string option) list;
-  rc_diag_errors : bool;
-  rc_report : string;
-}
-
-let encode_record r =
-  let b = Buffer.create (String.length r.rc_report + 256) in
-  let line s =
-    Buffer.add_string b s;
-    Buffer.add_char b '\n'
-  in
-  line record_version;
-  line ("key " ^ r.rc_key);
-  List.iter
-    (fun (rel, d) ->
-      line
-        (Printf.sprintf "inc %s %s" (Codec.enc_str rel)
-           (Option.value d ~default:"absent")))
-    r.rc_includes;
-  line (if r.rc_diag_errors then "diag_errors 1" else "diag_errors 0");
-  line "report";
-  line r.rc_report;
-  Codec.seal (Buffer.contents b)
-
-let decode_record bytes : (record, string) result =
-  let include_of line =
-    match String.split_on_char ' ' line with
-    | [ "inc"; rel; d ] ->
-        Option.map
-          (fun rel -> (rel, if d = "absent" then None else Some d))
-          (Codec.dec_str_opt rel)
-    | _ -> None
-  in
-  Result.bind (Codec.unseal bytes) (fun payload ->
-      (* the report is one line, like a snapshot's *)
-      match List.rev (String.split_on_char '\n' payload) with
-      | "" :: report :: "report" :: diag :: rest -> (
-          match List.rev rest with
-          | version :: key_line :: inc_lines -> (
-              let includes = List.filter_map include_of inc_lines in
-              match (String.split_on_char ' ' key_line, diag) with
-              | _ when version <> record_version ->
-                  Error "unsupported format version"
-              | [ "key"; key ], ("diag_errors 0" | "diag_errors 1")
-                when List.length includes = List.length inc_lines ->
-                  Ok
-                    {
-                      rc_key = key;
-                      rc_includes = includes;
-                      rc_diag_errors = diag = "diag_errors 1";
-                      rc_report = report;
-                    }
-              | _ -> Error "malformed record header")
-          | _ -> Error "truncated record header")
-      | _ -> Error "malformed record")
-
 let put_record st ~key ~includes ~diag_errors report =
   ignore
     (put_file st ~key ~cfg:record_cfg ~dest:(record_path st key)
-       (encode_record
-          {
-            rc_key = key;
-            rc_includes = includes;
-            rc_diag_errors = diag_errors;
-            rc_report = report;
-          }))
+       (Codec.encode { key; includes; diag_errors; report }))
 
 let find_record st ~key ~include_digest : (string * bool) option =
-  let path = record_path st key in
-  let quarantine why =
-    quarantine_file st key ~path ~what:"report record" ~why;
-    None
-  in
-  if not (Sys.file_exists path) then None
-  else
-    match read_file path with
-    | exception Sys_error why ->
-        st.log (Printf.sprintf "unreadable record %s: %s" key why);
-        None
-    | bytes -> (
-        match decode_record bytes with
-        | Error why -> quarantine why
-        | Ok r when r.rc_key <> key ->
-            quarantine "key does not match its content"
-        | Ok r ->
-            let unchanged (rel, d) =
-              match include_digest rel with
-              | now -> now = d
-              | exception Sys_error _ -> false
-            in
-            if List.for_all unchanged r.rc_includes then begin
-              st.counters.Metrics.hits <- st.counters.Metrics.hits + 1;
-              touch st key;
-              Some (r.rc_report, r.rc_diag_errors)
-            end
-            else None)
+  match
+    read_verified st ~key ~path:(record_path st key) ~what:"report record"
+  with
+  | None -> None
+  | Some f ->
+      let unchanged (rel, d) =
+        match include_digest rel with
+        | now -> now = d
+        | exception Sys_error _ -> false
+      in
+      if List.for_all unchanged f.Codec.includes then begin
+        hit st key;
+        Some (f.Codec.report, f.Codec.diag_errors)
+      end
+      else None
 
 (* Splice the counter block into a report object so a fault is visible
    in the run that saw it, without ever entering the report proper. *)

@@ -1,35 +1,38 @@
-(** Crash-safe content-addressed fixpoint store.
+(** Crash-safe content-addressed report store.
 
-    A store directory caches solved fixpoints keyed by a digest of
-    (normalized program × strategy × engine × layout × arithmetic mode
-    × budget × diagnostics): an exact repeat of an analysis is served
-    in O(1) with zero solver visits, and a near-repeat warm-starts from
-    the nearest cached additive ancestor. Beside each clean answer sits
-    a {e report record} keyed on what a request has before its frontend
-    runs — configuration, report name and the MD5 of the raw source
-    bytes ({!record_key}) — so an exact repeat of the source skips the
-    frontend, {!Codec.key} and the snapshot decode altogether
-    ("direct mode"). The cache is an accelerator only — the governing
-    invariant is that {b a corrupt or adversarial store can cost time
-    but never change a report}: every snapshot and record is verified
-    (checksum, format version, key; for snapshots also range checks and
-    a graph audit) before anything is trusted, and any failure degrades
-    to a scratch solve of the request program.
+    A store directory caches the stats-free reports of clean analyses.
+    The analysis is one whole-program fixpoint per (program,
+    configuration), and its stats-free report is a pure function of
+    both, so a report is all a store keeps — never solver state. A
+    report is filed under up to two keys. Under the {e program key}
+    ({!Codec.key}: a digest of normalized program × strategy × engine ×
+    layout × arithmetic mode × budget × diagnostics) an exact repeat of
+    the normalized program is answered with no solving; a program
+    {!Codec.shadowed_key} flags is never filed under it. Under the
+    {e record key} ({!Codec.record_key}: configuration, report name and
+    the MD5 of the raw source bytes — what a request has before its
+    frontend runs) an exact repeat of the source skips the frontend and
+    {!Codec.key} too ("direct mode"). Anything else solves cold. The cache is an
+    accelerator only — the governing invariant is that {b a corrupt or
+    adversarial store can cost time but never change a report}: every
+    file is verified (checksum, format version, key) before anything is
+    trusted, and any failure degrades to a scratch solve of the request
+    program.
 
     {b Layout.} [DIR/index.log] — append-only recency/size log whose
     torn tail (a write that died mid-line) is dropped on load;
-    [DIR/snaps/<key>.snap] — one snapshot per normalized-program key;
-    [DIR/records/<key>.rec] — one report record per source key: the
-    key, each [#include] the preprocessor resolved as its path plus the
-    MD5 of its text (or "absent"), the front-end error bit and the
-    rendered stats-free report, under the same [sum <md5>] trailer as a
-    snapshot. A record hit re-resolves every listed include and
-    compares digests; any difference is a plain miss, and the compiled
-    path's answer overwrites the record. [DIR/quarantine/] — snapshots
-    and records that failed verification, moved (never deleted) for
-    post-mortem.
+    [DIR/snaps/<key>.snap] — the {e snapshot}: one report file per
+    program key;
+    [DIR/records/<key>.rec] — one report file per record key, which
+    also lists each [#include] the preprocessor resolved as its path
+    plus the MD5 of its text (or "absent") and the front-end error bit.
+    Both are {!Codec.report_file}s under the same [sum <md5>] trailer. A
+    record hit re-resolves every listed include and compares digests;
+    any difference is a plain miss, and the compiled path's answer
+    overwrites the record. [DIR/quarantine/] — files that failed
+    verification, moved (never deleted) for post-mortem.
 
-    {b Durability.} Snapshots and records are written temp + fsync +
+    {b Durability.} Every file is written temp + fsync +
     rename so a crash never leaves a half-visible file. A temp is named
     [<dest>.<pid>.tmp] after its writer, so processes sharing the
     directory never touch each other's; a stray temp — a crash between
@@ -38,9 +41,9 @@
     [add] and [del] index lines are fsync'd; the [touch] line every hit
     appends is not: losing one costs eviction order, never an answer.
 
-    {b Eviction.} Least-recently-used by total snapshot and record
-    bytes against [max_bytes]; recency is index-log line order. The
-    log compacts at open once dead lines accumulate.
+    {b Eviction.} Least-recently-used by total file bytes against
+    [max_bytes]; recency is index-log line order. The log compacts at
+    open once dead lines accumulate.
 
     {b Faults.} Every physical write draws an ordinal from the
     injection hook, letting tests deterministically tear a write, flip
@@ -80,10 +83,10 @@ val open_store :
 
 (** How a request was satisfied. *)
 type origin =
-  [ `Hit  (** exact key: the stored snapshot served the request *)
+  [ `Hit  (** exact program key: the stored report answered *)
   | `Ancestor of int
-    (** warm-started from a cached additive ancestor [n] statements
-        away *)
+    (** never produced; kept only because perfbench/tool/pbtool.ml
+        matches on it *)
   | `Cold  (** solved from scratch (and cached if clean) *) ]
 
 type served = {
@@ -93,8 +96,8 @@ type served = {
           a scratch solve of the same request renders, whatever
           [sv_origin] says *)
   sv_result : Analysis.result option;
-      (** the live solved state; [None] only for an exact hit served in
-          [`Json] mode, which never builds a solver *)
+      (** the live solved state; [None] exactly for a hit, which never
+          builds a solver *)
   sv_origin : origin;
 }
 
@@ -107,23 +110,19 @@ val serve :
   engine:Solver.engine ->
   layout:Layout.config ->
   layout_id:string ->
-  ?arith:Codec.arith ->
   budget:Budget.limits ->
   Nast.program ->
   served
-(** Satisfy one analysis request through the store. Exact hit in
-    [`Json] mode: the stored report, no solving. Exact hit in
-    [`Solver] mode: the snapshot restored and resumed — zero solver
-    visits. Miss: the nearest cached additive ancestor (same
-    configuration, statement-key multiset contained in the request's,
-    distance at most half the request) is restored, the added
-    statements enqueued, and the fixpoint resumed warm; with no usable
-    ancestor, a scratch solve. Clean (non-degraded) misses are cached.
-    [diags] are the front-end diagnostics destined for the report —
-    part of the key, because the stored report embeds them. *)
+(** Satisfy one analysis request through the store. In [`Json] mode an
+    exact program-key hit answers with the stored report and no
+    solving; a miss solves cold with {!Core.Analysis.run}. [`Solver]
+    mode needs a live solver, which no report holds, so it always
+    solves. Either way a clean (non-degraded) solve is stored under its
+    program key. [diags] are the front-end diagnostics destined for the
+    report — part of the key, because the stored report embeds them. *)
 
 val counters : t -> Metrics.store
-(** This handle's counters (hits, misses, ancestor warm starts,
+(** This handle's counters (hits, misses, snapshots written,
     quarantines, evictions, write failures), accumulated across
     {!serve} and {!find_record} calls. *)
 
@@ -136,11 +135,6 @@ val dir : t -> string
 (** The store directory this handle was opened on. *)
 
 (** {2 Report records (direct mode)} *)
-
-val record_key : Codec.config -> name:string -> source:string -> string
-(** The record key: digest of the record-format version, the
-    {!Codec.config_line}, the report name and the MD5 of the raw source
-    bytes — everything a request has before its frontend runs. *)
 
 val find_record :
   t ->

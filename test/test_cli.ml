@@ -218,6 +218,42 @@ let test_store_analyze_miss_then_hit () =
       Alcotest.(check string) "same stats-free bytes" (strip_store out1)
         (strip_store out2))
 
+(* --format text needs a live solver, so a --store run solves every
+   time and prints exactly what plain analyze prints (the metrics'
+   wall-clock time line aside), on a miss and on the repeat; the clean
+   report it stores then answers a JSON request. *)
+let test_store_analyze_text_is_analyze () =
+  let drop_time out =
+    String.split_on_char '\n' out
+    |> List.filter (fun l -> not (contains l "analysis time:"))
+    |> String.concat "\n"
+  in
+  let store = fresh_store () in
+  List.iter
+    (fun what ->
+      let run extra =
+        let code, out, _ =
+          run_split
+            (Filename.quote_command exe
+               ([ "analyze"; "wc"; "-s"; "cis"; "--print"; what ] @ extra))
+        in
+        Alcotest.(check int) (what ^ ": exit code") 0 code;
+        drop_time out
+      in
+      let plain = run [] in
+      let with_store = [ "--store"; store; "--format"; "text" ] in
+      Alcotest.(check string) (what ^ ": miss == analyze") plain
+        (run with_store);
+      Alcotest.(check string) (what ^ ": repeat == analyze") plain
+        (run with_store))
+    [ "points-to"; "metrics" ];
+  let _, out, _ =
+    run_split
+      (Filename.quote_command exe
+         [ "analyze"; "wc"; "-s"; "cis"; "--store"; store; "--format"; "json" ])
+  in
+  check_contains "json after text" out "\"hits\":1"
+
 (* A degraded answer is never stored: the repeat solves again, exits 2
    again and prints the same budget line on stderr. *)
 let test_store_analyze_degraded () =
@@ -501,6 +537,8 @@ let suite =
       Helpers.tc "serve smoke" test_serve_smoke;
       Helpers.tc "--store analyze: miss and hit agree"
         test_store_analyze_miss_then_hit;
+      Helpers.tc "--store analyze --format text prints what analyze prints"
+        test_store_analyze_text_is_analyze;
       Helpers.tc "--store analyze: degraded is reported, never stored"
         test_store_analyze_degraded;
       Helpers.tc "--store serve: miss and hit agree"

@@ -1,8 +1,8 @@
-(** The fixpoint store's governing invariant, exercised end to end: a
+(** The report store's governing invariant, exercised end to end: a
     corrupt, torn, or fault-injected store can cost time but never
-    change a report. Every scenario — exact hit, ancestor warm start,
-    bit flip, truncation, version skew, short write, ENOSPC, crash
-    between fsync and rename, torn index tail, eviction — must produce
+    change a report. Every scenario — exact hit, near-repeat, bit flip,
+    truncation, version skew, short write, ENOSPC, crash between fsync
+    and rename, torn index tail, eviction — must produce
     the byte-identical stats-free report JSON a scratch solve renders,
     with the failure visible only in the store counters. *)
 
@@ -26,9 +26,7 @@ let src_a =
     }
   |}
 
-(* [src_a] plus an appended function: purely additive — no statement
-   before the edit point changes its key, so the cached [src_a]
-   snapshot is an additive ancestor of this program. *)
+(* [src_a] plus an appended function: a purely additive near-repeat. *)
 let src_a_grown =
   {|
     struct node { struct node *next; int v; };
@@ -59,35 +57,22 @@ let fresh_dir () = temp_dir "structcast-store"
 let cfg engine =
   { Store.Codec.strategy_id = sid; engine; layout_id; arith = `Spread; budget }
 
-let key_of ?(engine = `Delta) src =
-  Store.Codec.key (cfg engine) ~name:"t" ~diags_fp:"" (compile ~layout src)
+let key_of src =
+  Store.Codec.key (cfg `Delta) ~name:"t" ~diags_fp:"" (compile ~layout src)
 
 (* One request through a fresh handle on [dir] — every call reopens the
    store, so recovery paths (index load, tmp sweep) run each time. *)
-let serve ?(want = `Solver) ?(engine = `Delta) ?inject ?max_bytes ~dir src =
+let serve ?(want = `Json) ?inject ?max_bytes ~dir src =
   let st = Store.open_store ?inject ?max_bytes dir in
   let served =
-    Store.serve st ~want ~diags:[] ~name:"t" ~strategy_id:sid ~engine ~layout
-      ~layout_id ~budget (compile ~layout src)
+    Store.serve st ~want ~diags:[] ~name:"t" ~strategy_id:sid
+      ~engine:`Delta ~layout ~layout_id ~budget (compile ~layout src)
   in
   (st, served)
 
-let scratch ?(engine = `Delta) src =
-  Core.Solver.run ~layout ~arith:`Spread ~budget ~engine ~track:true
-    ~strategy:(strategy sid) (compile ~layout src)
-
-(* Graph.equal compares interned cell ids, so the scratch oracle must
-   solve the warm solver's own program object, not a recompile. *)
-let check_graph_vs_scratch label ~engine (warm : Core.Solver.t) =
-  let cold =
-    Core.Solver.run ~layout ~arith:`Spread ~budget ~engine ~track:true
-      ~strategy:(strategy sid) warm.Core.Solver.prog
-  in
-  Alcotest.(check bool) label true
-    (Core.Graph.equal warm.Core.Solver.graph cold.Core.Solver.graph);
-  match Core.Graph.check_counts warm.Core.Solver.graph with
-  | Some msg -> Alcotest.failf "%s: graph fails audit: %s" label msg
-  | None -> ()
+let scratch src =
+  Core.Solver.run ~layout ~budget ~engine:`Delta ~strategy:(strategy sid)
+    (compile ~layout src)
 
 let render solver =
   Core.Report.json_of_result ~timing:false ~solver_stats:false ~name:"t"
@@ -99,7 +84,7 @@ let render solver =
       diags = [];
     }
 
-let scratch_json ?engine src = render (scratch ?engine src)
+let scratch_json src = render (scratch src)
 
 let check_origin label expected (s : Store.served) =
   let show = function
@@ -111,11 +96,6 @@ let check_origin label expected (s : Store.served) =
 
 let check_json label src (s : Store.served) =
   Alcotest.(check string) label (scratch_json src) s.Store.sv_json
-
-let solver_of (s : Store.served) =
-  match s.Store.sv_result with
-  | Some r -> r.Core.Analysis.solver
-  | None -> Alcotest.fail "expected a live solver in the served result"
 
 let at1 fault n = if n = 1 then Some fault else None
 
@@ -137,7 +117,7 @@ let write_source dir file src =
 
 let record_key_of path =
   let src = Server.Source.load path in
-  Store.record_key (cfg `Delta) ~name:src.Server.Source.name
+  Store.Codec.record_key (cfg `Delta) ~name:src.Server.Source.name
     ~source:src.Server.Source.text
 
 (* [~direct:(label, expected)] also checks whether the report record
@@ -181,24 +161,16 @@ let scratch_file path =
 (* Determinism of the codec                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Same source, compiled and solved twice in one process: identical
-    store key and byte-identical snapshot — interning order and hash
-    seeds never leak into the encoding. *)
+(** Same source, compiled and solved twice in one process into two
+    fresh stores: identical store key and byte-identical snapshot —
+    interning order and hash seeds never leak into the stored bytes. *)
 let test_digest_stability () =
   let once () =
-    let prog = compile ~layout src_a in
-    let c = cfg `Delta in
-    let key = Store.Codec.key c ~name:"t" ~diags_fp:"" prog in
-    let solver =
-      Core.Solver.run ~layout ~arith:`Spread ~budget ~engine:`Delta
-        ~track:true ~strategy:(strategy sid) prog
-    in
-    match
-      Store.Codec.encode solver ~config:c ~name:"t" ~key
-        ~report_json:(render solver)
-    with
-    | Ok bytes -> (key, bytes)
-    | Error why -> Alcotest.failf "encode refused: %s" why
+    let dir = fresh_dir () in
+    let st, _ = serve ~dir src_a in
+    let key = key_of src_a in
+    ( key,
+      In_channel.with_open_bin (Store.snap_path st key) In_channel.input_all )
   in
   let k1, b1 = once () in
   let k2, b2 = once () in
@@ -223,112 +195,49 @@ let test_exact_hit_json () =
   Alcotest.(check string) "stored report byte-identical" s1.Store.sv_json
     s2.Store.sv_json
 
-(** An exact repeat served in [`Solver] mode restores the snapshot and
-    resumes with an empty worklist: zero statement visits, and the
-    restored fixpoint is indistinguishable from the scratch solve. *)
-let test_exact_hit_solver_zero_visits () =
-  let dir = fresh_dir () in
-  let _, s1 = serve ~dir src_a in
-  check_origin "first request is cold" `Cold s1;
-  let _, s2 = serve ~dir src_a in
-  check_origin "repeat is a hit" `Hit s2;
-  let warm = solver_of s2 in
-  Alcotest.(check int) "zero solver visits" 0 warm.Core.Solver.rounds;
-  check_graph_vs_scratch "graphs equal" ~engine:`Delta warm;
-  Alcotest.(check string) "restored report == scratch"
-    (scratch_json src_a) (render warm)
-
-(* ------------------------------------------------------------------ *)
-(* Ancestor warm start                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** A near-repeat (the cached program plus an appended function) warm
-    starts from the cached ancestor and still lands on the scratch
-    fixpoint — for every engine, since each leaves differently-shaped
-    cursor state in its snapshots. *)
-let test_ancestor_warm_start () =
-  List.iter
-    (fun (ename, engine) ->
-      let dir = fresh_dir () in
-      let _, s1 = serve ~engine ~dir src_a in
-      check_origin (ename ^ ": base is cold") `Cold s1;
-      let st2, s2 = serve ~engine ~dir src_a_grown in
-      (match s2.Store.sv_origin with
-      | `Ancestor n when n > 0 -> ()
-      | _ -> Alcotest.failf "%s: expected an ancestor warm start" ename);
-      Alcotest.(check int)
-        (ename ^ ": warm start counted")
-        1
-        (Store.counters st2).Core.Metrics.ancestor_warm_starts;
-      let warm = solver_of s2 in
-      check_graph_vs_scratch (ename ^ ": graphs equal") ~engine warm;
-      Alcotest.(check string)
-        (ename ^ ": warm json == scratch")
-        (scratch_json ~engine src_a_grown)
-        s2.Store.sv_json;
-      (* the grown program's own snapshot was cached: repeat is a hit *)
-      let _, s3 = serve ~engine ~dir src_a_grown in
-      check_origin (ename ^ ": grown repeat hits") `Hit s3)
-    [ ("delta", `Delta); ("delta-nocycle", `Delta_nocycle); ("naive", `Naive) ]
-
-(** A mid-function insertion used to renumber the lowering's later
-    temporaries ([$t<n>] from one program-wide counter), turning a
-    one-statement edit into a program-wide key change the additive
-    ancestor match had to refuse. {!Norm.Tempnames} keys temporaries
-    positionally within their statement, so the insertion adds exactly
-    its own statement keys — the cached base {e is} an additive subset
-    and the store warm starts from it. *)
-let test_ancestor_insert_in_middle () =
-  let edited =
-    {|
-    struct node { struct node *next; int v; };
-    struct node g1, g2, g3;
-    struct node *head;
-    void main(void) {
-      head = &g1;
-      g3.next = &g1;
-      g1.next = &g2;
-      g2.next = &g3;
-    }
-  |}
-  in
+(** A near-repeat — the cached program plus an appended function — is
+    a plain cold miss: a store keeps reports, and no report can seed
+    another program's solve. *)
+let test_additive_near_repeat_cold () =
   let dir = fresh_dir () in
   let _, _ = serve ~dir src_a in
-  let st2, s2 = serve ~dir edited in
-  (match s2.Store.sv_origin with
-  | `Ancestor n when n > 0 && n <= 4 -> ()
-  | `Ancestor n ->
-      Alcotest.failf
-        "insertion should be a small additive delta, got ancestor+%d" n
-  | _ -> Alcotest.fail "mid-function insertion should warm start");
-  Alcotest.(check int) "warm start counted" 1
-    (Store.counters st2).Core.Metrics.ancestor_warm_starts;
-  check_json "warm json == scratch" edited s2
-
-(** A changed statement (not an insertion) removes a key the cached base
-    holds, so the base is {e not} an additive subset of the edit — the
-    store must refuse the warm start (soundness) and fall back to
-    scratch. *)
-let test_ancestor_requires_additive () =
-  let edited =
-    {|
-    struct node { struct node *next; int v; };
-    struct node g1, g2, g3;
-    struct node *head;
-    void main(void) {
-      head = &g2;
-      g1.next = &g2;
-      g2.next = &g3;
-    }
-  |}
-  in
-  let dir = fresh_dir () in
-  let _, _ = serve ~dir src_a in
-  let st2, s2 = serve ~dir edited in
-  check_origin "non-additive edit solves cold" `Cold s2;
+  let st2, s2 = serve ~dir src_a_grown in
+  check_origin "near-repeat solves cold" `Cold s2;
   Alcotest.(check int) "no warm start" 0
     (Store.counters st2).Core.Metrics.ancestor_warm_starts;
-  check_json "cold json == scratch" edited s2
+  check_json "cold json == scratch" src_a_grown s2;
+  let _, s3 = serve ~dir src_a_grown in
+  check_origin "its own repeat hits" `Hit s3
+
+(** A shadowed local with its outer namesake's name and type gives two
+    variables one variable key, so these two programs — which differ
+    only in which [l] the dereference reads — share a store key but not
+    a report (average dereference size 2 against 1). Neither is filed
+    under it, so the second is never answered with the first's report. *)
+let test_shadowed_key_never_filed () =
+  let prog inner =
+    Printf.sprintf
+      {|
+    int a, b, c;
+    int x;
+    void f(void) {
+      int *l = &a;
+      l = &c;
+      %s
+    }
+  |}
+      inner
+  in
+  let src_outer = prog "x = *l; { int *l = &b; }" in
+  let src_inner = prog "{ int *l = &b; x = *l; }" in
+  Alcotest.(check string) "one store key" (key_of src_outer) (key_of src_inner);
+  let dir = fresh_dir () in
+  let st1, _ = serve ~dir src_outer in
+  Alcotest.(check int) "nothing filed" 0
+    (Store.counters st1).Core.Metrics.snapshots_written;
+  let _, s2 = serve ~dir src_inner in
+  check_origin "the other program solves" `Cold s2;
+  check_json "its own report" src_inner s2
 
 (* ------------------------------------------------------------------ *)
 (* Corruption detection and quarantine                                 *)
@@ -375,17 +284,43 @@ let test_version_skew_quarantined () =
   rewrite
     (Store.snap_path st1 (key_of src_a))
     (fun bytes ->
-      (* bytes = "structcast-snap v1\n" <body> "sum <32 hex>\n" *)
+      (* bytes = "structcast-report v1\n" <body> "sum <32 hex>\n" *)
       let nl = String.index bytes '\n' in
       let trailer = 4 + 32 + 1 in
       let body = String.sub bytes nl (String.length bytes - trailer - nl) in
-      let payload = "structcast-snap v999" ^ body in
+      let payload = "structcast-report v999" ^ body in
       payload ^ "sum " ^ Digest.to_hex (Digest.string payload) ^ "\n");
   let st2, s2 = serve ~dir src_a in
   check_origin "future version never serves" `Cold s2;
   Alcotest.(check int) "quarantine counted" 1
     (Store.counters st2).Core.Metrics.corrupt_quarantined;
   check_json "answer unaffected" src_a s2
+
+(** A solver-state snapshot ([structcast-snap v1]) that an older
+    binary left under the requested key verifies its checksum but not
+    its version: quarantined once, the answer unchanged, and the report
+    written in its place answers the repeat. *)
+let test_old_snapshot_quarantined () =
+  let dir = fresh_dir () in
+  let st = Store.open_store dir in
+  let payload =
+    "structcast-snap v1\nkey " ^ key_of src_a
+    ^ "\ncfg x\nname t\nvars 0\ncells 0\nreport\n{}\n"
+  in
+  Out_channel.with_open_bin (Store.snap_path st (key_of src_a)) (fun oc ->
+      output_string oc
+        (payload ^ "sum " ^ Digest.to_hex (Digest.string payload) ^ "\n"));
+  let st1, s1 = serve ~dir src_a in
+  check_origin "old snapshot never serves" `Cold s1;
+  Alcotest.(check int) "quarantined as version skew" 1
+    (Store.counters st1).Core.Metrics.corrupt_quarantined;
+  Alcotest.(check bool) "old bytes kept for post-mortem" true
+    (Sys.file_exists (Store.quarantine_path st1 (key_of src_a)));
+  check_json "answer unaffected" src_a s1;
+  let st2, s2 = serve ~dir src_a in
+  check_origin "repeat hits" `Hit s2;
+  Alcotest.(check int) "nothing more quarantined" 0
+    (Store.counters st2).Core.Metrics.corrupt_quarantined
 
 (* ------------------------------------------------------------------ *)
 (* Report records (direct mode)                                        *)
@@ -580,9 +515,9 @@ let test_short_write_caught_later () =
     ordinal of a cold request, over a three-request sequence — each
     request reopens the store, so the same ordinal also strikes the
     later requests' touch, quarantine and rewrite lines. Two request
-    paths are swept. {!Store.serve} (what [--format text] and the bench
-    use) at ordinals 1–3 exercises snapshot restore, graph audit and
-    quarantine-then-recompute. {!Server.Answer.run} from a file (what
+    paths are swept. {!Store.serve} in [`Json] mode (the compiled path
+    of a JSON request; the bench) at ordinals 1–3 exercises snapshot
+    verification and quarantine-then-recompute. {!Server.Answer.run} from a file (what
     [analyze --store --format json] and a serve job use) at ordinals
     1–4 — snapshot, its index line, report record, its index line —
     exercises the record's writes. The report JSON must equal the
@@ -697,13 +632,12 @@ let suite =
   [
     tc "digest stability" test_digest_stability;
     tc "exact hit (json)" test_exact_hit_json;
-    tc "exact hit (solver): zero visits" test_exact_hit_solver_zero_visits;
-    tc "ancestor warm start, all engines" test_ancestor_warm_start;
-    tc "insert-in-the-middle is additive" test_ancestor_insert_in_middle;
-    tc "ancestor requires additive edit" test_ancestor_requires_additive;
+    tc "additive near-repeat solves cold" test_additive_near_repeat_cold;
+    tc "shadowed variable key is never filed" test_shadowed_key_never_filed;
     tc "bit flip quarantined, not deleted" test_bit_flip_quarantined;
     tc "truncation quarantined" test_truncation_quarantined;
     tc "version skew quarantined" test_version_skew_quarantined;
+    tc "old solver-state snapshot quarantined" test_old_snapshot_quarantined;
     tc "crash between fsync and rename" test_crash_between_fsync_and_rename;
     tc "enospc contained" test_enospc_contained;
     tc "short write caught at next load" test_short_write_caught_later;
