@@ -111,17 +111,16 @@ let exit_code ~diags ~degraded =
 (* analyze                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Every fact-bearing cell with its targets, in [Cell.compare] order:
+   printed output must not follow the graph's id-keyed tables, whose
+   order depends on interning history. *)
+let sorted_sources (r : Core.Analysis.result) =
+  Core.Graph.fold_sources r.Core.Analysis.solver.Core.Solver.graph
+    (fun c s acc -> (c, s) :: acc)
+    []
+  |> List.sort (fun (a, _) (b, _) -> Core.Cell.compare a b)
+
 let print_points_to (r : Core.Analysis.result) ~only_var =
-  let module S =
-    (val r.Core.Analysis.solver.Core.Solver.strategy : Core.Strategy.S)
-  in
-  let solver = r.Core.Analysis.solver in
-  let entries =
-    Core.Graph.fold_sources solver.Core.Solver.graph
-      (fun c s acc -> (c, s) :: acc)
-      []
-    |> List.sort (fun (a, _) (b, _) -> Core.Cell.compare a b)
-  in
   List.iter
     (fun ((c : Core.Cell.t), targets) ->
       let name = Cvar.qualified_name c.Core.Cell.base in
@@ -138,7 +137,7 @@ let print_points_to (r : Core.Analysis.result) ~only_var =
         Fmt.pr "%a -> {%a}@." Core.Cell.pp c
           (Fmt.list ~sep:(Fmt.any ", ") Core.Cell.pp)
           (Core.Cell.Set.elements targets))
-    entries
+    (sorted_sources r)
 
 let print_metrics name (r : Core.Analysis.result) =
   let m = r.Core.Analysis.metrics in
@@ -213,16 +212,20 @@ let print_modref (r : Core.Analysis.result) =
 
 (* Graphviz exports: pipe into `dot -Tsvg` *)
 let print_dot (r : Core.Analysis.result) =
-  let solver = r.Core.Analysis.solver in
   Fmt.pr "digraph points_to {@.  rankdir=LR;@.  node [shape=box];@.";
-  Core.Graph.iter_edges solver.Core.Solver.graph (fun c w ->
-      let skip (cell : Core.Cell.t) =
-        String.length cell.Core.Cell.base.Cvar.vname > 2
-        && String.sub cell.Core.Cell.base.Cvar.vname 0 2 = "$t"
+  List.iter
+    (fun ((c : Core.Cell.t), targets) ->
+      let skip =
+        String.length c.Core.Cell.base.Cvar.vname > 2
+        && String.sub c.Core.Cell.base.Cvar.vname 0 2 = "$t"
       in
-      if not (skip c) then
-        Fmt.pr "  \"%s\" -> \"%s\";@." (Core.Cell.to_string c)
-          (Core.Cell.to_string w));
+      if not skip then
+        Core.Cell.Set.iter
+          (fun w ->
+            Fmt.pr "  \"%s\" -> \"%s\";@." (Core.Cell.to_string c)
+              (Core.Cell.to_string w))
+          targets)
+    (sorted_sources r);
   Fmt.pr "}@."
 
 let print_dot_callgraph (r : Core.Analysis.result) =

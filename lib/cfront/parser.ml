@@ -29,16 +29,16 @@ type state = {
   mutable anon_count : int;
 }
 
-let keywords =
-  [
-    "void"; "char"; "short"; "int"; "long"; "float"; "double"; "signed";
-    "unsigned"; "struct"; "union"; "enum"; "typedef"; "static"; "extern";
-    "register"; "auto"; "const"; "volatile"; "if"; "else"; "while"; "do";
-    "for"; "return"; "break"; "continue"; "switch"; "case"; "default";
-    "goto"; "sizeof";
-  ]
-
-let is_keyword s = List.mem s keywords
+(* a compiled string match: the parser asks this of every identifier
+   token *)
+let is_keyword = function
+  | "void" | "char" | "short" | "int" | "long" | "float" | "double"
+  | "signed" | "unsigned" | "struct" | "union" | "enum" | "typedef"
+  | "static" | "extern" | "register" | "auto" | "const" | "volatile" | "if"
+  | "else" | "while" | "do" | "for" | "return" | "break" | "continue"
+  | "switch" | "case" | "default" | "goto" | "sizeof" ->
+      true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Cursor utilities                                                    *)

@@ -27,30 +27,14 @@ module Lookup_tbl = Hashtbl.Make (struct
     ((((k.target * 31) + k.tid) * 31) + k.tag) * 31 + Hashtbl.hash k.alpha
 end)
 
-module Pair_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a1, a2) (b1, b2) = a1 = b1 && a2 = b2
-
-  let hash (a, b) = (a * 65599) + b
-end)
-
-module Triple_tbl = Hashtbl.Make (struct
-  type t = int * int * int
-
-  let equal (a1, a2, a3) (b1, b2, b3) = a1 = b1 && a2 = b2 && a3 = b3
-
-  let hash (a, b, c) = (((a * 65599) + b) * 65599) + c
-end)
-
 type memo = {
   type_ids : int Ty_tbl.t;
   lookups : (Cell.t list * bool) Lookup_tbl.t;
-  roots : Cell.t Pair_tbl.t;
-  rows : (Cell.t list * bool) list Triple_tbl.t;
-  type_sizes : (int, int) Hashtbl.t;
-  obj_sizes : (int, int) Hashtbl.t;
-  offset_cells : Cell.t Pair_tbl.t;
+  roots : Cell.t Idtbl.Pair.t;
+  rows : (Cell.t list * bool) list Idtbl.Triple.t;
+  type_sizes : int Idtbl.Int.t;
+  obj_sizes : int Idtbl.Int.t;
+  offset_cells : Cell.t Idtbl.Pair.t;
 }
 
 type t = {
@@ -77,22 +61,22 @@ let create ?(layout = Layout.default) () =
       {
         type_ids = Ty_tbl.create 64;
         lookups = Lookup_tbl.create 1024;
-        roots = Pair_tbl.create 256;
-        rows = Triple_tbl.create 1024;
-        type_sizes = Hashtbl.create 64;
-        obj_sizes = Hashtbl.create 256;
-        offset_cells = Pair_tbl.create 1024;
+        roots = Idtbl.Pair.create 256;
+        rows = Idtbl.Triple.create 1024;
+        type_sizes = Idtbl.Int.create 64;
+        obj_sizes = Idtbl.Int.create 256;
+        offset_cells = Idtbl.Pair.create 1024;
       };
   }
 
 let clear_memo ctx =
   Ty_tbl.reset ctx.memo.type_ids;
   Lookup_tbl.reset ctx.memo.lookups;
-  Pair_tbl.reset ctx.memo.roots;
-  Triple_tbl.reset ctx.memo.rows;
-  Hashtbl.reset ctx.memo.type_sizes;
-  Hashtbl.reset ctx.memo.obj_sizes;
-  Pair_tbl.reset ctx.memo.offset_cells
+  Idtbl.Pair.reset ctx.memo.roots;
+  Idtbl.Triple.reset ctx.memo.rows;
+  Idtbl.Int.reset ctx.memo.type_sizes;
+  Idtbl.Int.reset ctx.memo.obj_sizes;
+  Idtbl.Pair.reset ctx.memo.offset_cells
 
 let type_id ctx (ty : Ctype.t) : int =
   let ids = ctx.memo.type_ids in
@@ -111,11 +95,11 @@ let memo_tag () =
 
 let memo_root ctx ~tag f (v : Cvar.t) : Cell.t =
   let key = (tag, v.Cvar.vid) in
-  match Pair_tbl.find_opt ctx.memo.roots key with
+  match Idtbl.Pair.find_opt ctx.memo.roots key with
   | Some c -> c
   | None ->
       let c = f ctx v in
-      Pair_tbl.add ctx.memo.roots key c;
+      Idtbl.Pair.add ctx.memo.roots key c;
       c
 
 let memo_lookup ctx ~tag ~tid f (tau : Ctype.t) (alpha : Ctype.path)
@@ -131,11 +115,11 @@ let memo_lookup ctx ~tag ~tid f (tau : Ctype.t) (alpha : Ctype.path)
 let memo_row ctx ~tag ~tid f (tau : Ctype.t) (c : Cell.t) :
     (Cell.t list * bool) list =
   let key = (tag, tid, c.Cell.cid) in
-  match Triple_tbl.find_opt ctx.memo.rows key with
+  match Idtbl.Triple.find_opt ctx.memo.rows key with
   | Some r -> r
   | None ->
       let r = List.map (fun delta -> f tau delta c) (Ctype.leaf_paths tau) in
-      Triple_tbl.add ctx.memo.rows key r;
+      Idtbl.Triple.add ctx.memo.rows key r;
       r
 
 let count_lookup ctx ~structure ~mismatch =

@@ -12,28 +12,24 @@ module Ty_tbl : Hashtbl.S with type key = Ctype.t
 
 module Lookup_tbl : Hashtbl.S with type key = lookup_key
 
-module Pair_tbl : Hashtbl.S with type key = int * int
-
-module Triple_tbl : Hashtbl.S with type key = int * int * int
-
 type memo = {
   type_ids : int Ty_tbl.t;  (** dense ids, under {!Cfront.Ctype.equal} *)
   lookups : (Cell.t list * bool) Lookup_tbl.t;
       (** the path-based instances' lookup answers: the cells and
           whether the declared type matched exactly *)
-  roots : Cell.t Pair_tbl.t;
+  roots : Cell.t Idtbl.Pair.t;
       (** (instance tag, object vid) → [normalize v []], the cell every
           statement visit forms for each variable it names *)
-  rows : (Cell.t list * bool) list Triple_tbl.t;
+  rows : (Cell.t list * bool) list Idtbl.Triple.t;
       (** (instance tag, type id of τ, cell id) → the cell's resolve row:
           its lookup answer for every leaf path of τ, in leaf order *)
-  type_sizes : (int, int) Hashtbl.t;
+  type_sizes : int Idtbl.Int.t;
       (** type id → layout size (the Offsets [resolve] copy width) *)
-  obj_sizes : (int, int) Hashtbl.t;
+  obj_sizes : int Idtbl.Int.t;
       (** object vid → layout size: the Offsets instance asks for it on
           every cell it forms, and {!Layout.size_of} recurses through
           every nested struct *)
-  offset_cells : Cell.t Pair_tbl.t;
+  offset_cells : Cell.t Idtbl.Pair.t;
       (** (object vid, in-bounds byte offset) → the Offsets cell at the
           offset folded into array representatives
           ({!Layout.canon_offset}, which re-derives field sizes on every

@@ -27,7 +27,7 @@
 
 open Cfront
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Idtbl.Int
 
 (* A class's chain runs from its representative to [last]. *)
 type cls = { mutable last : int; mutable size : int }

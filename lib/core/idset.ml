@@ -86,11 +86,11 @@ let fold f s init =
   !acc
 
 (** [union_into dst src] adds every member of [src] missing from [dst]
-    with one merge pass over the sorted arrays — a single rebuild instead
-    of a per-element O(n) insertion blit. The new members are appended to
-    [dst]'s insertion-order log in [src]'s insertion order, after the
-    existing entries, so cursors into [dst]'s log stay valid (the old
-    prefix is untouched). Returns the number of members added. *)
+    with one merge pass over the two sorted arrays — a single rebuild
+    instead of a per-element O(n) insertion blit. The new members are
+    appended to [dst]'s insertion-order log in [src]'s insertion order,
+    after the existing entries, so cursors into [dst]'s log stay valid
+    (the old prefix is untouched). Returns the number of members added. *)
 let union_into dst src =
   if dst == src || src.len = 0 then 0
   else begin
@@ -109,26 +109,38 @@ let union_into dst src =
     if n = 0 then 0
     else begin
       let len = dst.len + n in
-      let add_srt = Array.sub fresh 0 n in
-      Array.sort compare add_srt;
-      (* merge the two sorted runs *)
-      let srt = Array.make len (-1) in
-      let i = ref 0 and j = ref 0 in
-      for k = 0 to len - 1 do
-        if !i < dst.len && (!j >= n || dst.srt.(!i) < add_srt.(!j)) then begin
-          srt.(k) <- dst.srt.(!i);
-          incr i
+      let fits = len <= Array.length dst.srt in
+      let srt = if fits then dst.srt else Array.make len (-1) in
+      (* merge the two sorted runs from the top down, skipping src's
+         members dst already holds; writing at [k >= i] never clobbers
+         an unread dst entry, so the merge may run in place, and once
+         src is spent dst's remaining prefix [0 .. i] is where it
+         belongs *)
+      let i = ref (dst.len - 1) and j = ref (src.len - 1) in
+      let k = ref (len - 1) in
+      while !j >= 0 do
+        let y = src.srt.(!j) in
+        if !i >= 0 && dst.srt.(!i) > y then begin
+          srt.(!k) <- dst.srt.(!i);
+          decr i;
+          decr k
         end
         else begin
-          srt.(k) <- add_srt.(!j);
-          incr j
+          if !i < 0 || dst.srt.(!i) <> y then begin
+            srt.(!k) <- y;
+            decr k
+          end;
+          decr j
         end
       done;
-      let ord = Array.make len (-1) in
-      Array.blit dst.ord 0 ord 0 dst.len;
-      Array.blit fresh 0 ord dst.len n;
-      dst.srt <- srt;
-      dst.ord <- ord;
+      if not fits then begin
+        Array.blit dst.srt 0 srt 0 (!i + 1);
+        let ord = Array.make len (-1) in
+        Array.blit dst.ord 0 ord 0 dst.len;
+        dst.srt <- srt;
+        dst.ord <- ord
+      end;
+      Array.blit fresh 0 dst.ord dst.len n;
       dst.len <- len;
       n
     end

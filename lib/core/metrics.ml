@@ -94,7 +94,7 @@ type summary = {
           solve over retraction (a plan, not a degradation) *)
 }
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Idtbl.Int
 
 let summarize (solver : Solver.t) : summary =
   let module S = (val solver.Solver.strategy : Strategy.S) in

@@ -23,7 +23,7 @@ let graph_resolve = true
 
 (* [Layout.size_of ty], at least 1, memoized in [tbl] under [key] *)
 let size_in ctx tbl key (ty : Ctype.t) : int =
-  match Hashtbl.find_opt tbl key with
+  match Idtbl.Int.find_opt tbl key with
   | Some n -> n
   | None ->
       let n =
@@ -31,7 +31,7 @@ let size_in ctx tbl key (ty : Ctype.t) : int =
         | n -> max n 1
         | exception Diag.Error _ -> 1
       in
-      Hashtbl.replace tbl key n;
+      Idtbl.Int.replace tbl key n;
       n
 
 let obj_size ctx (obj : Cvar.t) : int =
@@ -47,14 +47,14 @@ let cell_at ctx (obj : Cvar.t) (off : int) : Cell.t =
   else if off >= size then Cell.v obj (Cell.Off size)
   else
     let key = (obj.Cvar.vid, off) in
-    match Actx.Pair_tbl.find_opt ctx.Actx.memo.offset_cells key with
+    match Idtbl.Pair.find_opt ctx.Actx.memo.offset_cells key with
     | Some c -> c
     | None ->
         let c =
           Cell.v obj
             (Cell.Off (Layout.canon_offset ctx.Actx.layout obj.Cvar.vty off))
         in
-        Actx.Pair_tbl.add ctx.Actx.memo.offset_cells key c;
+        Idtbl.Pair.add ctx.Actx.memo.offset_cells key c;
         c
 
 let tag = Actx.memo_tag ()

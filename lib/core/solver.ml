@@ -59,7 +59,7 @@
 open Cfront
 open Norm
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Idtbl.Int
 
 type engine = [ `Delta | `Delta_nocycle | `Naive ]
 
@@ -86,14 +86,14 @@ type t = {
           the aligned edited program between [resume]s *)
   funcs : (string, Nast.func) Hashtbl.t;
   queue : Nast.stmt Queue.t;
-  in_queue : (int, unit) Hashtbl.t;
+  in_queue : unit Itbl.t;
   subscribers : Nast.stmt list ref Cvar.Tbl.t;
       (** naive: statements to re-run when the object gains any fact;
           delta: statements whose graph-dependent resolves must re-run
           when the object gains a new fact-bearing cell *)
   stmt_subs : Cvar.Set.t ref Itbl.t;  (** keyed by stmt id *)
   (* --- delta-engine state (empty under [`Naive]) ------------------- *)
-  cursors : int Itbl.t Itbl.t;
+  cursors : int ref Itbl.t Itbl.t;
       (** stmt id → (cell id → facts of that cell already consumed) *)
   dirty : unit Itbl.t;
       (** stmts whose cursors reset at their next visit (a subscribed
@@ -101,13 +101,13 @@ type t = {
   pointer_subs : Nast.stmt list ref Itbl.t;
       (** class representative id → statements consuming that class's
           facts via cursor; re-keyed to the survivor on unification *)
-  cell_subbed : (int * int, unit) Hashtbl.t;
+  cell_subbed : unit Idtbl.Pair.t;
       (** (stmt id, class id) pairs already in [pointer_subs] *)
   copy_out : (int * int ref) list ref Itbl.t;
       (** class id → (dst cell id, copy cursor into the class's log);
           edges move to the surviving class on unification, cursors
           reset (the merged log reordered the loser's facts) *)
-  copy_mem : (int * int, unit) Hashtbl.t;  (** (src, dst) edge dedup *)
+  copy_mem : unit Idtbl.Pair.t;  (** (src, dst) edge dedup *)
   copy_srcs : int list ref;
       (** [copy_out] keys in creation order — the deterministic DFS root
           sequence for the pseudo-topological order (hashtable iteration
@@ -123,7 +123,7 @@ type t = {
   mutable order_edges : int;
       (** [copy_mem] size when [order] was last recomputed; the order is
           refreshed once the edge count outgrows it by half *)
-  lcd_done : (int * int, unit) Hashtbl.t;
+  lcd_done : unit Idtbl.Pair.t;
       (** (src class, dst class) pairs that already triggered a cycle
           search — each wasted edge pays for at most one DFS *)
   (* --- profiling --------------------------------------------------- *)
@@ -168,15 +168,15 @@ type t = {
   stmt_edges : (int * int) list ref Itbl.t;
       (** stmt id → direct (src cell id, target cell id) edges the
           statement derived, deduplicated per statement *)
-  edge_stmt_mem : (int * int * int, unit) Hashtbl.t;
+  edge_stmt_mem : unit Idtbl.Triple.t;
       (** (stmt, src, target) triples already in [stmt_edges] *)
-  edge_support : (int * int, int ref) Hashtbl.t;
+  edge_support : int ref Idtbl.Pair.t;
       (** direct edge → number of distinct statements deriving it *)
   stmt_copies : (int * int) list ref Itbl.t;
       (** stmt id → copy (subset) edges the statement installed, as
           install-time class ids, deduplicated per statement *)
-  copy_stmt_mem : (int * int * int, unit) Hashtbl.t;
-  copy_support : (int * int, int ref) Hashtbl.t;
+  copy_stmt_mem : unit Idtbl.Triple.t;
+  copy_support : int ref Idtbl.Pair.t;
       (** copy edge → number of distinct statements installing it *)
   stmt_externs : string list ref Itbl.t;
       (** stmt id → unknown extern names the statement called,
@@ -286,21 +286,21 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     prog;
     funcs;
     queue = Queue.create ();
-    in_queue = Hashtbl.create 256;
+    in_queue = Itbl.create 256;
     subscribers = Cvar.Tbl.create 128;
     stmt_subs = Itbl.create 256;
     cursors = Itbl.create 256;
     dirty = Itbl.create 64;
     pointer_subs = Itbl.create 256;
-    cell_subbed = Hashtbl.create 512;
+    cell_subbed = Idtbl.Pair.create 512;
     copy_out = Itbl.create 256;
-    copy_mem = Hashtbl.create 512;
+    copy_mem = Idtbl.Pair.create 512;
     copy_srcs = ref [];
     cell_pq = Pq.create ();
     in_cell_wl = Itbl.create 256;
     order = Itbl.create 256;
     order_edges = 0;
-    lcd_done = Hashtbl.create 64;
+    lcd_done = Idtbl.Pair.create 64;
     rounds = 0;
     facts_consumed = 0;
     delta_facts = 0;
@@ -314,11 +314,11 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     track;
     cur_stmt = -1;
     stmt_edges = Itbl.create (if track then 256 else 1);
-    edge_stmt_mem = Hashtbl.create (if track then 512 else 1);
-    edge_support = Hashtbl.create (if track then 512 else 1);
+    edge_stmt_mem = Idtbl.Triple.create (if track then 512 else 1);
+    edge_support = Idtbl.Pair.create (if track then 512 else 1);
     stmt_copies = Itbl.create (if track then 256 else 1);
-    copy_stmt_mem = Hashtbl.create (if track then 512 else 1);
-    copy_support = Hashtbl.create (if track then 512 else 1);
+    copy_stmt_mem = Idtbl.Triple.create (if track then 512 else 1);
+    copy_support = Idtbl.Pair.create (if track then 512 else 1);
     stmt_externs = Itbl.create (if track then 16 else 1);
     extern_support = Hashtbl.create (if track then 16 else 1);
     incr_stmts_added = 0;
@@ -339,8 +339,8 @@ let canon_id t (cid : int) : int =
   Cell.id (Graph.canon t.graph (Cell.of_id cid))
 
 let enqueue t (s : Nast.stmt) =
-  if not (Hashtbl.mem t.in_queue s.Nast.id) then begin
-    Hashtbl.replace t.in_queue s.Nast.id ();
+  if not (Itbl.mem t.in_queue s.Nast.id) then begin
+    Itbl.replace t.in_queue s.Nast.id ();
     Queue.add s t.queue
   end
 
@@ -372,7 +372,7 @@ let subscribe t (stmt : Nast.stmt) (obj : Cvar.t) =
 (* Delta bookkeeping                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let cursor_tbl t (stmt : Nast.stmt) : int Itbl.t =
+let cursor_tbl t (stmt : Nast.stmt) : int ref Itbl.t =
   match Itbl.find_opt t.cursors stmt.Nast.id with
   | Some tbl -> tbl
   | None ->
@@ -385,8 +385,8 @@ let cursor_tbl t (stmt : Nast.stmt) : int Itbl.t =
 let pointer_subscribe t (stmt : Nast.stmt) (c : Cell.t) =
   let rid = canon_id t (Cell.id c) in
   let key = (stmt.Nast.id, rid) in
-  if not (Hashtbl.mem t.cell_subbed key) then begin
-    Hashtbl.replace t.cell_subbed key ();
+  if not (Idtbl.Pair.mem t.cell_subbed key) then begin
+    Idtbl.Pair.replace t.cell_subbed key ();
     let lst =
       match Itbl.find_opt t.pointer_subs rid with
       | Some l -> l
@@ -430,7 +430,7 @@ let mark_dirty t (stmt : Nast.stmt) = Itbl.replace t.dirty stmt.Nast.id ()
 
 (** Number of copy (subset-constraint) edges installed (cumulative:
     edges subsumed by a later class unification stay counted). *)
-let copy_edge_count t = Hashtbl.length t.copy_mem
+let copy_edge_count t = Idtbl.Pair.length t.copy_mem
 
 (** Audit the copy lists of a quiescent solver: every [copy_out] key is
     a class representative, and no entry's destination lies in its
@@ -462,18 +462,18 @@ let attr_list (tbl : (int * int) list ref Itbl.t) (sid : int) =
       Itbl.replace tbl sid l;
       l
 
-let support_incr (tbl : (int * int, int ref) Hashtbl.t) (edge : int * int) =
-  match Hashtbl.find_opt tbl edge with
+let support_incr (tbl : int ref Idtbl.Pair.t) (edge : int * int) =
+  match Idtbl.Pair.find_opt tbl edge with
   | Some r -> incr r
-  | None -> Hashtbl.replace tbl edge (ref 1)
+  | None -> Idtbl.Pair.replace tbl edge (ref 1)
 
 (** A statement visit derived the direct edge [cid → wid] (it may
     already exist — an independent derivation still counts as support:
     the fact survives as long as any deriving statement does). *)
 let record_direct t (cid : int) (wid : int) =
   let key = (t.cur_stmt, cid, wid) in
-  if not (Hashtbl.mem t.edge_stmt_mem key) then begin
-    Hashtbl.replace t.edge_stmt_mem key ();
+  if not (Idtbl.Triple.mem t.edge_stmt_mem key) then begin
+    Idtbl.Triple.replace t.edge_stmt_mem key ();
     let l = attr_list t.stmt_edges t.cur_stmt in
     l := (cid, wid) :: !l;
     support_incr t.edge_support (cid, wid)
@@ -485,8 +485,8 @@ let record_direct t (cid : int) (wid : int) =
     keeps it alive when the first is removed. *)
 let record_copy t (sid : int) (did : int) =
   let key = (t.cur_stmt, sid, did) in
-  if not (Hashtbl.mem t.copy_stmt_mem key) then begin
-    Hashtbl.replace t.copy_stmt_mem key ();
+  if not (Idtbl.Triple.mem t.copy_stmt_mem key) then begin
+    Idtbl.Triple.replace t.copy_stmt_mem key ();
     let l = attr_list t.stmt_copies t.cur_stmt in
     l := (sid, did) :: !l;
     support_incr t.copy_support (sid, did)
@@ -542,11 +542,11 @@ let purge_stmt_externs t (sid : int) =
 let reset_tracking t =
   if t.track then begin
     Itbl.reset t.stmt_edges;
-    Hashtbl.reset t.edge_stmt_mem;
-    Hashtbl.reset t.edge_support;
+    Idtbl.Triple.reset t.edge_stmt_mem;
+    Idtbl.Pair.reset t.edge_support;
     Itbl.reset t.stmt_copies;
-    Hashtbl.reset t.copy_stmt_mem;
-    Hashtbl.reset t.copy_support;
+    Idtbl.Triple.reset t.copy_stmt_mem;
+    Idtbl.Pair.reset t.copy_support;
     Itbl.reset t.stmt_externs;
     Hashtbl.reset t.extern_support
   end
@@ -564,15 +564,15 @@ let reset_deltas t =
     Itbl.reset t.cursors;
     Itbl.reset t.dirty;
     Itbl.reset t.pointer_subs;
-    Hashtbl.reset t.cell_subbed;
+    Idtbl.Pair.reset t.cell_subbed;
     Itbl.reset t.copy_out;
-    Hashtbl.reset t.copy_mem;
+    Idtbl.Pair.reset t.copy_mem;
     t.copy_srcs := [];
     Pq.clear t.cell_pq;
     Itbl.reset t.in_cell_wl;
     Itbl.reset t.order;
     t.order_edges <- 0;
-    Hashtbl.reset t.lcd_done;
+    Idtbl.Pair.reset t.lcd_done;
     Graph.unshare t.graph
   end;
   reset_tracking t
@@ -610,21 +610,20 @@ let reset_deltas t =
 
     Returns the member-expanded number of facts retracted. Requires a
     quiescent solver (both worklists drained). *)
-let retract_cells t ~(affected : (int, unit) Hashtbl.t)
-    ~(removed : (int, unit) Hashtbl.t)
-    ~(invalidated : (int, unit) Hashtbl.t) : int =
-  let aff cid = Hashtbl.mem affected cid in
-  let gone sid = Hashtbl.mem removed sid in
+let retract_cells t ~(affected : unit Itbl.t) ~(removed : unit Itbl.t)
+    ~(invalidated : unit Itbl.t) : int =
+  let aff cid = Itbl.mem affected cid in
+  let gone sid = Itbl.mem removed sid in
   (* attribution purge for removed and invalidated statements; collect
      copy pairs whose support ran out *)
   let dead_copies = ref [] in
   let drop_copy_pair sid ((cs, cd) as e) =
-    Hashtbl.remove t.copy_stmt_mem (sid, cs, cd);
-    match Hashtbl.find_opt t.copy_support e with
+    Idtbl.Triple.remove t.copy_stmt_mem (sid, cs, cd);
+    match Idtbl.Pair.find_opt t.copy_support e with
     | Some r ->
         decr r;
         if !r <= 0 then begin
-          Hashtbl.remove t.copy_support e;
+          Idtbl.Pair.remove t.copy_support e;
           dead_copies := e :: !dead_copies
         end
     | None -> ()
@@ -634,11 +633,11 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
     | Some l ->
         List.iter
           (fun ((c, w) as e) ->
-            Hashtbl.remove t.edge_stmt_mem (sid, c, w);
-            match Hashtbl.find_opt t.edge_support e with
+            Idtbl.Triple.remove t.edge_stmt_mem (sid, c, w);
+            match Idtbl.Pair.find_opt t.edge_support e with
             | Some r ->
                 decr r;
-                if !r <= 0 then Hashtbl.remove t.edge_support e
+                if !r <= 0 then Idtbl.Pair.remove t.edge_support e
             | None -> ())
           !l;
         Itbl.remove t.stmt_edges sid
@@ -650,8 +649,8 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
     | None -> ());
     purge_stmt_externs t sid
   in
-  Hashtbl.iter (fun sid () -> purge_stmt_attr sid) removed;
-  Hashtbl.iter
+  Itbl.iter (fun sid () -> purge_stmt_attr sid) removed;
+  Itbl.iter
     (fun sid () -> if not (gone sid) then purge_stmt_attr sid)
     invalidated;
   (* surviving statements' copy pairs that touch an affected class: the
@@ -660,7 +659,7 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
   Itbl.iter
     (fun sid l ->
       if
-        (not (gone sid || Hashtbl.mem invalidated sid))
+        (not (gone sid || Itbl.mem invalidated sid))
         && List.exists (fun (cs, cd) -> aff cs || aff cd) !l
       then begin
         let keep, drop =
@@ -680,10 +679,10 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
     t.copy_out;
   List.iter (fun rs -> Itbl.remove t.copy_out rs) !drop_lists;
   let mem_drop = ref [] in
-  Hashtbl.iter
+  Idtbl.Pair.iter
     (fun ((x, d) as k) () -> if aff x || aff d then mem_drop := k :: !mem_drop)
     t.copy_mem;
-  List.iter (Hashtbl.remove t.copy_mem) !mem_drop;
+  List.iter (Idtbl.Pair.remove t.copy_mem) !mem_drop;
   (* dead physical copy edges away from the affected region: removable
      only when no surviving install-time pair aliases them *)
   List.iter
@@ -691,7 +690,7 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
       if not (aff cs || aff cd) then begin
         let rs = canon_id t cs in
         let alive =
-          Hashtbl.fold
+          Idtbl.Pair.fold
             (fun (cs', cd') _ acc -> acc || (cd' = cd && canon_id t cs' = rs))
             t.copy_support false
         in
@@ -700,11 +699,11 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
           | Some lst -> lst := List.filter (fun (did, _) -> did <> cd) !lst
           | None -> ());
           let stale = ref [] in
-          Hashtbl.iter
+          Idtbl.Pair.iter
             (fun ((x, d) as k) () ->
               if d = cd && canon_id t x = rs then stale := k :: !stale)
             t.copy_mem;
-          List.iter (Hashtbl.remove t.copy_mem) !stale
+          List.iter (Idtbl.Pair.remove t.copy_mem) !stale
         end
       end)
     !dead_copies;
@@ -712,13 +711,13 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
      purged (their ids may be re-minted); invalidated ones lose their
      cursors (replay re-reads from scratch) but keep their object
      subscriptions, which stay valid *)
-  Hashtbl.iter
+  Itbl.iter
     (fun sid () ->
       Itbl.remove t.cursors sid;
       Itbl.remove t.dirty sid;
       Itbl.remove t.stmt_subs sid)
     removed;
-  Hashtbl.iter
+  Itbl.iter
     (fun sid () -> if not (gone sid) then Itbl.remove t.cursors sid)
     invalidated;
   (* cursor subscriptions into an affected class die with it: the class
@@ -737,11 +736,11 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
     t.pointer_subs;
   List.iter (Itbl.remove t.pointer_subs) !psub_drop;
   let subbed_drop = ref [] in
-  Hashtbl.iter
+  Idtbl.Pair.iter
     (fun ((sid, rid) as k) () ->
       if gone sid || aff rid then subbed_drop := k :: !subbed_drop)
     t.cell_subbed;
-  List.iter (Hashtbl.remove t.cell_subbed) !subbed_drop;
+  List.iter (Idtbl.Pair.remove t.cell_subbed) !subbed_drop;
   Cvar.Tbl.iter
     (fun _ lst ->
       if List.exists (fun (s : Nast.stmt) -> gone s.Nast.id) !lst then
@@ -750,20 +749,16 @@ let retract_cells t ~(affected : (int, unit) Hashtbl.t)
   (* forget cycle searches naming affected classes — the re-derived
      configuration deserves a fresh look *)
   let lcd_drop = ref [] in
-  Hashtbl.iter
+  Idtbl.Pair.iter
     (fun ((a, b) as k) () -> if aff a || aff b then lcd_drop := k :: !lcd_drop)
     t.lcd_done;
-  List.iter (Hashtbl.remove t.lcd_done) !lcd_drop;
+  List.iter (Idtbl.Pair.remove t.lcd_done) !lcd_drop;
   (* finally clear the affected classes' facts and dissolve them; the
      canonical representatives must be computed before any dissolution *)
-  let reps = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun cid () ->
-      let r = canon_id t cid in
-      if not (Hashtbl.mem reps r) then Hashtbl.replace reps r ())
-    affected;
+  let reps = Itbl.create 64 in
+  Itbl.iter (fun cid () -> Itbl.replace reps (canon_id t cid) ()) affected;
   let rep_list =
-    List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) reps [])
+    List.sort compare (Itbl.fold (fun r () acc -> r :: acc) reps [])
   in
   List.fold_left
     (fun acc rid -> acc + Graph.retract_class t.graph (Cell.of_id rid))
@@ -929,9 +924,9 @@ let unify_cells t (a : Cell.t) (b : Cell.t) =
         List.iter
           (fun (did, cur) ->
             if
-              canon_id t did <> wid && not (Hashtbl.mem t.copy_mem (wid, did))
+              canon_id t did <> wid && not (Idtbl.Pair.mem t.copy_mem (wid, did))
             then begin
-              Hashtbl.replace t.copy_mem (wid, did) ();
+              Idtbl.Pair.replace t.copy_mem (wid, did) ();
               cur := 0;
               wlst := (did, cur) :: !wlst
             end)
@@ -962,10 +957,10 @@ let unify_cells t (a : Cell.t) (b : Cell.t) =
                 in
                 List.iter
                   (fun (mid, k) ->
-                    if sets_eq && k >= ln then
+                    if sets_eq && !k >= ln then
                       (* caught up on an equal set: already saw every
                          merged fact — jump to the merged log's end *)
-                      Itbl.replace tbl mid after
+                      k := after
                     else begin
                       Itbl.remove tbl mid;
                       needs := true
@@ -1050,7 +1045,7 @@ let try_collapse_cycle t ~(from : int) ~(target : int) =
     never in hashtable order, which varies with interned ids and would
     break byte-identical reruns. *)
 let recompute_order t =
-  t.order_edges <- Hashtbl.length t.copy_mem;
+  t.order_edges <- Idtbl.Pair.length t.copy_mem;
   Itbl.reset t.order;
   let visited = Itbl.create 256 in
   let post = ref [] in
@@ -1084,7 +1079,7 @@ let recompute_order t =
 (** Refresh the order once the copy graph outgrew the one it was
     computed for by half (new cells drain last until then). *)
 let maybe_recompute_order t =
-  let edges = Hashtbl.length t.copy_mem in
+  let edges = Idtbl.Pair.length t.copy_mem in
   if edges > t.order_edges + max 16 (t.order_edges / 2) then
     recompute_order t
 
@@ -1102,8 +1097,8 @@ let ensure_copy t (dst : Cell.t) (src : Cell.t) =
   let sid = canon_id t (Cell.id src) and did = canon_id t (Cell.id dst) in
   if sid <> did then begin
     if t.track && t.cur_stmt >= 0 then record_copy t sid did;
-    if not (Hashtbl.mem t.copy_mem (sid, did)) then begin
-      Hashtbl.replace t.copy_mem (sid, did) ();
+    if not (Idtbl.Pair.mem t.copy_mem (sid, did)) then begin
+      Idtbl.Pair.replace t.copy_mem (sid, did) ();
       let lst = copy_list t sid in
       lst := (did, ref 0) :: !lst;
       if Graph.pts_size t.graph src > 0 then push_cell t sid
@@ -1120,13 +1115,21 @@ let consume t (stmt : Nast.stmt) (c : Cell.t) (f : Cell.t -> unit) =
   | Some set ->
       let tbl = cursor_tbl t stmt in
       let cid = Cell.id c in
-      let k = match Itbl.find_opt tbl cid with Some k -> k | None -> 0 in
+      (* a stored set is never empty, so the cursor enters the table
+         exactly when the first fact is consumed; advancing it is then a
+         store, not a table update per fact *)
+      let cur =
+        match Itbl.find_opt tbl cid with
+        | Some cur -> cur
+        | None ->
+            let cur = ref 0 in
+            Itbl.replace tbl cid cur;
+            cur
+      in
       t.full_facts <- t.full_facts + Idset.cardinal set;
-      let i = ref k in
-      while !i < Idset.cardinal set do
-        let w = Cell.of_id (Idset.get_ord set !i) in
-        incr i;
-        Itbl.replace tbl cid !i;
+      while !cur < Idset.cardinal set do
+        let w = Cell.of_id (Idset.get_ord set !cur) in
+        incr cur;
         t.delta_facts <- t.delta_facts + 1;
         t.facts_consumed <- t.facts_consumed + 1;
         f w
@@ -1489,9 +1492,9 @@ let propagate t =
                           if
                             cycles_on t
                             && Idset.cardinal set = Graph.pts_size t.graph dc
-                            && not (Hashtbl.mem t.lcd_done (sid, dcid))
+                            && not (Idtbl.Pair.mem t.lcd_done (sid, dcid))
                           then begin
-                            Hashtbl.replace t.lcd_done (sid, dcid) ();
+                            Idtbl.Pair.replace t.lcd_done (sid, dcid) ();
                             lcd_pending := dcid :: !lcd_pending
                           end
                         end
@@ -1514,13 +1517,13 @@ let visit_stmt t (stmt : Nast.stmt) =
   (* clear the dedup marker before dispatch: a statement that
      re-enqueues itself mid-visit (e.g. [p = *p] growing its own
      set) must land back in the queue, not be silently dropped *)
-  Hashtbl.remove t.in_queue stmt.Nast.id;
+  Itbl.remove t.in_queue stmt.Nast.id;
   t.rounds <- t.rounds + 1;
   Budget.step t.budget;
   check_step_budgets t;
   let facts0 = t.facts_consumed in
   let edges0 = Graph.edge_count t.graph in
-  let copies0 = Hashtbl.length t.copy_mem in
+  let copies0 = Idtbl.Pair.length t.copy_mem in
   t.cur_stmt <- stmt.Nast.id;
   process t stmt;
   t.cur_stmt <- -1;
@@ -1529,7 +1532,7 @@ let visit_stmt t (stmt : Nast.stmt) =
   if
     t.facts_consumed > facts0
     && Graph.edge_count t.graph = edges0
-    && Hashtbl.length t.copy_mem = copies0
+    && Idtbl.Pair.length t.copy_mem = copies0
   then t.wasted_props <- t.wasted_props + 1
 
 (** Drop every copy edge whose destination lies in its own source

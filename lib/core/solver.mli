@@ -37,7 +37,7 @@
 open Cfront
 open Norm
 
-module Itbl : Hashtbl.S with type key = int
+module Itbl = Idtbl.Int
 
 type engine = [ `Delta | `Delta_nocycle | `Naive ]
 
@@ -68,10 +68,10 @@ type t = {
           the aligned edited program between {!resume}s *)
   funcs : (string, Nast.func) Hashtbl.t;
   queue : Nast.stmt Queue.t;
-  in_queue : (int, unit) Hashtbl.t;
+  in_queue : unit Itbl.t;
   subscribers : Nast.stmt list ref Cvar.Tbl.t;
   stmt_subs : Cvar.Set.t ref Itbl.t;
-  cursors : int Itbl.t Itbl.t;
+  cursors : int ref Itbl.t Itbl.t;
       (** delta: stmt id → (cell id → facts already consumed) *)
   dirty : unit Itbl.t;
       (** delta: stmts whose cursors reset at their next visit *)
@@ -79,11 +79,11 @@ type t = {
       (** delta: class representative id → statements consuming that
           class's set via cursor; re-keyed to the survivor on
           unification *)
-  cell_subbed : (int * int, unit) Hashtbl.t;
+  cell_subbed : unit Idtbl.Pair.t;
   copy_out : (int * int ref) list ref Itbl.t;
       (** delta: class id → (dst cell id, copy cursor); edges move to
           the surviving class on unification *)
-  copy_mem : (int * int, unit) Hashtbl.t;
+  copy_mem : unit Idtbl.Pair.t;
   copy_srcs : int list ref;
       (** [copy_out] keys in creation order — deterministic DFS roots
           for the pseudo-topological drain order *)
@@ -96,7 +96,7 @@ type t = {
           unranked cells drain last *)
   mutable order_edges : int;
       (** [copy_mem] size when [order] was last recomputed *)
-  lcd_done : (int * int, unit) Hashtbl.t;
+  lcd_done : unit Idtbl.Pair.t;
       (** (src, dst) class pairs that already triggered a cycle search *)
   mutable rounds : int;  (** statement visits *)
   mutable facts_consumed : int;
@@ -130,13 +130,13 @@ type t = {
       (** id of the statement being processed, [-1] between visits *)
   stmt_edges : (int * int) list ref Itbl.t;
       (** stmt id → direct (src, target) cell-id edges it derived *)
-  edge_stmt_mem : (int * int * int, unit) Hashtbl.t;
-  edge_support : (int * int, int ref) Hashtbl.t;
+  edge_stmt_mem : unit Idtbl.Triple.t;
+  edge_support : int ref Idtbl.Pair.t;
       (** direct edge → number of distinct statements deriving it *)
   stmt_copies : (int * int) list ref Itbl.t;
       (** stmt id → copy edges it installed, as install-time class ids *)
-  copy_stmt_mem : (int * int * int, unit) Hashtbl.t;
-  copy_support : (int * int, int ref) Hashtbl.t;
+  copy_stmt_mem : unit Idtbl.Triple.t;
+  copy_support : int ref Idtbl.Pair.t;
       (** copy edge → number of distinct statements installing it *)
   stmt_externs : string list ref Itbl.t;
       (** stmt id → unknown extern names the statement called, so
@@ -220,9 +220,9 @@ val mark_dirty : t -> Nast.stmt -> unit
 
 val retract_cells :
   t ->
-  affected:(int, unit) Hashtbl.t ->
-  removed:(int, unit) Hashtbl.t ->
-  invalidated:(int, unit) Hashtbl.t ->
+  affected:unit Itbl.t ->
+  removed:unit Itbl.t ->
+  invalidated:unit Itbl.t ->
   int
 (** Targeted overdelete (delete-and-rederive, the selective counterpart
     of {!reset_deltas}): clear exactly the [affected] cells' facts —

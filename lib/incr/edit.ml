@@ -38,16 +38,16 @@ let apply (p : Nast.program) (ops : op list) : Nast.program =
     (* register variables the new statement mentions but the program
        does not know yet *)
     let with_vars (p : Nast.program) (kind : Nast.kind) : Nast.program =
-      let known = Hashtbl.create 64 in
+      let known = Idtbl.Int.create 64 in
       List.iter
-        (fun (v : Cvar.t) -> Hashtbl.replace known v.Cvar.vid ())
+        (fun (v : Cvar.t) -> Idtbl.Int.replace known v.Cvar.vid ())
         p.Nast.pall_vars;
       let fresh =
         List.filter
           (fun (v : Cvar.t) ->
-            if Hashtbl.mem known v.Cvar.vid then false
+            if Idtbl.Int.mem known v.Cvar.vid then false
             else begin
-              Hashtbl.replace known v.Cvar.vid ();
+              Idtbl.Int.replace known v.Cvar.vid ();
               true
             end)
           (vars_of_kind kind)

@@ -50,6 +50,8 @@ open Cfront
 open Norm
 open Core
 
+module Itbl = Idtbl.Int
+
 type stats = {
   stmts_added : int;
   stmts_removed : int;
@@ -94,17 +96,17 @@ let scratch ?diags ~(why : string) (t : Solver.t) (prog : Nast.program) :
     affected set (class-closed), and the woken statement ids (surviving
     readers of an affected cell, which {!execute} must replay). *)
 let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
-    (int, unit) Hashtbl.t * (int, unit) Hashtbl.t * (int, unit) Hashtbl.t =
-  let removed_ids = Hashtbl.create 16 in
+    unit Itbl.t * unit Itbl.t * unit Itbl.t =
+  let removed_ids = Itbl.create 16 in
   List.iter
-    (fun (s : Nast.stmt) -> Hashtbl.replace removed_ids s.Nast.id ())
+    (fun (s : Nast.stmt) -> Itbl.replace removed_ids s.Nast.id ())
     d.Progdiff.removed;
-  let affected = Hashtbl.create 256 in
+  let affected = Itbl.create 256 in
   let queue = Queue.create () in
   let rec mark (cid : int) =
-    if not (Hashtbl.mem affected cid) then begin
-      Hashtbl.replace affected cid ();
-      if Hashtbl.length affected > retract_budget then raise Too_wide;
+    if not (Itbl.mem affected cid) then begin
+      Itbl.replace affected cid ();
+      if Itbl.length affected > retract_budget then raise Too_wide;
       Queue.add cid queue;
       (* unified cells share one set: marking any member marks all *)
       List.iter
@@ -116,13 +118,13 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
      Decrements are tentative — accumulated in local tables, never
      applied to the solver's counters (on success the replay resets the
      tracking tables anyway; on Too_wide [t] must stay pristine). *)
-  let spent_edge = Hashtbl.create 64 in
-  let spent_copy = Hashtbl.create 64 in
+  let spent_edge = Idtbl.Pair.create 64 in
+  let spent_copy = Idtbl.Pair.create 64 in
   let spend support spent key =
-    match Hashtbl.find_opt support key with
+    match Idtbl.Pair.find_opt support key with
     | Some r ->
-        let d = 1 + (try Hashtbl.find spent key with Not_found -> 0) in
-        Hashtbl.replace spent key d;
+        let d = 1 + (try Idtbl.Pair.find spent key with Not_found -> 0) in
+        Idtbl.Pair.replace spent key d;
         !r - d <= 0
     | None -> false
   in
@@ -132,9 +134,9 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
      counts a removed statement's contribution. *)
   let dead_edges = ref [] in
   let dead_copy_seeds = ref [] in
-  Hashtbl.iter
+  Itbl.iter
     (fun sid () ->
-      (match Solver.Itbl.find_opt t.Solver.stmt_edges sid with
+      (match Itbl.find_opt t.Solver.stmt_edges sid with
       | Some l ->
           List.iter
             (fun e ->
@@ -142,7 +144,7 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
                 dead_edges := e :: !dead_edges)
             !l
       | None -> ());
-      match Solver.Itbl.find_opt t.Solver.stmt_copies sid with
+      match Itbl.find_opt t.Solver.stmt_copies sid with
       | Some l ->
           List.iter
             (fun e ->
@@ -159,11 +161,11 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
      flip otherwise coincides with the class being marked (the fact
      that lost its last direct support fails [fact_ok] at the spend
      site), so unmarked classes never go stale. *)
-  let direct_ok = Hashtbl.create 64 in
+  let direct_ok = Itbl.create 64 in
   let all_facts_supported (cid : int) : bool =
     let rep = Graph.canon t.Solver.graph (Cell.of_id cid) in
     let rid = Cell.id rep in
-    match Hashtbl.find_opt direct_ok rid with
+    match Itbl.find_opt direct_ok rid with
     | Some b -> b
     | None ->
         let b =
@@ -175,10 +177,10 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
                 List.exists
                   (fun (m : Cell.t) ->
                     let e = (Cell.id m, w) in
-                    match Hashtbl.find_opt t.Solver.edge_support e with
+                    match Idtbl.Pair.find_opt t.Solver.edge_support e with
                     | Some r ->
                         let spent =
-                          try Hashtbl.find spent_edge e with Not_found -> 0
+                          try Idtbl.Pair.find spent_edge e with Not_found -> 0
                         in
                         !r - spent > 0
                     | None -> false)
@@ -186,7 +188,7 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
               in
               Idset.fold (fun w acc -> acc && supported w) set true
         in
-        Hashtbl.replace direct_ok rid b;
+        Itbl.replace direct_ok rid b;
         b
   in
   (* Per-fact direct check: the fact [w] keeps a surviving direct
@@ -198,10 +200,10 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
     List.exists
       (fun (m : Cell.t) ->
         let e = (Cell.id m, w) in
-        match Hashtbl.find_opt t.Solver.edge_support e with
+        match Idtbl.Pair.find_opt t.Solver.edge_support e with
         | Some r ->
             let spent =
-              try Hashtbl.find spent_edge e with Not_found -> 0
+              try Idtbl.Pair.find spent_edge e with Not_found -> 0
             in
             !r - spent > 0
         | None -> false)
@@ -212,12 +214,12 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
      install-time ids once up front is stable; survival of each pair is
      re-checked at query time because [spent_copy] grows as statements
      are woken. *)
-  let copy_in = Hashtbl.create 256 in
-  Hashtbl.iter
+  let copy_in = Itbl.create 256 in
+  Idtbl.Pair.iter
     (fun ((cs, cd) as key) _ ->
       let rid = Cell.id (Graph.canon t.Solver.graph (Cell.of_id cd)) in
-      Hashtbl.replace copy_in rid
-        ((cs, key) :: (try Hashtbl.find copy_in rid with Not_found -> [])))
+      Itbl.replace copy_in rid
+        ((cs, key) :: (try Itbl.find copy_in rid with Not_found -> [])))
     t.Solver.copy_support;
   (* Second justification layer, stratified to stay sound: the fact [w]
      also survives in class [rid] when a surviving copy inflow carries
@@ -231,15 +233,15 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
      one that counts. *)
   let inflow_ok (cid : int) (w : int) : bool =
     let rid = Cell.id (Graph.canon t.Solver.graph (Cell.of_id cid)) in
-    match Hashtbl.find_opt copy_in rid with
+    match Itbl.find_opt copy_in rid with
     | None -> false
     | Some l ->
         List.exists
           (fun (cs, key) ->
-            (match Hashtbl.find_opt t.Solver.copy_support key with
+            (match Idtbl.Pair.find_opt t.Solver.copy_support key with
             | Some r ->
                 let d =
-                  try Hashtbl.find spent_copy key with Not_found -> 0
+                  try Idtbl.Pair.find spent_copy key with Not_found -> 0
                 in
                 !r - d > 0
             | None -> false)
@@ -247,7 +249,7 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
             let srep = Graph.canon t.Solver.graph (Cell.of_id cs) in
             let sid = Cell.id srep in
             sid <> rid
-            && (not (Hashtbl.mem affected sid))
+            && (not (Itbl.mem affected sid))
             && all_facts_supported sid
             &&
             match Graph.pts_ids t.Solver.graph srep with
@@ -291,29 +293,29 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
     (fun (cs, cd) -> if copy_death_kills cs cd then mark cd)
     !dead_copy_seeds;
   (* surviving copy constraints, as adjacency over install-time ids *)
-  let copy_adj = Hashtbl.create 256 in
-  Hashtbl.iter
+  let copy_adj = Itbl.create 256 in
+  Idtbl.Pair.iter
     (fun ((cs, cd) as key) r ->
-      let d = try Hashtbl.find spent_copy key with Not_found -> 0 in
+      let d = try Idtbl.Pair.find spent_copy key with Not_found -> 0 in
       if !r - d > 0 then
-        Hashtbl.replace copy_adj cs
-          (cd :: (try Hashtbl.find copy_adj cs with Not_found -> [])))
+        Itbl.replace copy_adj cs
+          (cd :: (try Itbl.find copy_adj cs with Not_found -> [])))
     t.Solver.copy_support;
   (* surviving cursor readers: cell id → statement ids consuming it *)
-  let readers = Hashtbl.create 256 in
-  Solver.Itbl.iter
+  let readers = Itbl.create 256 in
+  Itbl.iter
     (fun sid tbl ->
-      if not (Hashtbl.mem removed_ids sid) then
-        Solver.Itbl.iter
+      if not (Itbl.mem removed_ids sid) then
+        Itbl.iter
           (fun cid _ ->
-            Hashtbl.replace readers cid
-              (sid :: (try Hashtbl.find readers cid with Not_found -> [])))
+            Itbl.replace readers cid
+              (sid :: (try Itbl.find readers cid with Not_found -> [])))
           tbl)
     t.Solver.cursors;
-  let woken = Hashtbl.create 256 in
+  let woken = Itbl.create 256 in
   let wake (sid : int) =
-    if not (Hashtbl.mem removed_ids sid) && not (Hashtbl.mem woken sid) then begin
-      Hashtbl.replace woken sid ();
+    if not (Itbl.mem removed_ids sid) && not (Itbl.mem woken sid) then begin
+      Itbl.replace woken sid ();
       (* The statement read an affected cell, so it is invalidated and
          will be replayed from scratch — its past derivations only
          survive through OTHER statements. Spend its support like a
@@ -325,18 +327,18 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
          Spending can flip a cached all-facts-supported verdict, so the
          touched class's cache entry is dropped; the class itself is
          re-examined through the dead-fact path right here. *)
-      (match Solver.Itbl.find_opt t.Solver.stmt_edges sid with
+      (match Itbl.find_opt t.Solver.stmt_edges sid with
       | Some l ->
           List.iter
             (fun ((c, w) as e) ->
               if spend t.Solver.edge_support spent_edge e then begin
-                Hashtbl.remove direct_ok
+                Itbl.remove direct_ok
                   (Cell.id (Graph.canon t.Solver.graph (Cell.of_id c)));
                 if not (fact_ok c w) then mark c
               end)
             !l
       | None -> ());
-      match Solver.Itbl.find_opt t.Solver.stmt_copies sid with
+      match Itbl.find_opt t.Solver.stmt_copies sid with
       | Some l ->
           List.iter
             (fun ((cs, cd) as e) ->
@@ -348,14 +350,14 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
   in
   while not (Queue.is_empty queue) do
     let cid = Queue.pop queue in
-    (match Hashtbl.find_opt copy_adj cid with
+    (match Itbl.find_opt copy_adj cid with
     | Some dsts ->
         List.iter
           (fun cd ->
             if copy_death_kills cid cd then mark cd)
           dsts
     | None -> ());
-    (match Hashtbl.find_opt readers cid with
+    (match Itbl.find_opt readers cid with
     | Some sids -> List.iter wake sids
     | None -> ());
     (* cursor subscribers of the class, including statements that
@@ -363,7 +365,7 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
        retraction drops the class's [pointer_subs] entry (its key dies
        with the dissolution), so every subscriber must be replayed to
        re-subscribe under the new representative *)
-    (match Solver.Itbl.find_opt t.Solver.pointer_subs cid with
+    (match Itbl.find_opt t.Solver.pointer_subs cid with
     | Some lst -> List.iter (fun (s : Nast.stmt) -> wake s.Nast.id) !lst
     | None -> ());
     (* object-level subscriptions (graph-dependent resolves) *)
@@ -381,8 +383,8 @@ let closure (t : Solver.t) (d : Progdiff.t) ~(retract_budget : int) :
     (facts retracted, affected cells, warm visits, statements
     replayed). *)
 let execute (t : Solver.t) (aligned : Nast.program) (d : Progdiff.t)
-    (removed_ids : (int, unit) Hashtbl.t) (affected : (int, unit) Hashtbl.t)
-    (woken : (int, unit) Hashtbl.t) : int * int * int * int =
+    (removed_ids : unit Itbl.t) (affected : unit Itbl.t) (woken : unit Itbl.t)
+    : int * int * int * int =
   (* The replay set, computed against the pre-retraction attribution
      tables (retract_cells purges some of them): added statements,
      woken readers, direct writers into an affected cell (their
@@ -390,25 +392,25 @@ let execute (t : Solver.t) (aligned : Nast.program) (d : Progdiff.t)
      installers of copy constraints touching an affected class (those
      physical edges are dropped with the class and must be re-installed
      over the dissolved cells). *)
-  let replay = Hashtbl.create 64 in
+  let replay = Itbl.create 64 in
   let add sid =
-    if not (Hashtbl.mem removed_ids sid) then Hashtbl.replace replay sid ()
+    if not (Itbl.mem removed_ids sid) then Itbl.replace replay sid ()
   in
-  Hashtbl.iter (fun sid () -> add sid) woken;
-  Solver.Itbl.iter
+  Itbl.iter (fun sid () -> add sid) woken;
+  Itbl.iter
     (fun sid l ->
       if
-        (not (Hashtbl.mem removed_ids sid))
-        && List.exists (fun (c, _) -> Hashtbl.mem affected c) !l
+        (not (Itbl.mem removed_ids sid))
+        && List.exists (fun (c, _) -> Itbl.mem affected c) !l
       then add sid)
     t.Solver.stmt_edges;
-  Solver.Itbl.iter
+  Itbl.iter
     (fun sid l ->
       if
-        (not (Hashtbl.mem removed_ids sid))
+        (not (Itbl.mem removed_ids sid))
         && List.exists
              (fun (cs, cd) ->
-               Hashtbl.mem affected cs || Hashtbl.mem affected cd)
+               Itbl.mem affected cs || Itbl.mem affected cd)
              !l
       then add sid)
     t.Solver.stmt_copies;
@@ -423,7 +425,7 @@ let execute (t : Solver.t) (aligned : Nast.program) (d : Progdiff.t)
      of the same edit visit statements identically *)
   List.iter
     (fun (s : Nast.stmt) ->
-      if Hashtbl.mem replay s.Nast.id then begin
+      if Itbl.mem replay s.Nast.id then begin
         incr nreplay;
         (* dirty: retraction may have cleared cells whose logs this
            statement's cursors indexed — re-read the full sets *)
@@ -432,7 +434,7 @@ let execute (t : Solver.t) (aligned : Nast.program) (d : Progdiff.t)
       end)
     (Nast.all_stmts aligned);
   Solver.resume t;
-  (retracted, Hashtbl.length affected, t.Solver.rounds - r0, !nreplay)
+  (retracted, Itbl.length affected, t.Solver.rounds - r0, !nreplay)
 
 (** The retraction cost guard's pre-closure estimate: the share of all
     attributed constraints (direct edges + copy installs) the removed
@@ -442,14 +444,14 @@ let execute (t : Solver.t) (aligned : Nast.program) (d : Progdiff.t)
     work without first paying for the closure and the clear. *)
 let removed_share (t : Solver.t) (d : Progdiff.t) : float * int =
   let total =
-    Hashtbl.length t.Solver.edge_stmt_mem
-    + Hashtbl.length t.Solver.copy_stmt_mem
+    Idtbl.Triple.length t.Solver.edge_stmt_mem
+    + Idtbl.Triple.length t.Solver.copy_stmt_mem
   in
   let removed =
     List.fold_left
       (fun acc (s : Nast.stmt) ->
         let len tbl =
-          match Solver.Itbl.find_opt tbl s.Nast.id with
+          match Itbl.find_opt tbl s.Nast.id with
           | Some l -> List.length !l
           | None -> 0
         in
@@ -537,7 +539,7 @@ let reanalyze ?(retract_budget = default_retract_budget) ?diags
                retract_budget)
       | removed_ids, affected, woken ->
           let sources = Graph.source_cell_count t.Solver.graph in
-          if sources >= plan_floor && 2 * Hashtbl.length affected >= sources
+          if sources >= plan_floor && 2 * Itbl.length affected >= sources
           then
             (* replay would clear and re-derive at least half the
                fact-bearing cells — retraction can't beat the scratch

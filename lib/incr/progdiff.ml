@@ -230,7 +230,7 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
             cargs = List.map mapvar cargs;
           }
   in
-  let matched = Hashtbl.create 256 in
+  let matched = Idtbl.Int.create 256 in
   let added = ref [] in
   (* Two matching passes before the program is rebuilt. Pass 1 pairs on
      the exact key. Pass 2 pairs the leftovers on the key {e without}
@@ -242,17 +242,17 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
      retract-and-replay cycle. Running pass 2 only after pass 1 has
      seen every edited statement keeps it from stealing a base
      statement that still has an exact twin later in the program. *)
-  let resolved = Hashtbl.create 256 in
+  let resolved = Idtbl.Int.create 256 in
   let try_exact (scope, (s : Nast.stmt), kk) =
     match Hashtbl.find_opt buckets (exact_key ~scope s kk) with
     | Some q when not (Queue.is_empty q) ->
         let b = Queue.pop q in
-        Hashtbl.replace matched b.Nast.id ();
-        Hashtbl.replace resolved s.Nast.id b
+        Idtbl.Int.replace matched b.Nast.id ();
+        Idtbl.Int.replace resolved s.Nast.id b
     | _ -> ()
   in
   let try_equiv (scope, (s : Nast.stmt), kk) =
-    if not (Hashtbl.mem resolved s.Nast.id) then
+    if not (Idtbl.Int.mem resolved s.Nast.id) then
       match Hashtbl.find_opt buckets2 (loose_key ~scope kk) with
       | Some q ->
           (* the secondary queue shadows the primary one, so skip base
@@ -260,10 +260,10 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
           let rec pop () =
             if not (Queue.is_empty q) then
               let b = Queue.pop q in
-              if Hashtbl.mem matched b.Nast.id then pop ()
+              if Idtbl.Int.mem matched b.Nast.id then pop ()
               else begin
-                Hashtbl.replace matched b.Nast.id ();
-                Hashtbl.replace resolved s.Nast.id
+                Idtbl.Int.replace matched b.Nast.id ();
+                Idtbl.Int.replace resolved s.Nast.id
                   { b with Nast.is_source_deref = s.Nast.is_source_deref }
               end
           in
@@ -284,7 +284,7 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
   List.iter try_exact ed_stmts;
   List.iter try_equiv ed_stmts;
   let align_stmt _scope (s : Nast.stmt) : Nast.stmt =
-    match Hashtbl.find_opt resolved s.Nast.id with
+    match Idtbl.Int.find_opt resolved s.Nast.id with
     | Some b -> b
     | None ->
         incr next_id;
@@ -307,12 +307,12 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
       edited.Nast.pfuncs
   in
   let dedup_vars vs =
-    let seen = Hashtbl.create 64 in
+    let seen = Idtbl.Int.create 64 in
     List.filter
       (fun (v : Cvar.t) ->
-        if Hashtbl.mem seen v.Cvar.vid then false
+        if Idtbl.Int.mem seen v.Cvar.vid then false
         else begin
-          Hashtbl.replace seen v.Cvar.vid ();
+          Idtbl.Int.replace seen v.Cvar.vid ();
           true
         end)
       vs
@@ -329,7 +329,7 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
   in
   let removed =
     List.filter
-      (fun (s : Nast.stmt) -> not (Hashtbl.mem matched s.Nast.id))
+      (fun (s : Nast.stmt) -> not (Idtbl.Int.mem matched s.Nast.id))
       (Nast.all_stmts base)
   in
   let ed_keys = Hashtbl.create 64 in

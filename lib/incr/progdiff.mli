@@ -32,8 +32,10 @@
 
     Approximation: two distinct variables with the same name, kind,
     scope and type (shadowed block locals) share one key and are
-    conflated by the remapping. The lowered corpus does not produce such
-    pairs. Heap objects are keyed by their program-wide allocation
+    conflated by the remapping. Four corpus programs produce such a
+    pair: [bc], [less], [gzip] and [tbl]. The report store refuses
+    their snapshots ([Store.Codec.shadowed_key]), and [align] conflates
+    the two variables of the pair. Heap objects are keyed by their program-wide allocation
     ordinal (never by source coordinates, so line shifts are invisible);
     an edit that inserts or removes an allocation site shifts the
     ordinals after it, and those heap objects diff as removed +

@@ -25,7 +25,7 @@
 
 open Cfront
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Idtbl.Int
 
 (* Erased token: temporaries become a placeholder carrying only their
    type (their names are what this pass is erasing); everything else

@@ -115,6 +115,62 @@ let test_union_into_matches_elementwise () =
   Alcotest.(check int) "empty src adds nothing" 0
     (Idset.union_into s (Idset.create ()))
 
+(* The same oracle as a property over set shapes the solver produces:
+   overlapping, disjoint, equal, empty on either side, and one side a
+   subset of the other. [dst] is created with a random capacity so the
+   merge runs both in place and into fresh arrays. *)
+let union_into_shapes =
+  let open QCheck2.Gen in
+  let ids = list_size (int_range 0 40) (int_range 0 99) in
+  let shape = int_range 0 6 in
+  let* d = ids and* s = ids and* k = shape and* cap = int_range 1 64 in
+  let d, s =
+    match k with
+    | 0 -> (d, s) (* overlapping at random *)
+    | 1 -> (d, List.map (fun x -> x + 100) s) (* disjoint *)
+    | 2 -> (d, List.rev d) (* equal, other insertion order *)
+    | 3 -> (d, []) (* empty src *)
+    | 4 -> ([], s) (* empty dst *)
+    | 5 -> (d, List.filteri (fun i _ -> i mod 2 = 0) d) (* src within dst *)
+    | _ -> (d, s @ d) (* dst within src *)
+  in
+  return (d, s, cap)
+
+let union_into_property =
+  QCheck2.Test.make ~name:"Idset.union_into agrees with element-wise add"
+    ~count:500
+    ~print:(fun (d, s, cap) ->
+      Printf.sprintf "dst=[%s] src=[%s] cap=%d"
+        (String.concat ";" (List.map string_of_int d))
+        (String.concat ";" (List.map string_of_int s))
+        cap)
+    union_into_shapes
+    (fun (d, s, cap) ->
+      let dst = Idset.create ~cap () and src = Idset.create () in
+      let oracle = Idset.create () in
+      List.iter (fun x -> ignore (Idset.add dst x); ignore (Idset.add oracle x)) d;
+      List.iter (fun x -> ignore (Idset.add src x)) s;
+      let before = Idset.cardinal dst in
+      let prefix = List.init before (Idset.get_ord dst) in
+      let src_ord = List.init (Idset.cardinal src) (Idset.get_ord src) in
+      let added = Idset.union_into dst src in
+      let fresh = List.filter (fun x -> not (List.mem x prefix)) src_ord in
+      List.iter (fun x -> ignore (Idset.add oracle x)) src_ord;
+      let members = Idset.elements dst in
+      let rec strictly_increasing = function
+        | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+        | _ -> true
+      in
+      added = List.length fresh
+      && Idset.cardinal dst = before + added
+      && strictly_increasing members
+      && members = Idset.elements oracle
+      && List.init before (Idset.get_ord dst) = prefix
+      && List.init added (fun i -> Idset.get_ord dst (before + i)) = fresh
+      && List.for_all (Idset.mem dst) (d @ s)
+      && not (List.exists (Idset.mem dst) [ -1; 200; 250 ])
+      && List.init (Idset.cardinal src) (Idset.get_ord src) = src_ord)
+
 (* ------------------------------------------------------------------ *)
 (* Graph.unify class sharing                                           *)
 (* ------------------------------------------------------------------ *)
@@ -424,6 +480,7 @@ let suite =
     tc "priority queue: ordering and tie-break" test_pq_ordering;
     tc "Idset.union_into matches element-wise adds"
       test_union_into_matches_elementwise;
+    QCheck_alcotest.to_alcotest union_into_property;
     tc "Graph.unify shares one set per class" test_graph_unify_shares_sets;
     tc "Graph.unify with a fact-free side" test_graph_unify_fact_free_side;
     tc "two-cell subset cycle unifies" test_two_cell_cycle;

@@ -357,7 +357,8 @@ let test_fallback_preserves_base () =
   let base, edited = removal_pair () in
   let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
   let snap tbl =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [] |> List.sort compare
+    Cfront.Idtbl.Pair.fold (fun k r acc -> (k, !r) :: acc) tbl []
+    |> List.sort compare
   in
   let edges0 = snap t.Core.Solver.edge_support in
   let copies0 = snap t.Core.Solver.copy_support in

@@ -112,6 +112,76 @@ let test_interleaved_jobs () =
       Alcotest.(check string) (Printf.sprintf "job %d stable over reuse" i) a b)
     (List.combine first last)
 
+(* Identity-hashed id tables make table iteration follow cell ids, so
+   pin the contract that reports do not: interning a few thousand
+   unrelated cells between two solves must change no report byte. The
+   same compiled program solved again reuses its cells, so
+   [Graph.equal] applies; a recompile of the same source mints fresh
+   variables whose cells land past the unrelated ones, and must still
+   print the same report and points-to text. *)
+let test_reports_ignore_cell_ids () =
+  let cgen_src =
+    Cgen.generate
+      ~cfg:
+        { Cgen.n_stmts = 300; n_structs = 4; cast_rate = 0.3; with_calls = true }
+      ~seed:2026 ()
+  in
+  let corpus name = (Option.get (Suite.find name)).Suite.source in
+  let programs =
+    [ ("cgen300", cgen_src); ("li", corpus "li"); ("tbl", corpus "tbl") ]
+  in
+  let junk = ref 0 in
+  let intern_unrelated () =
+    let v =
+      Cfront.Cvar.fresh ~name:"unrelated" ~ty:Cfront.Ctype.Void
+        ~kind:Cfront.Cvar.Global
+    in
+    for i = 0 to 3000 do
+      ignore (Core.Cell.v v (Core.Cell.Off (i + !junk)))
+    done;
+    junk := !junk + 3001
+  in
+  let points_to (r : Core.Analysis.result) =
+    Fmt.str "%a" Core.Graph.pp r.Core.Analysis.solver.Core.Solver.graph
+  in
+  let report (r : Core.Analysis.result) =
+    Core.Report.json_of_result ~timing:false ~solver_stats:false ~name:"p" r
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun id ->
+          List.iter
+            (fun engine ->
+              let label =
+                Printf.sprintf "%s/%s/%s" name id
+                  (Core.Solver.engine_name engine)
+              in
+              let solve prog =
+                Core.Analysis.run ~engine ~strategy:(strategy id) prog
+              in
+              let prog = compile src in
+              let r1 = solve prog in
+              intern_unrelated ();
+              let r2 = solve prog in
+              intern_unrelated ();
+              let r3 = solve (compile src) in
+              Alcotest.(check bool) (label ^ ": same graph") true
+                (Core.Graph.equal r1.Core.Analysis.solver.Core.Solver.graph
+                   r2.Core.Analysis.solver.Core.Solver.graph);
+              List.iter
+                (fun (what, r) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: report (%s)" label what)
+                    (report r1) (report r);
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: points-to (%s)" label what)
+                    (points_to r1) (points_to r))
+                [ ("re-solve", r2); ("recompile", r3) ])
+            [ `Delta; `Delta_nocycle ])
+        [ "collapse-always"; "collapse-on-cast"; "cis"; "offsets" ])
+    programs
+
 let suite =
   [
     tc "identical back-to-back runs" test_identical_reruns;
@@ -119,4 +189,5 @@ let suite =
     tc "budget/degradation isolation across runs" test_budget_isolation;
     tc "metrics counters reset per run" test_metrics_reset;
     tc "interleaved jobs stable under process reuse" test_interleaved_jobs;
+    tc "reports do not depend on cell ids" test_reports_ignore_cell_ids;
   ]

@@ -225,6 +225,38 @@ let test_errors () =
   expect_error "array of functions" "int f[3](void);";
   expect_error "keyword as name" "int while;"
 
+(* Every keyword is refused where only an identifier may stand (a
+   member name after [.]); names that merely resemble one parse as plain
+   identifiers, in declarators and after [.] alike. *)
+let keywords =
+  [
+    "void"; "char"; "short"; "int"; "long"; "float"; "double"; "signed";
+    "unsigned"; "struct"; "union"; "enum"; "typedef"; "static"; "extern";
+    "register"; "auto"; "const"; "volatile"; "if"; "else"; "while"; "do";
+    "for"; "return"; "break"; "continue"; "switch"; "case"; "default";
+    "goto"; "sizeof";
+  ]
+
+let test_keywords_refused () =
+  Alcotest.(check int) "keyword count" 32 (List.length keywords);
+  List.iter
+    (fun kw ->
+      expect_error ("member named " ^ kw)
+        (Printf.sprintf "struct S { int a; } s; void f(void) { s.%s = 0; }" kw))
+    keywords;
+  let near = [ "integer"; "If"; "do_it"; "sizeof_t" ] in
+  List.iter
+    (fun n ->
+      match first_global (Printf.sprintf "int %s;" n) with
+      | Ast.Gvar d -> Alcotest.(check string) ("declares " ^ n) n d.Ast.dname
+      | _ -> Alcotest.failf "%s: not parsed as a variable" n)
+    near;
+  let fields = String.concat " " (List.map (Printf.sprintf "int %s;") near) in
+  let uses = String.concat " " (List.map (Printf.sprintf "s.%s = 0;") near) in
+  ignore
+    (parse
+       (Printf.sprintf "struct S { %s } s; void f(void) { %s }" fields uses))
+
 let suite =
   [
     Helpers.tc "declarators" test_declarators;
@@ -242,4 +274,5 @@ let suite =
     Helpers.tc "initializers" test_initializers;
     Helpers.tc "multiple declarators" test_multi_declarators;
     Helpers.tc "parse errors" test_errors;
+    Helpers.tc "keywords refused as identifiers" test_keywords_refused;
   ]

@@ -613,6 +613,29 @@ let test_fault_plan_parsing () =
   | Ok _ -> Alcotest.fail "unknown fault kind must be rejected"
   | Error _ -> ()
 
+(* Four corpus programs lower to two variables under one variable key
+   (a shadowed block local with its outer namesake's name and type), so
+   the store refuses their snapshots and [Progdiff.align] would conflate
+   the pair. Pinned as today's behaviour: a finer variable key must
+   change this test on purpose. *)
+let test_corpus_shadowed_keys () =
+  let shadowed name =
+    let src = (Option.get (Suite.find name)).Suite.source in
+    Store.Codec.shadowed_key
+      ~keyer:(Incr.Progdiff.Keyer.create ())
+      (Norm.Lower.compile ~file:name src)
+  in
+  List.iter
+    (fun (name, key) ->
+      Alcotest.(check (option string)) name key (shadowed name))
+    [
+      ("bc", Some "v|l:eval|long");
+      ("less", Some "l|l:get_line|struct link*");
+      ("gzip", Some "l|l:assign_canonical|int");
+      ("tbl", Some "next|l:tbl_rehash|struct tbl_entry*");
+      ("li", None);
+    ]
+
 (* The store key is the name of files already on disk: a drift in any
    key byte turns every existing store into misses. The hex is pinned
    from the Format-based key renderer. (The test's name predates the
@@ -634,6 +657,8 @@ let suite =
     tc "exact hit (json)" test_exact_hit_json;
     tc "additive near-repeat solves cold" test_additive_near_repeat_cold;
     tc "shadowed variable key is never filed" test_shadowed_key_never_filed;
+    tc "corpus programs with a shadowed variable key"
+      test_corpus_shadowed_keys;
     tc "bit flip quarantined, not deleted" test_bit_flip_quarantined;
     tc "truncation quarantined" test_truncation_quarantined;
     tc "version skew quarantined" test_version_skew_quarantined;
