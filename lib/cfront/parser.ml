@@ -17,8 +17,9 @@
     partial AST covering everything that did parse. *)
 
 type state = {
-  toks : Token.spanned array;
-  mutable idx : int;
+  mutable toks : Token.spanned list;
+      (** the unread tokens: the parser walks the preprocessor's list
+          and never copies it *)
   layout : Layout.config;
   diags : Diag.ctx;
   typedefs : (string, Ctype.t) Hashtbl.t;
@@ -44,19 +45,23 @@ let is_keyword = function
 (* Cursor utilities                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let cur st : Token.spanned =
-  if st.idx < Array.length st.toks then st.toks.(st.idx)
-  else { Token.tok = Token.Eof; loc = Srcloc.dummy; bol = true }
+let eof = { Token.tok = Token.Eof; loc = Srcloc.dummy; bol = true }
+
+let cur st : Token.spanned = match st.toks with t :: _ -> t | [] -> eof
 
 let peek st = (cur st).Token.tok
 
 let peek_at st n =
-  if st.idx + n < Array.length st.toks then st.toks.(st.idx + n).Token.tok
-  else Token.Eof
+  let rec nth l n =
+    match l with
+    | [] -> Token.Eof
+    | t :: rest -> if n = 0 then t.Token.tok else nth rest (n - 1)
+  in
+  nth st.toks n
 
 let here st = (cur st).Token.loc
 
-let bump st = st.idx <- st.idx + 1
+let bump st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
 let expect st tok =
   if peek st = tok then bump st
@@ -120,12 +125,12 @@ let resync_global st =
 (** Run [f]; on a syntax error, record it, make progress past the error
     token, and resynchronize with [resync]. Returns [None] on error. *)
 let recovering st ~resync (f : unit -> 'a) : 'a option =
-  let before = st.idx in
+  let before = st.toks in
   match f () with
   | x -> Some x
   | exception Diag.Error p ->
       Diag.add st.diags p;
-      if st.idx = before && peek st <> Token.Eof then bump st;
+      if st.toks == before && peek st <> Token.Eof then bump st;
       resync st;
       None
 
@@ -1066,8 +1071,7 @@ let parse_global st (acc : Ast.global list ref) : unit =
 
 let create ?(layout = Layout.default) ~diags toks : state =
   {
-    toks = Array.of_list toks;
-    idx = 0;
+    toks;
     layout;
     diags;
     typedefs = Hashtbl.create 32;

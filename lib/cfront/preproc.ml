@@ -34,15 +34,20 @@ let create_env ?(defines = []) ?(resolve = fun _ -> None) () =
 (* Token cursors                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { toks : Token.spanned array; mutable idx : int }
+(* A cursor is the unread rest of a token list: reading one advances
+   past a cons cell, and the list itself is never copied. *)
+type cursor = { mutable rest : Token.spanned list }
 
-let cursor_of_list l = { toks = Array.of_list l; idx = 0 }
+let cursor_of_list l = { rest = l }
 
-let cur c =
-  if c.idx < Array.length c.toks then c.toks.(c.idx)
-  else { Token.tok = Token.Eof; loc = Srcloc.dummy; bol = true }
+let eof = { Token.tok = Token.Eof; loc = Srcloc.dummy; bol = true }
 
-let bump c = c.idx <- c.idx + 1
+let cur c = match c.rest with t :: _ -> t | [] -> eof
+
+(* the token after [cur c] *)
+let peek2 c = match c.rest with _ :: t :: _ -> t | _ -> eof
+
+let bump c = match c.rest with _ :: r -> c.rest <- r | [] -> ()
 
 (* All tokens of the current directive line: everything up to (not
    including) the next beginning-of-line token. *)
@@ -72,7 +77,9 @@ let is_adjacent (a : Token.spanned) (b : Token.spanned) =
   | _ -> false
 
 (* Split the argument tokens of a function-like macro call. The cursor is
-   positioned right after the opening parenthesis. *)
+   positioned right after the opening parenthesis; it may be the source
+   stream itself, where a directive ends the arguments (a directive
+   cannot occur in a macro body or an argument list). *)
 let parse_macro_args c loc : Token.spanned list list =
   let args = ref [] in
   let current = ref [] in
@@ -81,6 +88,9 @@ let parse_macro_args c loc : Token.spanned list list =
     let t = cur c in
     match t.Token.tok with
     | Token.Eof -> Diag.error ~loc "unterminated macro argument list"
+    | Token.Hash when t.Token.bol ->
+        (* a call's arguments never run into a directive *)
+        Diag.error ~loc "unterminated macro argument list"
     | Token.Rparen when !depth = 0 ->
         bump c;
         args := List.rev !current :: !args
@@ -160,50 +170,53 @@ let substitute body params args_raw args_exp loc : Token.spanned list =
   ignore loc;
   go [] body
 
+(* Expand the macro call that starts at [t = cur c] ([name], defined as
+   [m], not hidden), pushing its expansion onto [out] in reverse. A
+   function-like name not followed by '(' is not a call and stays. *)
+let rec expand_macro env hide c (t : Token.spanned) name m out =
+  match m with
+  | Objlike body ->
+      bump c;
+      let expanded = expand_tokens env (Sset.add name hide) body in
+      out := List.rev_append expanded !out
+  | Funclike { params; body } ->
+      if (peek2 c).Token.tok = Token.Lparen then (
+        bump c;
+        bump c;
+        (* name, lparen *)
+        let args_raw = parse_macro_args c t.Token.loc in
+        let args_raw =
+          (* f() with one empty argument and zero parameters *)
+          if params = [] && args_raw = [ [] ] then [] else args_raw
+        in
+        if List.length args_raw <> List.length params then
+          Diag.error ~loc:t.Token.loc "macro %s expects %d argument(s), got %d"
+            name (List.length params) (List.length args_raw);
+        let args_exp = List.map (expand_tokens env hide) args_raw in
+        let body' = substitute body params args_raw args_exp t.Token.loc in
+        let expanded = expand_tokens env (Sset.add name hide) body' in
+        out := List.rev_append expanded !out)
+      else (
+        bump c;
+        out := t :: !out)
+
 (* Expand a token list fully. [hide] prevents recursive self-expansion. *)
-let rec expand_tokens env hide (toks : Token.spanned list) : Token.spanned list
-    =
+and expand_tokens env hide (toks : Token.spanned list) : Token.spanned list =
   let c = cursor_of_list toks in
   let out = ref [] in
   let rec go () =
     let t = cur c in
     match t.Token.tok with
     | Token.Eof -> ()
-    | Token.Ident name when (not (Sset.mem name hide)) && Hashtbl.mem env.defines name -> (
-        match Hashtbl.find env.defines name with
-        | Objlike body ->
-            bump c;
-            let expanded = expand_tokens env (Sset.add name hide) body in
-            out := List.rev_append expanded !out;
+    | Token.Ident name when not (Sset.mem name hide) -> (
+        match Hashtbl.find_opt env.defines name with
+        | Some m ->
+            expand_macro env hide c t name m out;
             go ()
-        | Funclike { params; body } ->
-            if (cur { c with idx = c.idx + 1 }).Token.tok = Token.Lparen then (
-              bump c;
-              bump c;
-              (* name, lparen *)
-              let args_raw = parse_macro_args c t.Token.loc in
-              let args_raw =
-                (* f() with one empty argument and zero parameters *)
-                if params = [] && args_raw = [ [] ] then [] else args_raw
-              in
-              if List.length args_raw <> List.length params then
-                Diag.error ~loc:t.Token.loc
-                  "macro %s expects %d argument(s), got %d" name
-                  (List.length params) (List.length args_raw);
-              let args_exp =
-                List.map (expand_tokens env hide) args_raw
-              in
-              let body' =
-                substitute body params args_raw args_exp t.Token.loc
-              in
-              let expanded = expand_tokens env (Sset.add name hide) body' in
-              out := List.rev_append expanded !out;
-              go ())
-            else (
-              (* function-like macro not followed by '(' is not a call *)
-              bump c;
-              out := t :: !out;
-              go ()))
+        | None ->
+            bump c;
+            out := t :: !out;
+            go ())
     | _ ->
         bump c;
         out := t :: !out;
@@ -474,9 +487,7 @@ let rec process env (toks : Token.spanned list) (out : Token.spanned list ref)
                 if env.include_depth > 32 then
                   Diag.error ~loc:dloc "#include nesting too deep (%S)" path;
                 env.include_depth <- env.include_depth + 1;
-                let sub = Lexer.tokenize ~file:path text in
-                let sub = List.filter (fun t -> t.Token.tok <> Token.Eof) sub in
-                process env sub out;
+                process env (Lexer.tokenize ~file:path text) out;
                 env.include_depth <- env.include_depth - 1)
         | "error" when active () ->
             Diag.error ~loc:dloc "#error %s"
@@ -501,30 +512,39 @@ let rec process env (toks : Token.spanned list) (out : Token.spanned list ref)
         handle_directive t;
         go ()
     | _ ->
-        if active () then begin
-          (* collect the rest of this logical line's ordinary tokens up to
-             the next directive or EOF, then macro-expand them together so
-             function-like calls spanning lines work *)
-          let chunk = ref [] in
-          let rec collect () =
-            let t = cur c in
-            match t.Token.tok with
-            | Token.Eof -> ()
-            | Token.Hash when t.Token.bol -> ()
-            | _ ->
-                bump c;
-                chunk := t :: !chunk;
-                collect ()
-          in
-          collect ();
-          let expanded = expand_tokens env Sset.empty (List.rev !chunk) in
-          out := List.rev_append expanded !out;
-          go ()
-        end
-        else begin
-          bump c;
-          go ()
-        end
+        if active () then text () else skip ();
+        go ()
+  (* The ordinary tokens up to the next directive or EOF. Plain ones go
+     straight to [out]; a macro name expands in place, a call reading
+     its arguments from the stream, so calls spanning lines work. *)
+  and text () =
+    match c.rest with
+    | [] -> ()
+    | t :: rest -> (
+        match t.Token.tok with
+        | Token.Eof -> ()
+        | Token.Hash when t.Token.bol -> ()
+        | Token.Ident name -> (
+            match Hashtbl.find_opt env.defines name with
+            | Some m ->
+                expand_macro env Sset.empty c t name m out;
+                text ()
+            | None ->
+                c.rest <- rest;
+                out := t :: !out;
+                text ())
+        | _ ->
+            c.rest <- rest;
+            out := t :: !out;
+            text ())
+  (* an inactive region, up to the next directive or EOF *)
+  and skip () =
+    match c.rest with
+    | { Token.tok = Token.Eof; _ } :: _ | [] -> ()
+    | { Token.tok = Token.Hash; bol = true; _ } :: _ -> ()
+    | _ :: rest ->
+        c.rest <- rest;
+        skip ()
   in
   go ();
   ignore (parent_active ());
@@ -538,9 +558,6 @@ let rec process env (toks : Token.spanned list) (out : Token.spanned list ref)
 let run ?(defines = []) ?(resolve = fun _ -> None) ~file src :
     Token.spanned list =
   let env = create_env ~defines ~resolve () in
-  let toks = Lexer.tokenize ~file src in
-  let toks = List.filter (fun t -> t.Token.tok <> Token.Eof) toks in
   let out = ref [] in
-  process env toks out;
-  List.rev
-    ({ Token.tok = Token.Eof; loc = Srcloc.dummy; bol = true } :: !out)
+  process env (Lexer.tokenize ~file src) out;
+  List.rev (eof :: !out)

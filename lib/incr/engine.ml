@@ -461,12 +461,29 @@ let removed_share (t : Solver.t) (d : Progdiff.t) : float * int =
   ((if total = 0 then 0.0 else float_of_int removed /. float_of_int total),
    total)
 
+(* The alignment index of the program the last [reanalyze] left its
+   solver on, keyed by that program value's physical identity: the
+   next edit of the same session finds it and keys only the edited
+   version. Any other solver (another session, or a base left in place
+   by a fallback) misses and is keyed afresh. The ephemeron keeps
+   neither the program nor its index alive past the session. *)
+let last_index : (Nast.program, Progdiff.index) Ephemeron.K1.t option ref =
+  ref None
+
+let base_index (prog : Nast.program) : Progdiff.index =
+  match Option.bind !last_index (fun e -> Ephemeron.K1.query e prog) with
+  | Some ix -> ix
+  | None -> Progdiff.index prog
+
 let reanalyze ?(retract_budget = default_retract_budget) ?diags
     (t : Solver.t) (edited : Nast.program) : Solver.t * stats =
   if t.Solver.engine = `Naive then
     invalid_arg
       "Incr.Engine.reanalyze: the naive engine is a scratch-only oracle";
-  let aligned, d = Progdiff.align ~base:t.Solver.prog edited in
+  let ix, d = Progdiff.align ~base:(base_index t.Solver.prog) edited in
+  let aligned = Progdiff.program ix in
+  (* every path below leaves the returned solver on [aligned] *)
+  last_index := Some (Ephemeron.K1.make aligned ix);
   let n_added = List.length d.Progdiff.added in
   let n_removed = List.length d.Progdiff.removed in
   let finish (t' : Solver.t) ~retracted ~affected ~warm ~replayed ~fallback

@@ -17,33 +17,55 @@
 open Cfront
 open Norm
 
-(* Every key is built with [String.concat], never [Printf]: keys are
-   rendered for every variable occurrence of both program versions on
-   each edit, and their bytes are durable identities (store keys), so
-   the grammar below is fixed. *)
+(* Every key is rendered into a [Buffer] or built with [String.concat],
+   never [Printf]: keys are rendered for every variable occurrence of
+   each program version an edit session sees, and their bytes are
+   durable identities (store keys), so the grammar below is fixed. *)
 
-let kind_part : Cvar.kind -> string = function
-  | Cvar.Global -> "g"
-  | Cvar.Local f -> "l:" ^ f
-  | Cvar.Param f -> "p:" ^ f
-  | Cvar.Temp f -> "t:" ^ f
-  | Cvar.Ret f -> "r:" ^ f
+let add_kind_part b : Cvar.kind -> unit = function
+  | Cvar.Global -> Buffer.add_char b 'g'
+  | Cvar.Local f ->
+      Buffer.add_string b "l:";
+      Buffer.add_string b f
+  | Cvar.Param f ->
+      Buffer.add_string b "p:";
+      Buffer.add_string b f
+  | Cvar.Temp f ->
+      Buffer.add_string b "t:";
+      Buffer.add_string b f
+  | Cvar.Ret f ->
+      Buffer.add_string b "r:";
+      Buffer.add_string b f
   (* keyed by allocation ordinal, not source coordinates: an edit that
      only shifts lines above the allocation site must not invalidate
      the heap object (inserting/removing an {e allocation} earlier in
      the program still shifts later ordinals — those objects are
      treated as removed + re-added, which retraction handles) *)
-  | Cvar.Heap (_, site) -> "h:" ^ string_of_int site
-  | Cvar.Strlit i -> "s:" ^ string_of_int i
-  | Cvar.Funval f -> "f:" ^ f
-  | Cvar.Vararg f -> "v:" ^ f
+  | Cvar.Heap (_, site) ->
+      Buffer.add_string b "h:";
+      Buffer.add_string b (string_of_int site)
+  | Cvar.Strlit i ->
+      Buffer.add_string b "s:";
+      Buffer.add_string b (string_of_int i)
+  | Cvar.Funval f ->
+      Buffer.add_string b "f:";
+      Buffer.add_string b f
+  | Cvar.Vararg f ->
+      Buffer.add_string b "v:";
+      Buffer.add_string b f
+
+(* name|kind|type *)
+let add_var_key b (v : Cvar.t) =
+  Buffer.add_string b v.Cvar.vname;
+  Buffer.add_char b '|';
+  add_kind_part b v.Cvar.vkind;
+  Buffer.add_char b '|';
+  Buffer.add_string b (Ctype.to_string v.Cvar.vty)
 
 let var_key (v : Cvar.t) : string =
-  String.concat "|"
-    [ v.Cvar.vname; kind_part v.Cvar.vkind; Ctype.to_string v.Cvar.vty ]
-
-(* The key renderers below take the variable keyer as [var], so the
-   exported one-shot functions and {!Keyer} share one grammar. *)
+  let b = Buffer.create 64 in
+  add_var_key b v;
+  Buffer.contents b
 
 let interface_key_with var (f : Nast.func) : string =
   String.concat ""
@@ -79,35 +101,70 @@ let iface_of_program_with var (p : Nast.program) : string -> string =
     else
       match Hashtbl.find_opt tbl name with Some k -> k | None -> "undef"
 
-let kind_key_with var ~(iface : string -> string) (k : Nast.kind) : string =
-  let two tag a b = String.concat "|" [ tag; var a; var b ] in
-  let three tag a b p =
-    String.concat "|" [ tag; var a; var b; Ctype.path_to_string p ]
+(* The field path joined with '.', or "ε" when empty. *)
+let add_path b (p : Ctype.path) =
+  let rec fields = function
+    | [] -> ()
+    | [ f ] -> Buffer.add_string b f
+    | f :: rest ->
+        Buffer.add_string b f;
+        Buffer.add_char b '.';
+        fields rest
+  in
+  if p = [] then Buffer.add_string b "ε" else fields p
+
+(* tag|x|y *)
+let add_pair b var tag x y =
+  Buffer.add_string b tag;
+  Buffer.add_char b '|';
+  Buffer.add_string b (var x);
+  Buffer.add_char b '|';
+  Buffer.add_string b (var y)
+
+let add_kind_key b var ~(iface : string -> string) (k : Nast.kind) : unit =
+  let triple tag x y p =
+    add_pair b var tag x y;
+    Buffer.add_char b '|';
+    add_path b p
   in
   match k with
-  | Nast.Addr (s, t, b) -> three "A" s t b
-  | Nast.Addr_deref (s, p, a) -> three "D" s p a
-  | Nast.Copy (s, t, b) -> three "C" s t b
-  | Nast.Load (s, q) -> two "L" s q
-  | Nast.Store (p, v) -> two "S" p v
-  | Nast.Arith (s, v) -> two "R" s v
+  | Nast.Addr (s, t, p) -> triple "A" s t p
+  | Nast.Addr_deref (s, p, a) -> triple "D" s p a
+  | Nast.Copy (s, t, p) -> triple "C" s t p
+  | Nast.Load (s, q) -> add_pair b var "L" s q
+  | Nast.Store (p, v) -> add_pair b var "S" p v
+  | Nast.Arith (s, v) -> add_pair b var "R" s v
   | Nast.Call { Nast.cret; cfn; cargs } ->
-      let ret = match cret with Some v -> var v | None -> "-" in
-      let fn =
-        match cfn with
-        | Nast.Direct n -> String.concat "" [ "d:"; n; "~"; iface n ]
-        | Nast.Indirect v ->
-            String.concat "" [ "i:"; var v; "~"; iface "*" ]
-      in
-      String.concat "|"
-        [ "K"; ret; fn; String.concat "," (List.map var cargs) ]
+      Buffer.add_string b "K|";
+      Buffer.add_string b (match cret with Some v -> var v | None -> "-");
+      Buffer.add_char b '|';
+      (match cfn with
+      | Nast.Direct n ->
+          Buffer.add_string b "d:";
+          Buffer.add_string b n;
+          Buffer.add_char b '~';
+          Buffer.add_string b (iface n)
+      | Nast.Indirect v ->
+          Buffer.add_string b "i:";
+          Buffer.add_string b (var v);
+          Buffer.add_char b '~';
+          Buffer.add_string b (iface "*"));
+      Buffer.add_char b '|';
+      List.iteri
+        (fun i a ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b (var a))
+        cargs
 
-(* The statement key and its flag-free twin, from the kind key. *)
+let kind_key_with var ~iface k =
+  let b = Buffer.create 128 in
+  add_kind_key b var ~iface k;
+  Buffer.contents b
+
+(* The statement key, from the kind key. *)
 let exact_key ~scope (s : Nast.stmt) kk =
   String.concat "|"
     [ scope; (if s.Nast.is_source_deref then "true" else "false"); kk ]
-
-let loose_key ~scope kk = String.concat "|" [ scope; kk ]
 
 let interface_key f = interface_key_with var_key f
 
@@ -123,25 +180,35 @@ module Keyer = struct
      and only built by [Cvar.fresh], so one [vid] is one value for the
      whole process. The table lives as long as the keyer, which callers
      keep to one call: nothing outlives the program versions it keys. *)
-  type t = Cvar.t -> string
+  type t = { var : Cvar.t -> string; buf : Buffer.t }
 
-  let create () : t =
-    let memo = Cvar.Tbl.create 256 in
-    fun v ->
+  let create ?(size = 256) () : t =
+    let memo = Cvar.Tbl.create size in
+    let vb = Buffer.create 64 in
+    let var v =
       match Cvar.Tbl.find_opt memo v with
       | Some k -> k
       | None ->
-          let k = var_key v in
+          Buffer.clear vb;
+          add_var_key vb v;
+          let k = Buffer.contents vb in
           Cvar.Tbl.add memo v k;
           k
+    in
+    (* kind keys render into [buf], variable keys into [vb]: a kind key
+       in progress may render a variable's key *)
+    { var; buf = Buffer.create 128 }
 
-  let var (t : t) v = t v
+  let var (t : t) v = t.var v
 
-  let interface (t : t) f = interface_key_with t f
+  let interface (t : t) f = interface_key_with t.var f
 
-  let iface_of_program (t : t) p = iface_of_program_with t p
+  let iface_of_program (t : t) p = iface_of_program_with t.var p
 
-  let kind (t : t) ~iface k = kind_key_with t ~iface k
+  let kind (t : t) ~iface k =
+    Buffer.clear t.buf;
+    add_kind_key t.buf t.var ~iface k;
+    Buffer.contents t.buf
 
   let stmt t ~iface ~scope (s : Nast.stmt) =
     exact_key ~scope s (kind t ~iface s.Nast.kind)
@@ -154,62 +221,128 @@ type t = {
   removed_vars : Cvar.t list;
 }
 
-let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
-  (* one keyer for both versions: a variable's key does not depend on
-     the program it is in, and each is rendered once per call *)
-  let kr = Keyer.create () in
-  let var = Keyer.var kr in
-  let base_iface = Keyer.iface_of_program kr base in
-  let ed_iface = Keyer.iface_of_program kr edited in
-  (* variable remapping: key → base variable, first in [pall_vars] order *)
-  let vmap = Hashtbl.create 64 in
+module Stbl = Hashtbl.Make (String)
+
+(* One (scope, kind key) multiset: its statements in program order, and
+   the cursors of the alignment now running, each a suffix of [stmts].
+   The cursors belong to the call whose number [gen] holds and are
+   reset on its first touch by a later call, so an index serves any
+   number of alignments without copying a table. Pass 1 takes the next
+   statement with the edited statement's flag from [deref] or [plain]
+   (the exact key includes [is_source_deref]); pass 2 takes the next
+   from [loose] that pass 1 left unclaimed. *)
+type bucket = {
+  mutable stmts : Nast.stmt list;
+  mutable gen : int;
+  mutable deref : Nast.stmt list;
+  mutable plain : Nast.stmt list;
+  mutable loose : Nast.stmt list;
+}
+
+type index = {
+  program : Nast.program;
+  scopes : bucket Stbl.t Stbl.t;  (** scope → kind key → bucket *)
+  vars : (Cvar.t * string) list;  (** [pall_vars] with their keys *)
+  vmap : Cvar.t Stbl.t;  (** key → first variable of [pall_vars] with it *)
+  max_id : int;
+  mutable calls : int;  (** alignments run on this index *)
+}
+
+let program ix = ix.program
+
+(* [f scope stmts] over a program's scopes in program order: global
+   initializers, then each function's body *)
+let iter_scopes (p : Nast.program) f =
+  f "<init>" p.Nast.pinit;
   List.iter
-    (fun v ->
-      let k = var v in
-      if not (Hashtbl.mem vmap k) then Hashtbl.add vmap k v)
-    base.Nast.pall_vars;
+    (fun (fn : Nast.func) -> f fn.Nast.fname fn.Nast.fstmts)
+    p.Nast.pfuncs
+
+let scope_table scopes name size =
+  match Stbl.find_opt scopes name with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Stbl.create size in
+      Stbl.add scopes name tbl;
+      tbl
+
+let bucket_in tbl kk =
+  match Stbl.find_opt tbl kk with
+  | Some b -> b
+  | None ->
+      let b = { stmts = []; gen = 0; deref = []; plain = []; loose = [] } in
+      Stbl.add tbl kk b;
+      b
+
+(* The index of [program], whose statements were put in their buckets
+   ([slots], last statement first) and whose [pall_vars] are [vars]. *)
+let build program scopes (slots : (bucket * Nast.stmt) list) vars : index =
+  (* last first, so every bucket lists its statements in order *)
+  let max_id =
+    List.fold_left
+      (fun m (b, (s : Nast.stmt)) ->
+        b.stmts <- s :: b.stmts;
+        max m s.Nast.id)
+      0 slots
+  in
+  let vmap = Stbl.create (List.length vars) in
+  List.iter
+    (fun (v, k) -> if not (Stbl.mem vmap k) then Stbl.add vmap k v)
+    vars;
+  { program; scopes; vars; vmap; max_id; calls = 0 }
+
+let index (p : Nast.program) : index =
+  let kr = Keyer.create ~size:(List.length p.Nast.pall_vars) () in
+  let iface = Keyer.iface_of_program kr p in
+  let scopes = Stbl.create 16 in
+  let slots = ref [] in
+  iter_scopes p (fun scope stmts ->
+      let tbl = scope_table scopes scope (List.length stmts) in
+      List.iter
+        (fun (s : Nast.stmt) ->
+          let kk = Keyer.kind kr ~iface s.Nast.kind in
+          slots := (bucket_in tbl kk, s) :: !slots)
+        stmts);
+  build p scopes !slots
+    (List.map (fun v -> (v, Keyer.var kr v)) p.Nast.pall_vars)
+
+(* An edited statement on its way through the two matching passes. *)
+type pending = {
+  stmt : Nast.stmt;
+  base_bucket : bucket option;  (** the base multiset of its scope and key *)
+  new_bucket : bucket;  (** its multiset in the aligned program's index *)
+  mutable match_ : Nast.stmt option;  (** the base statement it pairs with *)
+  mutable aligned : Nast.stmt;  (** what the aligned program holds *)
+}
+
+let align ~(base : index) (edited : Nast.program) : index * t =
+  (* Only the edited version is keyed here: the base's keys, buckets
+     and variable map come with [base]. A variable's key does not depend
+     on the program it is in, so every key below is also the key of its
+     aligned counterpart, and the aligned program's index is assembled
+     from them without rendering a key twice. *)
+  let kr = Keyer.create ~size:(List.length edited.Nast.pall_vars) () in
+  let var = Keyer.var kr in
+  let ed_iface = Keyer.iface_of_program kr edited in
+  base.calls <- base.calls + 1;
+  let gen = base.calls in
+  (* variable remapping: key → base variable, first in [pall_vars] order;
+     keys the base lacks bind to the first edited variable met *)
+  let fresh_vars = Stbl.create 16 in
   let added_vars = ref [] in
   let mapvar (v : Cvar.t) : Cvar.t =
     let k = var v in
-    match Hashtbl.find_opt vmap k with
+    match Stbl.find_opt base.vmap k with
     | Some bv -> bv
-    | None ->
-        (* genuinely new: keep the edited variable, and bind its key so
-           every later occurrence maps to this same value *)
-        added_vars := v :: !added_vars;
-        Hashtbl.add vmap k v;
-        v
-  in
-  (* statement multiset: (scope, key) → base statements in order, plus
-     a secondary multiset keyed without the [is_source_deref] flag for
-     the equivalence pass below *)
-  let buckets = Hashtbl.create 256 in
-  let buckets2 = Hashtbl.create 256 in
-  let enqueue tbl k (s : Nast.stmt) =
-    let q =
-      match Hashtbl.find_opt tbl k with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          Hashtbl.add tbl k q;
-          q
-    in
-    Queue.add s q
-  in
-  let put scope (s : Nast.stmt) =
-    let kk = Keyer.kind kr ~iface:base_iface s.Nast.kind in
-    enqueue buckets (exact_key ~scope s kk) s;
-    enqueue buckets2 (loose_key ~scope kk) s
-  in
-  List.iter (put "<init>") base.Nast.pinit;
-  List.iter
-    (fun (f : Nast.func) -> List.iter (put f.Nast.fname) f.Nast.fstmts)
-    base.Nast.pfuncs;
-  let next_id =
-    ref
-      (List.fold_left
-         (fun m (s : Nast.stmt) -> max m s.Nast.id)
-         0 (Nast.all_stmts base))
+    | None -> (
+        match Stbl.find_opt fresh_vars k with
+        | Some v' -> v'
+        | None ->
+            (* genuinely new: keep the edited variable, and bind its key
+               so every later occurrence maps to this same value *)
+            added_vars := v :: !added_vars;
+            Stbl.add fresh_vars k v;
+            v)
   in
   let map_kind (k : Nast.kind) : Nast.kind =
     match k with
@@ -230,8 +363,43 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
             cargs = List.map mapvar cargs;
           }
   in
+  (* edited statements with their multisets in both indexes, from kind
+     keys rendered once *)
+  let scopes = Stbl.create 16 in
+  let pending = ref [] in
+  iter_scopes edited (fun scope stmts ->
+      let base_tbl = Stbl.find_opt base.scopes scope in
+      let tbl = scope_table scopes scope (List.length stmts) in
+      List.iter
+        (fun (s : Nast.stmt) ->
+          let kk = Keyer.kind kr ~iface:ed_iface s.Nast.kind in
+          let base_bucket =
+            match base_tbl with
+            | None -> None
+            | Some bt -> (
+                match Stbl.find_opt bt kk with
+                | None -> None
+                | Some b as found ->
+                    if b.gen <> gen then begin
+                      b.gen <- gen;
+                      b.deref <- b.stmts;
+                      b.plain <- b.stmts;
+                      b.loose <- b.stmts
+                    end;
+                    found)
+          in
+          pending :=
+            {
+              stmt = s;
+              base_bucket;
+              new_bucket = bucket_in tbl kk;
+              match_ = None;
+              aligned = s;
+            }
+            :: !pending)
+        stmts);
+  let pending = Array.of_list (List.rev !pending) in
   let matched = Idtbl.Int.create 256 in
-  let added = ref [] in
   (* Two matching passes before the program is rebuilt. Pass 1 pairs on
      the exact key. Pass 2 pairs the leftovers on the key {e without}
      the [is_source_deref] flag: the flag feeds only deref diagnostics,
@@ -242,57 +410,68 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
      retract-and-replay cycle. Running pass 2 only after pass 1 has
      seen every edited statement keeps it from stealing a base
      statement that still has an exact twin later in the program. *)
-  let resolved = Idtbl.Int.create 256 in
-  let try_exact (scope, (s : Nast.stmt), kk) =
-    match Hashtbl.find_opt buckets (exact_key ~scope s kk) with
-    | Some q when not (Queue.is_empty q) ->
-        let b = Queue.pop q in
-        Idtbl.Int.replace matched b.Nast.id ();
-        Idtbl.Int.replace resolved s.Nast.id b
+  let claim p (m : Nast.stmt) =
+    Idtbl.Int.replace matched m.Nast.id ();
+    p.match_ <- Some m
+  in
+  let try_exact p =
+    match p.base_bucket with
+    | None -> ()
+    | Some b ->
+        let f = p.stmt.Nast.is_source_deref in
+        let set l = if f then b.deref <- l else b.plain <- l in
+        let rec next = function
+          | [] -> set []
+          | (m : Nast.stmt) :: rest ->
+              if m.Nast.is_source_deref = f then begin
+                set rest;
+                claim p m
+              end
+              else next rest
+        in
+        next (if f then b.deref else b.plain)
+  in
+  let try_equiv p =
+    match (p.match_, p.base_bucket) with
+    | None, Some b ->
+        (* the loose cursor shadows the exact ones, so skip base
+           statements an exact match already claimed *)
+        let rec next = function
+          | [] -> b.loose <- []
+          | (m : Nast.stmt) :: rest ->
+              if Idtbl.Int.mem matched m.Nast.id then next rest
+              else begin
+                b.loose <- rest;
+                claim p
+                  { m with Nast.is_source_deref = p.stmt.Nast.is_source_deref }
+              end
+        in
+        next b.loose
     | _ -> ()
   in
-  let try_equiv (scope, (s : Nast.stmt), kk) =
-    if not (Idtbl.Int.mem resolved s.Nast.id) then
-      match Hashtbl.find_opt buckets2 (loose_key ~scope kk) with
-      | Some q ->
-          (* the secondary queue shadows the primary one, so skip base
-             statements an exact match already claimed *)
-          let rec pop () =
-            if not (Queue.is_empty q) then
-              let b = Queue.pop q in
-              if Idtbl.Int.mem matched b.Nast.id then pop ()
-              else begin
-                Idtbl.Int.replace matched b.Nast.id ();
-                Idtbl.Int.replace resolved s.Nast.id
-                  { b with Nast.is_source_deref = s.Nast.is_source_deref }
-              end
-          in
-          pop ()
-      | None -> ()
+  Array.iter try_exact pending;
+  Array.iter try_equiv pending;
+  let next_id = ref base.max_id in
+  let added = ref [] in
+  (* [align_stmt] meets the edited statements in program order, the
+     order of [pending] *)
+  let pos = ref 0 in
+  let align_stmt (s : Nast.stmt) : Nast.stmt =
+    let p = pending.(!pos) in
+    incr pos;
+    let s' =
+      match p.match_ with
+      | Some b -> b
+      | None ->
+          incr next_id;
+          let s' = { s with Nast.id = !next_id; kind = map_kind s.Nast.kind } in
+          added := s' :: !added;
+          s'
+    in
+    p.aligned <- s';
+    s'
   in
-  (* edited statements with their kind keys, rendered once for both
-     passes *)
-  let keyed scope (s : Nast.stmt) =
-    (scope, s, Keyer.kind kr ~iface:ed_iface s.Nast.kind)
-  in
-  let ed_stmts =
-    List.map (keyed "<init>") edited.Nast.pinit
-    @ List.concat_map
-        (fun (fn : Nast.func) -> List.map (keyed fn.Nast.fname) fn.Nast.fstmts)
-        edited.Nast.pfuncs
-  in
-  List.iter try_exact ed_stmts;
-  List.iter try_equiv ed_stmts;
-  let align_stmt _scope (s : Nast.stmt) : Nast.stmt =
-    match Idtbl.Int.find_opt resolved s.Nast.id with
-    | Some b -> b
-    | None ->
-        incr next_id;
-        let s' = { s with Nast.id = !next_id; kind = map_kind s.Nast.kind } in
-        added := s' :: !added;
-        s'
-  in
-  let pinit = List.map (align_stmt "<init>") edited.Nast.pinit in
+  let pinit = List.map align_stmt edited.Nast.pinit in
   let pfuncs =
     List.map
       (fun (f : Nast.func) ->
@@ -302,7 +481,7 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
           fparams = List.map mapvar f.Nast.fparams;
           fret = Option.map mapvar f.Nast.fret;
           fvararg = Option.map mapvar f.Nast.fvararg;
-          fstmts = List.map (align_stmt f.Nast.fname) f.Nast.fstmts;
+          fstmts = List.map align_stmt f.Nast.fstmts;
         })
       edited.Nast.pfuncs
   in
@@ -317,6 +496,20 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
         end)
       vs
   in
+  (* the aligned [pall_vars], with the keys of the edited variables
+     they stand for *)
+  let vars =
+    let seen = Idtbl.Int.create 64 in
+    List.filter_map
+      (fun v ->
+        let v' = mapvar v in
+        if Idtbl.Int.mem seen v'.Cvar.vid then None
+        else begin
+          Idtbl.Int.replace seen v'.Cvar.vid ();
+          Some (v', var v)
+        end)
+      edited.Nast.pall_vars
+  in
   let aligned =
     {
       Nast.pfile = edited.Nast.pfile;
@@ -324,28 +517,32 @@ let align ~(base : Nast.program) (edited : Nast.program) : Nast.program * t =
       pfuncs;
       pexterns = List.map (fun (n, v) -> (n, mapvar v)) edited.Nast.pexterns;
       pinit;
-      pall_vars = dedup_vars (List.map mapvar edited.Nast.pall_vars);
+      pall_vars = List.map fst vars;
     }
+  in
+  let ix =
+    build aligned scopes
+      (Array.fold_left
+         (fun acc p -> (p.new_bucket, p.aligned) :: acc)
+         [] pending)
+      vars
   in
   let removed =
     List.filter
       (fun (s : Nast.stmt) -> not (Idtbl.Int.mem matched s.Nast.id))
-      (Nast.all_stmts base)
+      (Nast.all_stmts base.program)
   in
-  let ed_keys = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace ed_keys (var v) ()) edited.Nast.pall_vars;
+  (* the new index's variable map holds exactly the edited keys *)
   let removed_vars =
     dedup_vars
-      (List.filter
-         (fun v -> not (Hashtbl.mem ed_keys (var v)))
-         base.Nast.pall_vars)
+      (List.filter_map
+         (fun (v, k) -> if Stbl.mem ix.vmap k then None else Some v)
+         base.vars)
   in
-  ( aligned,
+  ( ix,
     {
       added = List.rev !added;
       removed;
       added_vars = List.rev !added_vars;
       removed_vars;
     } )
-
-let diff ~base edited : t = snd (align ~base edited)

@@ -73,7 +73,9 @@ val iface_of_program : Nast.program -> string -> string
 module Keyer : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size]: the number of variables expected, so the memo never
+      grows. *)
 
   val var : t -> Cvar.t -> string
   (** {!var_key}, memoized. *)
@@ -99,9 +101,28 @@ type t = {
   removed_vars : Cvar.t list;  (** base variables keyed out of existence *)
 }
 
-val align : base:Nast.program -> Nast.program -> Nast.program * t
-(** [align ~base edited] is the edited program rebuilt over [base]'s
-    variables and statement values, plus the delta between the two. *)
+type index
+(** The alignment side of one program version: every statement's kind
+    key, bucketed by (scope, key) in program order, and every variable's
+    key with the key → variable map that remapping uses.
 
-val diff : base:Nast.program -> Nast.program -> t
-(** Just the delta of {!align}. *)
+    Contract: [index p] renders the keys of [p] from scratch; the index
+    {!align} returns for the program it builds holds exactly what
+    [index] would build from that program (same buckets in the same
+    order, same variable map, same largest statement id), from keys it
+    rendered for the edited version, so an edit session keys each
+    version once. An alignment leaves the index it reads as it found
+    it: aligning twice from one index gives the same result twice. A
+    cache of indexes is keyed by the program value itself (physical
+    identity), as {!Engine.reanalyze} does. *)
+
+val index : Nast.program -> index
+(** Key [p] from scratch. *)
+
+val program : index -> Nast.program
+(** The program an index describes. *)
+
+val align : base:index -> Nast.program -> index * t
+(** [align ~base edited] is the edited program rebuilt over [base]'s
+    variables and statement values (returned as the new index's
+    {!program}), plus the delta between the two. *)

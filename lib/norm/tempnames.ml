@@ -26,35 +26,79 @@
 open Cfront
 
 module Itbl = Idtbl.Int
+module Stbl = Hashtbl.Make (String)
 
 (* Erased token: temporaries become a placeholder carrying only their
    type (their names are what this pass is erasing); everything else
-   contributes its qualified name and type. *)
+   contributes its qualified name and type. Rendered once per variable
+   per call ([tokens] memoizes by [vid]). *)
 let token (v : Cvar.t) : string =
   match v.Cvar.vkind with
   | Cvar.Temp _ -> "$T:" ^ Ctype.to_string v.Cvar.vty
-  | _ -> Cvar.qualified_name v ^ ":" ^ Ctype.to_string v.Cvar.vty
+  | _ -> String.concat ":" [ Cvar.qualified_name v; Ctype.to_string v.Cvar.vty ]
 
-let path_str (p : Ctype.path) = Ctype.path_to_string p
+let tokens size : Cvar.t -> string =
+  let memo = Itbl.create size in
+  fun v ->
+    match Itbl.find_opt memo v.Cvar.vid with
+    | Some t -> t
+    | None ->
+        let t = token v in
+        Itbl.add memo v.Cvar.vid t;
+        t
 
-let shape (k : Nast.kind) : string =
+(* The shape of a statement, rendered into [b]: its tag, then its
+   tokens and access path, '|'-separated (call arguments
+   ','-separated). *)
+let add_shape b (tok : Cvar.t -> string) (k : Nast.kind) : unit =
+  let add = Buffer.add_string b in
+  let sep () = Buffer.add_char b '|' in
+  let two tag s t =
+    add tag;
+    add (tok s);
+    sep ();
+    add (tok t)
+  in
+  let three tag s t p =
+    two tag s t;
+    sep ();
+    add (Ctype.path_to_string p)
+  in
   match k with
-  | Nast.Addr (s, t, b) ->
-      Printf.sprintf "A|%s|%s|%s" (token s) (token t) (path_str b)
-  | Nast.Addr_deref (s, p, a) ->
-      Printf.sprintf "D|%s|%s|%s" (token s) (token p) (path_str a)
-  | Nast.Copy (s, t, b) ->
-      Printf.sprintf "C|%s|%s|%s" (token s) (token t) (path_str b)
-  | Nast.Load (s, q) -> Printf.sprintf "L|%s|%s" (token s) (token q)
-  | Nast.Store (p, v) -> Printf.sprintf "S|%s|%s" (token p) (token v)
-  | Nast.Arith (s, v) -> Printf.sprintf "R|%s|%s" (token s) (token v)
+  | Nast.Addr (s, t, b) -> three "A|" s t b
+  | Nast.Addr_deref (s, p, a) -> three "D|" s p a
+  | Nast.Copy (s, t, b) -> three "C|" s t b
+  | Nast.Load (s, q) -> two "L|" s q
+  | Nast.Store (p, v) -> two "S|" p v
+  | Nast.Arith (s, v) -> two "R|" s v
   | Nast.Call { Nast.cret; cfn; cargs } ->
-      Printf.sprintf "K|%s|%s|%s"
-        (match cret with Some r -> token r | None -> "")
-        (match cfn with
-        | Nast.Direct n -> "d:" ^ n
-        | Nast.Indirect v -> "i:" ^ token v)
-        (String.concat "," (List.map token cargs))
+      add "K|";
+      Option.iter (fun r -> add (tok r)) cret;
+      sep ();
+      (match cfn with
+      | Nast.Direct n ->
+          add "d:";
+          add n
+      | Nast.Indirect v ->
+          add "i:";
+          add (tok v));
+      sep ();
+      List.iteri
+        (fun i a ->
+          if i > 0 then Buffer.add_char b ',';
+          add (tok a))
+        cargs
+
+let is_temp (v : Cvar.t) =
+  match v.Cvar.vkind with Cvar.Temp _ -> true | _ -> false
+
+(* The first 8 hex digits of [d]'s MD5, the part a name keeps. *)
+let hex8 (d : string) : string =
+  let h = Digest.string d in
+  let digits = "0123456789abcdef" in
+  String.init 8 (fun i ->
+      let c = Char.code h.[i / 2] in
+      digits.[if i land 1 = 0 then c lsr 4 else c land 15])
 
 (* Variables of a statement in positional order, the order the name's
    [<position>] component indexes. *)
@@ -91,42 +135,81 @@ let map_kind (f : Cvar.t -> Cvar.t) (k : Nast.kind) : Nast.kind =
           cargs = List.map f cargs;
         }
 
+(* A shape's count of statements so far, and its name digits once a
+   temporary needed them. *)
+type shape_seen = { mutable count : int; mutable hex : string }
+
 (* Extend [rename] (vid → replacement) with canonical names for every
-   temporary of one scope's statement list. *)
-let rename_scope (rename : Cvar.t Itbl.t) (stmts : Nast.stmt list) : unit =
-  let shapes = List.map (fun (s : Nast.stmt) -> shape s.Nast.kind) stmts in
-  let seen : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter2
-    (fun (s : Nast.stmt) sh ->
-      let ord = Option.value (Hashtbl.find_opt seen sh) ~default:0 in
-      Hashtbl.replace seen sh (ord + 1);
-      let h = String.sub (Digest.to_hex (Digest.string sh)) 0 8 in
-      List.iteri
-        (fun pos (v : Cvar.t) ->
-          match v.Cvar.vkind with
-          | Cvar.Temp _ when not (Itbl.mem rename v.Cvar.vid) ->
-              Itbl.replace rename v.Cvar.vid
-                (Cvar.fresh
-                   ~name:(Printf.sprintf "$t%s_%d_%d" h ord pos)
-                   ~ty:v.Cvar.vty ~kind:v.Cvar.vkind)
-          | _ -> ())
-        (vars_of_kind s.Nast.kind))
-    stmts shapes
+   temporary of one scope's statement list. Only statements holding a
+   temporary are shaped: a temporary's token is the only one that
+   starts with "$T:" (no source name, type or path has a '$' followed
+   by 'T'), so no temp-free statement shares a shape with one that
+   holds a temporary, and the ordinals count exactly as if every
+   statement were shaped. *)
+let rename_scope tok (b : Buffer.t) (rename : Cvar.t Itbl.t)
+    (stmts : Nast.stmt list) : unit =
+  let seen : shape_seen Stbl.t = Stbl.create (List.length stmts) in
+  List.iter
+    (fun (s : Nast.stmt) ->
+      let vs = vars_of_kind s.Nast.kind in
+      if List.exists is_temp vs then begin
+        Buffer.clear b;
+        add_shape b tok s.Nast.kind;
+        let sh = Buffer.contents b in
+        let e =
+          match Stbl.find_opt seen sh with
+          | Some e -> e
+          | None ->
+              let e = { count = 0; hex = "" } in
+              Stbl.add seen sh e;
+              e
+        in
+        let ord = e.count in
+        e.count <- ord + 1;
+        List.iteri
+          (fun pos (v : Cvar.t) ->
+            match v.Cvar.vkind with
+            | Cvar.Temp _ when not (Itbl.mem rename v.Cvar.vid) ->
+                if e.hex = "" then e.hex <- hex8 sh;
+                Itbl.replace rename v.Cvar.vid
+                  (Cvar.fresh
+                     ~name:
+                       (String.concat ""
+                          [
+                            "$t";
+                            e.hex;
+                            "_";
+                            string_of_int ord;
+                            "_";
+                            string_of_int pos;
+                          ])
+                     ~ty:v.Cvar.vty ~kind:v.Cvar.vkind)
+            | _ -> ())
+          vs
+      end)
+    stmts
 
 (** Rename every temporary of [prog] to its positional canonical name.
-    Statements, function records, and [pall_vars] are rebuilt; all other
-    variables keep their identity. *)
+    Statements holding a temporary, function records, and [pall_vars]
+    are rebuilt; every other statement and variable is kept. *)
 let canonicalize (prog : Nast.program) : Nast.program =
-  let rename : Cvar.t Itbl.t = Itbl.create 128 in
-  rename_scope rename prog.Nast.pinit;
-  List.iter (fun (f : Nast.func) -> rename_scope rename f.Nast.fstmts) prog.Nast.pfuncs;
+  let nvars = List.length prog.Nast.pall_vars in
+  let rename : Cvar.t Itbl.t = Itbl.create nvars in
+  let tok = tokens nvars in
+  let b = Buffer.create 128 in
+  rename_scope tok b rename prog.Nast.pinit;
+  List.iter
+    (fun (f : Nast.func) -> rename_scope tok b rename f.Nast.fstmts)
+    prog.Nast.pfuncs;
   if Itbl.length rename = 0 then prog
   else begin
     let subst (v : Cvar.t) =
       match Itbl.find_opt rename v.Cvar.vid with Some v' -> v' | None -> v
     in
     let map_stmt (s : Nast.stmt) =
-      { s with Nast.kind = map_kind subst s.Nast.kind }
+      if List.exists is_temp (vars_of_kind s.Nast.kind) then
+        { s with Nast.kind = map_kind subst s.Nast.kind }
+      else s
     in
     {
       prog with
