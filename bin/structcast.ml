@@ -10,7 +10,7 @@
     - [structcast serve] — request/response loop over stdin/stdout backed
       by the same worker pool.
     - [structcast reanalyze BASE EDITED] — solve BASE, then answer for
-      EDITED from the warm fixpoint (diff + warm start / retraction).
+      EDITED (diff; warm start for additions, scratch solve otherwise).
     - [structcast watch FILE] — keep a solved fixpoint live and re-answer
       incrementally each time a line arrives on stdin. *)
 
@@ -167,12 +167,11 @@ let print_metrics name (r : Core.Analysis.result) =
      analyze run keeps them at zero and prints nothing extra *)
   if
     m.Core.Metrics.incr_stmts_added + m.Core.Metrics.incr_stmts_removed
-    + m.Core.Metrics.incr_facts_retracted + m.Core.Metrics.incr_warm_visits
+    + m.Core.Metrics.incr_warm_visits
     > 0
   then begin
     Fmt.pr "incremental edit:     +%d/-%d statements@."
       m.Core.Metrics.incr_stmts_added m.Core.Metrics.incr_stmts_removed;
-    Fmt.pr "facts retracted:      %d@." m.Core.Metrics.incr_facts_retracted;
     Fmt.pr "statements replayed:  %d@." m.Core.Metrics.incr_stmts_replayed;
     Fmt.pr "warm visits:          %d (vs %d for the whole fixpoint)@."
       m.Core.Metrics.incr_warm_visits m.Core.Metrics.solver_visits
@@ -367,11 +366,6 @@ let mk_result ~time_s ~diags (t : Core.Solver.t) : Core.Analysis.result =
     diags = Diag.diagnostics diags;
   }
 
-let warm_solve ~layout ~budget ~engine ~strategy prog : Core.Solver.t =
-  (* track:true records per-statement support so later removals can
-     retract instead of falling back *)
-  Core.Solver.run ~layout ~budget ~engine ~track:true ~strategy prog
-
 let print_warm_result ~format ~name ~diags ~(st : Incr.Engine.stats)
     (r : Core.Analysis.result) =
   match format with
@@ -380,26 +374,24 @@ let print_warm_result ~format ~name ~diags ~(st : Incr.Engine.stats)
       print_newline ();
       flush stdout
   | "text" ->
-      Fmt.pr "%s: +%d/-%d statements, %d facts retracted, %d warm visits%s@."
-        name st.Incr.Engine.stmts_added st.Incr.Engine.stmts_removed
-        st.Incr.Engine.facts_retracted st.Incr.Engine.warm_visits
-        (if st.Incr.Engine.fallback_planned then "  (planned scratch solve)"
-         else if st.Incr.Engine.fallback then "  (fell back to scratch)"
-         else "");
+      Fmt.pr "%s: +%d/-%d statements, %d warm visits%s@." name
+        st.Incr.Engine.stmts_added st.Incr.Engine.stmts_removed
+        st.Incr.Engine.warm_visits
+        (if st.Incr.Engine.fallback then "  (solved from scratch)" else "");
       report_diags diags
   | f -> failwith (Printf.sprintf "unknown --format %s (text|json)" f)
 
 let reanalyze_cmd base_spec edited_spec strategy layout budget engine
-    format retract_budget =
+    format =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
   let diags = Diag.create () in
   let _, base = compile_spec ~layout ~diags base_spec in
-  let t = warm_solve ~layout ~budget ~engine ~strategy base in
+  let t = Core.Solver.run ~layout ~budget ~engine ~strategy base in
   (* the edit alone, on the wall clock like [analyze] and [watch] *)
   let t0 = Core.Unix_time.now () in
   let name, edited = compile_spec ~layout ~diags edited_spec in
-  let t, st = Incr.Engine.reanalyze ~retract_budget ~diags t edited in
+  let t, st = Incr.Engine.reanalyze t edited in
   let time_s = Core.Unix_time.now () -. t0 in
   print_warm_result ~format ~name ~diags ~st (mk_result ~time_s ~diags t);
   exit_code ~diags ~degraded:(Core.Solver.degraded t)
@@ -407,8 +399,7 @@ let reanalyze_cmd base_spec edited_spec strategy layout budget engine
 (* One solved fixpoint kept live: every line on stdin (e.g. from an
    editor hook or `inotifywait`) re-reads FILE and re-answers from the
    warm state. EOF ends the session. *)
-let watch_cmd spec strategy layout budget engine format retract_budget
-    journal =
+let watch_cmd spec strategy layout budget engine format journal =
   let layout = layout_of_name layout in
   let strategy = strategy_of_name strategy in
   let jnl = Option.map Server.Journal.open_append journal in
@@ -441,7 +432,7 @@ let watch_cmd spec strategy layout budget engine format retract_budget
       let diags = Diag.create () in
       let name, base = compile_spec ~layout ~diags spec in
       let t0 = Core.Unix_time.now () in
-      let t = ref (warm_solve ~layout ~budget ~engine ~strategy base) in
+      let t = ref (Core.Solver.run ~layout ~budget ~engine ~strategy base) in
       let time_s = Core.Unix_time.now () -. t0 in
       Fmt.epr "watch: %s solved (%d statements); send a line to re-analyze, \
                EOF to stop@."
@@ -459,9 +450,7 @@ let watch_cmd spec strategy layout budget engine format retract_budget
              match
                let t0 = Core.Unix_time.now () in
                let _, edited = compile_spec ~layout ~diags spec in
-               let t', st =
-                 Incr.Engine.reanalyze ~retract_budget ~diags !t edited
-               in
+               let t', st = Incr.Engine.reanalyze !t edited in
                (t', st, Core.Unix_time.now () -. t0)
              with
              | t', st, time_s ->
@@ -939,8 +928,7 @@ let engine_arg =
            in how much work it costs.")
 
 (* reanalyze and watch keep one solver warm across edits. The naive
-   engine has no warm path (its retraction kept stale facts), so the flag
-   refuses it as a usage error. *)
+   engine has no warm path, so the flag refuses it as a usage error. *)
 let warm_engine_arg =
   let parse s =
     match Arg.conv_parser engine_conv s with
@@ -1139,15 +1127,6 @@ let batch_format_arg =
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Output format: json (default; one line per job) or text.")
 
-let retract_budget_arg =
-  Arg.(
-    value & opt int Incr.Engine.default_retract_budget
-    & info [ "retract-budget" ] ~docv:"N"
-        ~doc:
-          "Affected-cell cap for retraction on edits that remove \
-           statements; past it the edit is solved from scratch (reported \
-           as a degraded-incremental warning).")
-
 (* fixpoint-store flags *)
 
 let store_arg =
@@ -1302,28 +1281,25 @@ let edited_spec_arg =
     & info [] ~docv:"EDITED" ~doc:"Edited version of the same program.")
 
 let reanalyze_t =
-  let run base edited strategy layout budget engine format retract_budget =
+  let run base edited strategy layout budget engine format =
     wrap (fun () ->
-        reanalyze_cmd base edited strategy layout budget engine format
-          retract_budget)
+        reanalyze_cmd base edited strategy layout budget engine format)
   in
   Cmd.v
     (Cmd.info "reanalyze"
        ~doc:
-         "Solve BASE, diff EDITED against it, and answer for EDITED from \
-          the warm fixpoint: additions warm-start the solved state, \
-          removals retract through per-statement support counting (falling \
-          back to scratch past --retract-budget). The result is identical \
-          to analyzing EDITED from scratch.")
+         "Solve BASE, diff EDITED against it, and answer for EDITED: an \
+          edit that only adds statements over BASE's variables \
+          warm-starts the solved state; any other edit is solved from \
+          scratch. The result is identical to analyzing EDITED.")
     Term.(
       const run $ base_spec_arg $ edited_spec_arg $ strategy_arg $ layout_arg
-      $ budget_term $ warm_engine_arg $ format_arg $ retract_budget_arg)
+      $ budget_term $ warm_engine_arg $ format_arg)
 
 let watch_t =
-  let run spec strategy layout budget engine format retract_budget journal =
+  let run spec strategy layout budget engine format journal =
     wrap (fun () ->
-        watch_cmd spec strategy layout budget engine format retract_budget
-          journal)
+        watch_cmd spec strategy layout budget engine format journal)
   in
   Cmd.v
     (Cmd.info "watch"
@@ -1334,7 +1310,7 @@ let watch_t =
           ends the session.")
     Term.(
       const run $ spec_arg $ strategy_arg $ layout_arg $ budget_term
-      $ warm_engine_arg $ format_arg $ retract_budget_arg $ watch_journal_arg)
+      $ warm_engine_arg $ format_arg $ watch_journal_arg)
 
 let main =
   Cmd.group

@@ -111,7 +111,11 @@ let ikind_name = function
   | ILong -> "long"
   | ILongLong -> "long long"
 
-let rec add_ty b = function
+let add_comp_tag b c =
+  Buffer.add_string b (if c.cunion then "union " else "struct ");
+  Buffer.add_string b c.ctag
+
+let rec add_to_buffer ?(comp = add_comp_tag) b = function
   | Void -> Buffer.add_string b "void"
   | Int (k, s) ->
       if s = Unsigned then Buffer.add_string b "unsigned ";
@@ -120,33 +124,31 @@ let rec add_ty b = function
   | Float FDouble -> Buffer.add_string b "double"
   | Float FLongDouble -> Buffer.add_string b "long double"
   | Ptr t ->
-      add_ty b t;
+      add_to_buffer ~comp b t;
       Buffer.add_char b '*'
   | Array (t, n) ->
-      add_ty b t;
+      add_to_buffer ~comp b t;
       Buffer.add_char b '[';
       Option.iter (fun n -> Buffer.add_string b (string_of_int n)) n;
       Buffer.add_char b ']'
   | Func { ret; params; varargs } ->
-      add_ty b ret;
+      add_to_buffer ~comp b ret;
       Buffer.add_char b '(';
       List.iteri
         (fun i (_, t) ->
           if i > 0 then Buffer.add_string b ", ";
-          add_ty b t)
+          add_to_buffer ~comp b t)
         params;
       if varargs then Buffer.add_string b ", ...";
       Buffer.add_char b ')'
-  | Comp c ->
-      Buffer.add_string b (if c.cunion then "union " else "struct ");
-      Buffer.add_string b c.ctag
+  | Comp c -> comp b c
 
 let to_string = function
   | Void -> "void"
   | Int (k, Signed) -> ikind_name k
   | t ->
       let b = Buffer.create 32 in
-      add_ty b t;
+      add_to_buffer b t;
       Buffer.contents b
 
 let pp ppf t = Fmt.string ppf (to_string t)

@@ -92,6 +92,14 @@ val to_string : t -> string
     (variable keys in store keys, canonical temp names), so the bytes
     are fixed. *)
 
+val add_comp_tag : Buffer.t -> comp -> unit
+(** Appends a struct/union as {!to_string} renders it: [struct T] or
+    [union T]. *)
+
+val add_to_buffer : ?comp:(Buffer.t -> comp -> unit) -> Buffer.t -> t -> unit
+(** Appends {!to_string}'s bytes, with every struct/union the type
+    mentions rendered by [comp] (default {!add_comp_tag}). *)
+
 val equal : t -> t -> bool
 (** Structural equality; struct/union by declaration identity. *)
 

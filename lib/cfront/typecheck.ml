@@ -32,9 +32,14 @@ let pop_scope env =
   | _ :: rest -> env.scopes <- rest
   | [] -> Diag.error "internal: typecheck scope underflow"
 
-let bind_local env (v : Cvar.t) =
+(* C11 6.7p3: an identifier with no linkage is declared once per scope
+   (a function's parameters share the scope of its outermost block) *)
+let bind_local ?loc env (v : Cvar.t) =
   match env.scopes with
-  | tbl :: _ -> Hashtbl.replace tbl v.Cvar.vname v
+  | tbl :: _ ->
+      if Hashtbl.mem tbl v.Cvar.vname then
+        Diag.error ?loc "redeclaration of '%s' in the same scope" v.Cvar.vname;
+      Hashtbl.replace tbl v.Cvar.vname v
   | [] -> Diag.error "internal: no local scope"
 
 let lookup env name : Cvar.t option =
@@ -289,7 +294,8 @@ let check_decl env ~local (d : Ast.decl) : Tast.tdecl =
             (Ctype.to_string d.Ast.dty)
       | None -> Cvar.fresh ~name:d.Ast.dname ~ty:d.Ast.dty ~kind
   in
-  if local then bind_local env v else Hashtbl.replace env.globals d.Ast.dname v;
+  if local then bind_local ~loc:d.Ast.dloc env v
+  else Hashtbl.replace env.globals d.Ast.dname v;
   let dinit = Option.map (check_init env) d.Ast.dinit in
   { Tast.dvar = v; dinit; dloc = d.Ast.dloc }
 

@@ -299,36 +299,6 @@ let remove_source g (c : Cell.t) : unit =
       Itbl.remove g.edges cid;
       deindex_cell g c
 
-(** Targeted retraction: drop every fact of [c]'s class and dissolve the
-    class, leaving all other classes — and their shared sets, which live
-    cursors may still index — untouched. This is the overdelete half of
-    delete-and-rederive: the class's unification may have been justified
-    by a subset cycle that died with the edit, so the class itself cannot
-    be trusted either; the surviving statements re-prove any cycle that
-    still holds during rederivation. Returns the member-expanded number
-    of facts removed (a class of [m] cells sharing [n] targets counts
-    [m * n]). *)
-let retract_class g (c : Cell.t) : int =
-  let rid = Uf.find g.uf (Cell.id c) in
-  let ms = members_of g rid in
-  let removed =
-    match Itbl.find_opt g.edges rid with
-    | None -> 0
-    | Some s ->
-        let n = Idset.cardinal s in
-        Itbl.remove g.edges rid;
-        List.iter (deindex_cell g) ms;
-        n * List.length ms
-  in
-  g.edge_count <- g.edge_count - removed;
-  if Itbl.mem g.classes rid then begin
-    Itbl.remove g.classes rid;
-    let ids = List.map Cell.id ms in
-    List.iter (Itbl.remove g.next) ids;
-    Uf.dissolve g.uf ids
-  end;
-  removed
-
 (* ------------------------------------------------------------------ *)
 (* Iteration (member-expanded)                                         *)
 (* ------------------------------------------------------------------ *)

@@ -78,16 +78,6 @@ val remove_source : t -> Cell.t -> unit
     graph. Drops the per-object index entry when the object's last
     fact-bearing cell goes. *)
 
-val retract_class : t -> Cell.t -> int
-(** Targeted retraction (the overdelete half of delete-and-rederive):
-    drop every fact of the cell's class and dissolve the class, leaving
-    every other class — and the shared sets live cursors still index —
-    untouched. The class is dissolved because its unification may have
-    been justified by a subset cycle the edit killed; rederivation
-    re-proves any cycle that still holds. Returns the member-expanded
-    number of facts removed. Unlike {!remove_source} it does not require
-    an unshared graph — that is its point. *)
-
 val cells_of_obj : t -> Cfront.Cvar.t -> Cell.t list
 (** Cells of an object that have at least one outgoing edge — supports
     the Offsets instance's range-restricted [resolve]. Ordered by when

@@ -81,17 +81,12 @@ type summary = {
   incr_stmts_added : int;
       (** statements the last incremental edit added (0 for a cold run) *)
   incr_stmts_removed : int;
-  incr_facts_retracted : int;
-      (** facts retraction cleared from affected cells before replaying *)
   incr_warm_visits : int;
-      (** statement visits the warm-start resume performed — compare
-          against [solver_visits] of a cold solve for the warm ratio *)
+      (** statement visits the last edit performed — compare against
+          [solver_visits] of a cold solve for the warm ratio *)
   incr_stmts_replayed : int;
-      (** statements the targeted replay re-enqueued (the whole program
-          on fallback) — the retraction's working-set size *)
-  incr_fallback_planned : int;
-      (** 1 when the incremental engine's cost estimate chose a scratch
-          solve over retraction (a plan, not a degradation) *)
+      (** statements the last edit enqueued (the whole program when it
+          was solved from scratch) *)
 }
 
 module Itbl = Idtbl.Int
@@ -168,10 +163,8 @@ let summarize (solver : Solver.t) : summary =
     wasted_propagations = solver.Solver.wasted_props;
     incr_stmts_added = solver.Solver.incr_stmts_added;
     incr_stmts_removed = solver.Solver.incr_stmts_removed;
-    incr_facts_retracted = solver.Solver.incr_facts_retracted;
     incr_warm_visits = solver.Solver.incr_warm_visits;
     incr_stmts_replayed = solver.Solver.incr_stmts_replayed;
-    incr_fallback_planned = solver.Solver.incr_fallback_planned;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -55,16 +55,11 @@ type summary = {
   incr_stmts_added : int;
       (** statements the last incremental edit added (0 for a cold run) *)
   incr_stmts_removed : int;
-  incr_facts_retracted : int;
-      (** facts retraction cleared from affected cells before replaying *)
   incr_warm_visits : int;
-      (** statement visits the warm-start resume performed *)
+      (** statement visits the last edit performed *)
   incr_stmts_replayed : int;
-      (** statements the targeted replay re-enqueued (the whole program
-          on fallback) *)
-  incr_fallback_planned : int;
-      (** 1 when the incremental engine's cost estimate chose a scratch
-          solve over retraction (a plan, not a degradation) *)
+      (** statements the last edit enqueued (the whole program when it
+          was solved from scratch) *)
 }
 
 val summarize : Solver.t -> summary

@@ -83,10 +83,13 @@ let json_of_result ?(timing = true) ?(solver_stats = true) ~name
     field ",\"wasted_propagations\":%d" m.Metrics.wasted_propagations;
     field ",\"incr_stmts_added\":%d" m.Metrics.incr_stmts_added;
     field ",\"incr_stmts_removed\":%d" m.Metrics.incr_stmts_removed;
-    field ",\"incr_facts_retracted\":%d" m.Metrics.incr_facts_retracted;
+    (* [incr_facts_retracted] and [incr_fallback_planned] are always 0;
+       the wire keeps them so that serve answers and batch journals keep
+       their bytes *)
+    field ",\"incr_facts_retracted\":0";
     field ",\"incr_warm_visits\":%d" m.Metrics.incr_warm_visits;
     field ",\"incr_stmts_replayed\":%d" m.Metrics.incr_stmts_replayed;
-    field ",\"incr_fallback_planned\":%d" m.Metrics.incr_fallback_planned
+    field ",\"incr_fallback_planned\":0"
   end;
   field ",\"unknown_externs\":[%s]"
     (String.concat "," (List.map quote m.Metrics.unknown_externs));

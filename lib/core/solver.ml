@@ -157,45 +157,14 @@ type t = {
   unknown_obj : Cvar.t;
       (** the distinguished target of [`Unknown]-mode arithmetic *)
   mutable unknown_externs : string list;
-  (* --- incremental re-analysis support (PR 5) ----------------------- *)
-  track : bool;
-      (** record which statement derived which edge, so removals can
-          retract exactly the facts whose support disappeared *)
-  mutable cur_stmt : int;
-      (** id of the statement being processed, [-1] between visits
-          (copy-edge drains are attributed via the installing
-          statement's copy edges, not here) *)
-  stmt_edges : (int * int) list ref Itbl.t;
-      (** stmt id → direct (src cell id, target cell id) edges the
-          statement derived, deduplicated per statement *)
-  edge_stmt_mem : unit Idtbl.Triple.t;
-      (** (stmt, src, target) triples already in [stmt_edges] *)
-  edge_support : int ref Idtbl.Pair.t;
-      (** direct edge → number of distinct statements deriving it *)
-  stmt_copies : (int * int) list ref Itbl.t;
-      (** stmt id → copy (subset) edges the statement installed, as
-          install-time class ids, deduplicated per statement *)
-  copy_stmt_mem : unit Idtbl.Triple.t;
-  copy_support : int ref Idtbl.Pair.t;
-      (** copy edge → number of distinct statements installing it *)
-  stmt_externs : string list ref Itbl.t;
-      (** stmt id → unknown extern names the statement called,
-          deduplicated per statement — so retraction can drop exactly
-          the externs whose last calling statement went away *)
-  extern_support : (string, int ref) Hashtbl.t;
-      (** extern name → number of distinct statements calling it *)
   mutable incr_stmts_added : int;  (** statements added by the last edit *)
   mutable incr_stmts_removed : int;
-  mutable incr_facts_retracted : int;
-      (** facts cleared from affected cells before the replay *)
   mutable incr_warm_visits : int;
-      (** statement visits the warm-start resume performed *)
+      (** statement visits the last edit performed (a scratch solve's
+          visits when the edit was solved from scratch) *)
   mutable incr_stmts_replayed : int;
-      (** statements the targeted replay re-enqueued (the whole program
-          under a fallback scratch solve) *)
-  mutable incr_fallback_planned : int;
-      (** 1 when the incremental engine chose a scratch solve because
-          its cost estimate said retraction could not win *)
+      (** statements the last edit enqueued: the added ones on a warm
+          start, the whole program on a scratch solve *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -268,7 +237,7 @@ let degrading_strategy ~(collapsed : unit Cvar.Tbl.t)
   end)
 
 let create ?(layout = Layout.default) ?(arith = `Spread)
-    ?(budget = Budget.unlimited) ?(engine = `Delta) ?(track = false) ~strategy
+    ?(budget = Budget.unlimited) ?(engine = `Delta) ~strategy
     (prog : Nast.program) : t =
   let funcs = Hashtbl.create 32 in
   List.iter (fun f -> Hashtbl.replace funcs f.Nast.fname f) prog.Nast.pfuncs;
@@ -311,22 +280,10 @@ let create ?(layout = Layout.default) ?(arith = `Spread)
     arith_mode = arith;
     unknown_obj = Cvar.fresh ~name:"$unknown" ~ty:Ctype.Void ~kind:Cvar.Global;
     unknown_externs = [];
-    track;
-    cur_stmt = -1;
-    stmt_edges = Itbl.create (if track then 256 else 1);
-    edge_stmt_mem = Idtbl.Triple.create (if track then 512 else 1);
-    edge_support = Idtbl.Pair.create (if track then 512 else 1);
-    stmt_copies = Itbl.create (if track then 256 else 1);
-    copy_stmt_mem = Idtbl.Triple.create (if track then 512 else 1);
-    copy_support = Idtbl.Pair.create (if track then 512 else 1);
-    stmt_externs = Itbl.create (if track then 16 else 1);
-    extern_support = Hashtbl.create (if track then 16 else 1);
     incr_stmts_added = 0;
     incr_stmts_removed = 0;
-    incr_facts_retracted = 0;
     incr_warm_visits = 0;
     incr_stmts_replayed = 0;
-    incr_fallback_planned = 0;
   }
 
 (** Both difference-propagation engines ([`Delta] and [`Delta_nocycle]). *)
@@ -450,107 +407,6 @@ let check_copy_lists t : string option =
           | None -> None))
     t.copy_out None
 
-(* ------------------------------------------------------------------ *)
-(* Support tracking (incremental re-analysis)                          *)
-(* ------------------------------------------------------------------ *)
-
-let attr_list (tbl : (int * int) list ref Itbl.t) (sid : int) =
-  match Itbl.find_opt tbl sid with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Itbl.replace tbl sid l;
-      l
-
-let support_incr (tbl : int ref Idtbl.Pair.t) (edge : int * int) =
-  match Idtbl.Pair.find_opt tbl edge with
-  | Some r -> incr r
-  | None -> Idtbl.Pair.replace tbl edge (ref 1)
-
-(** A statement visit derived the direct edge [cid → wid] (it may
-    already exist — an independent derivation still counts as support:
-    the fact survives as long as any deriving statement does). *)
-let record_direct t (cid : int) (wid : int) =
-  let key = (t.cur_stmt, cid, wid) in
-  if not (Idtbl.Triple.mem t.edge_stmt_mem key) then begin
-    Idtbl.Triple.replace t.edge_stmt_mem key ();
-    let l = attr_list t.stmt_edges t.cur_stmt in
-    l := (cid, wid) :: !l;
-    support_incr t.edge_support (cid, wid)
-  end
-
-(** A statement visit installed (or re-derived) the copy constraint
-    [sid ⊆ did], as install-time class ids. Recorded before the
-    [copy_mem] dedup: a second statement deriving the same constraint
-    keeps it alive when the first is removed. *)
-let record_copy t (sid : int) (did : int) =
-  let key = (t.cur_stmt, sid, did) in
-  if not (Idtbl.Triple.mem t.copy_stmt_mem key) then begin
-    Idtbl.Triple.replace t.copy_stmt_mem key ();
-    let l = attr_list t.stmt_copies t.cur_stmt in
-    l := (sid, did) :: !l;
-    support_incr t.copy_support (sid, did)
-  end
-
-(** The statement being processed called extern [fname], for which no
-    body and no summary exists. The name joins the global list once;
-    with tracking on, it is also attributed to the statement so targeted
-    retraction can drop externs whose last caller went away. *)
-let record_extern t (fname : string) =
-  if not (List.mem fname t.unknown_externs) then
-    t.unknown_externs <- fname :: t.unknown_externs;
-  if t.track && t.cur_stmt >= 0 then begin
-    let l =
-      match Itbl.find_opt t.stmt_externs t.cur_stmt with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Itbl.replace t.stmt_externs t.cur_stmt l;
-          l
-    in
-    if not (List.mem fname !l) then begin
-      l := fname :: !l;
-      match Hashtbl.find_opt t.extern_support fname with
-      | Some r -> incr r
-      | None -> Hashtbl.replace t.extern_support fname (ref 1)
-    end
-  end
-
-(** Drop a statement's extern attribution; an extern whose support hits
-    zero leaves the global list (its last calling statement is gone, or
-    about to be replayed and re-record it). *)
-let purge_stmt_externs t (sid : int) =
-  match Itbl.find_opt t.stmt_externs sid with
-  | None -> ()
-  | Some l ->
-      List.iter
-        (fun fname ->
-          match Hashtbl.find_opt t.extern_support fname with
-          | Some r ->
-              decr r;
-              if !r <= 0 then begin
-                Hashtbl.remove t.extern_support fname;
-                t.unknown_externs <-
-                  List.filter (fun n -> n <> fname) t.unknown_externs
-              end
-          | None -> ())
-        !l;
-      Itbl.remove t.stmt_externs sid
-
-(** Drop all attribution state (it names cells and statements of the
-    solved program and is rebuilt by the replay). *)
-let reset_tracking t =
-  if t.track then begin
-    Itbl.reset t.stmt_edges;
-    Idtbl.Triple.reset t.edge_stmt_mem;
-    Idtbl.Pair.reset t.edge_support;
-    Itbl.reset t.stmt_copies;
-    Idtbl.Triple.reset t.copy_stmt_mem;
-    Idtbl.Pair.reset t.copy_support;
-    Itbl.reset t.stmt_externs;
-    Hashtbl.reset t.extern_support
-  end
-
 (** Collapse invalidates cursors and copy edges (they reference
     pre-collapse cells) and the union-find classes (they were proven
     over pre-collapse constraints): drop all delta state and unshare the
@@ -574,195 +430,7 @@ let reset_deltas t =
     t.order_edges <- 0;
     Idtbl.Pair.reset t.lcd_done;
     Graph.unshare t.graph
-  end;
-  reset_tracking t
-
-(* ------------------------------------------------------------------ *)
-(* Targeted retraction (delete-and-rederive)                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Selective counterpart of {!reset_deltas} — the overdelete half of
-    the incremental engine's delete-and-rederive. Clears exactly the
-    [affected] cells' facts and the solver state that names them, while
-    keeping cursors, copy edges, and attribution for everything else:
-    surviving consumers keep their consumed-prefix positions, so the
-    rederive replay only pays for facts that actually moved.
-
-    [affected] must be class-closed (every member of a marked class
-    present). Affected classes are dissolved — the subset cycle that
-    justified a unification may have died with the edit, and the replay
-    re-proves any cycle that still holds. [removed] statements are
-    physically purged from every subscriber, cursor, and attribution
-    table (a later alignment may re-mint their ids). [invalidated]
-    statements survive the edit but read an affected cell, so their old
-    derivations cannot be trusted: their attribution is purged too, and
-    the caller must replay them (re-derivation re-records it exactly).
-
-    Copy support is counted per install-time (src, dst) class-id pair,
-    and after unifications several pairs can alias one physical edge, so
-    a physical edge whose pair's support hits zero is only removed when
-    the aggregate support of every pair canonicalizing onto it is gone.
-    Copy edges whose source or destination class is affected are dropped
-    wholesale — once the class dissolves, an edge keyed by the old
-    representative would deliver facts to the wrong cell — and the
-    caller replays their installers to re-install them over the
-    dissolved cells.
-
-    Returns the member-expanded number of facts retracted. Requires a
-    quiescent solver (both worklists drained). *)
-let retract_cells t ~(affected : unit Itbl.t) ~(removed : unit Itbl.t)
-    ~(invalidated : unit Itbl.t) : int =
-  let aff cid = Itbl.mem affected cid in
-  let gone sid = Itbl.mem removed sid in
-  (* attribution purge for removed and invalidated statements; collect
-     copy pairs whose support ran out *)
-  let dead_copies = ref [] in
-  let drop_copy_pair sid ((cs, cd) as e) =
-    Idtbl.Triple.remove t.copy_stmt_mem (sid, cs, cd);
-    match Idtbl.Pair.find_opt t.copy_support e with
-    | Some r ->
-        decr r;
-        if !r <= 0 then begin
-          Idtbl.Pair.remove t.copy_support e;
-          dead_copies := e :: !dead_copies
-        end
-    | None -> ()
-  in
-  let purge_stmt_attr sid =
-    (match Itbl.find_opt t.stmt_edges sid with
-    | Some l ->
-        List.iter
-          (fun ((c, w) as e) ->
-            Idtbl.Triple.remove t.edge_stmt_mem (sid, c, w);
-            match Idtbl.Pair.find_opt t.edge_support e with
-            | Some r ->
-                decr r;
-                if !r <= 0 then Idtbl.Pair.remove t.edge_support e
-            | None -> ())
-          !l;
-        Itbl.remove t.stmt_edges sid
-    | None -> ());
-    (match Itbl.find_opt t.stmt_copies sid with
-    | Some l ->
-        List.iter (drop_copy_pair sid) !l;
-        Itbl.remove t.stmt_copies sid
-    | None -> ());
-    purge_stmt_externs t sid
-  in
-  Itbl.iter (fun sid () -> purge_stmt_attr sid) removed;
-  Itbl.iter
-    (fun sid () -> if not (gone sid) then purge_stmt_attr sid)
-    invalidated;
-  (* surviving statements' copy pairs that touch an affected class: the
-     physical edges are dropped below and the installers replayed, so
-     stale pairs must not keep support alive *)
-  Itbl.iter
-    (fun sid l ->
-      if
-        (not (gone sid || Itbl.mem invalidated sid))
-        && List.exists (fun (cs, cd) -> aff cs || aff cd) !l
-      then begin
-        let keep, drop =
-          List.partition (fun (cs, cd) -> not (aff cs || aff cd)) !l
-        in
-        List.iter (drop_copy_pair sid) drop;
-        l := keep
-      end)
-    t.stmt_copies;
-  (* physical copy edges touching an affected class, dropped wholesale *)
-  let drop_lists = ref [] in
-  Itbl.iter
-    (fun rs lst ->
-      if aff rs then drop_lists := rs :: !drop_lists
-      else if List.exists (fun (did, _) -> aff did) !lst then
-        lst := List.filter (fun (did, _) -> not (aff did)) !lst)
-    t.copy_out;
-  List.iter (fun rs -> Itbl.remove t.copy_out rs) !drop_lists;
-  let mem_drop = ref [] in
-  Idtbl.Pair.iter
-    (fun ((x, d) as k) () -> if aff x || aff d then mem_drop := k :: !mem_drop)
-    t.copy_mem;
-  List.iter (Idtbl.Pair.remove t.copy_mem) !mem_drop;
-  (* dead physical copy edges away from the affected region: removable
-     only when no surviving install-time pair aliases them *)
-  List.iter
-    (fun (cs, cd) ->
-      if not (aff cs || aff cd) then begin
-        let rs = canon_id t cs in
-        let alive =
-          Idtbl.Pair.fold
-            (fun (cs', cd') _ acc -> acc || (cd' = cd && canon_id t cs' = rs))
-            t.copy_support false
-        in
-        if not alive then begin
-          (match Itbl.find_opt t.copy_out rs with
-          | Some lst -> lst := List.filter (fun (did, _) -> did <> cd) !lst
-          | None -> ());
-          let stale = ref [] in
-          Idtbl.Pair.iter
-            (fun ((x, d) as k) () ->
-              if d = cd && canon_id t x = rs then stale := k :: !stale)
-            t.copy_mem;
-          List.iter (Idtbl.Pair.remove t.copy_mem) !stale
-        end
-      end)
-    !dead_copies;
-  (* statement-keyed delta state: removed statements are physically
-     purged (their ids may be re-minted); invalidated ones lose their
-     cursors (replay re-reads from scratch) but keep their object
-     subscriptions, which stay valid *)
-  Itbl.iter
-    (fun sid () ->
-      Itbl.remove t.cursors sid;
-      Itbl.remove t.dirty sid;
-      Itbl.remove t.stmt_subs sid)
-    removed;
-  Itbl.iter
-    (fun sid () -> if not (gone sid) then Itbl.remove t.cursors sid)
-    invalidated;
-  (* cursor subscriptions into an affected class die with it: the class
-     dissolves, so facts re-derived onto its former members land under
-     new representative keys this list would never be consulted for.
-     Every stmt in such a list was woken by the closure (pointer_subs is
-     its wake channel), so each re-subscribes — under the fresh key — at
-     its replay visit. The dedup keys must go too, or the stale entry
-     silently swallows that re-subscription. *)
-  let psub_drop = ref [] in
-  Itbl.iter
-    (fun rid lst ->
-      if aff rid then psub_drop := rid :: !psub_drop
-      else if List.exists (fun (s : Nast.stmt) -> gone s.Nast.id) !lst then
-        lst := List.filter (fun (s : Nast.stmt) -> not (gone s.Nast.id)) !lst)
-    t.pointer_subs;
-  List.iter (Itbl.remove t.pointer_subs) !psub_drop;
-  let subbed_drop = ref [] in
-  Idtbl.Pair.iter
-    (fun ((sid, rid) as k) () ->
-      if gone sid || aff rid then subbed_drop := k :: !subbed_drop)
-    t.cell_subbed;
-  List.iter (Idtbl.Pair.remove t.cell_subbed) !subbed_drop;
-  Cvar.Tbl.iter
-    (fun _ lst ->
-      if List.exists (fun (s : Nast.stmt) -> gone s.Nast.id) !lst then
-        lst := List.filter (fun (s : Nast.stmt) -> not (gone s.Nast.id)) !lst)
-    t.subscribers;
-  (* forget cycle searches naming affected classes — the re-derived
-     configuration deserves a fresh look *)
-  let lcd_drop = ref [] in
-  Idtbl.Pair.iter
-    (fun ((a, b) as k) () -> if aff a || aff b then lcd_drop := k :: !lcd_drop)
-    t.lcd_done;
-  List.iter (Idtbl.Pair.remove t.lcd_done) !lcd_drop;
-  (* finally clear the affected classes' facts and dissolve them; the
-     canonical representatives must be computed before any dissolution *)
-  let reps = Itbl.create 64 in
-  Itbl.iter (fun cid () -> Itbl.replace reps (canon_id t cid) ()) affected;
-  let rep_list =
-    List.sort compare (Itbl.fold (fun r () acc -> r :: acc) reps [])
-  in
-  List.fold_left
-    (fun acc rid -> acc + Graph.retract_class t.graph (Cell.of_id rid))
-    0 rep_list
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Degradation                                                         *)
@@ -856,7 +524,6 @@ let notify_new_source t (c : Cell.t) =
 
 let add_edge t (c : Cell.t) (w : Cell.t) =
   let c = redirect_cell t c and w = redirect_cell t w in
-  if t.track && t.cur_stmt >= 0 then record_direct t (Cell.id c) (Cell.id w);
   let was_source = Graph.has_source t.graph c in
   if Graph.add_edge t.graph c w then begin
     (match t.engine with
@@ -1096,7 +763,6 @@ let pointee_of (v : Cvar.t) : Ctype.t =
 let ensure_copy t (dst : Cell.t) (src : Cell.t) =
   let sid = canon_id t (Cell.id src) and did = canon_id t (Cell.id dst) in
   if sid <> did then begin
-    if t.track && t.cur_stmt >= 0 then record_copy t sid did;
     if not (Idtbl.Pair.mem t.copy_mem (sid, did)) then begin
       Idtbl.Pair.replace t.copy_mem (sid, did) ();
       let lst = copy_list t sid in
@@ -1302,7 +968,9 @@ let process t (stmt : Nast.stmt) =
                             | _ -> ())
                     | None -> ()))
               effects
-        | None -> record_extern t fname)
+        | None ->
+            if not (List.mem fname t.unknown_externs) then
+              t.unknown_externs <- fname :: t.unknown_externs)
   in
   match stmt.Nast.kind with
   | Nast.Addr (s, obj, beta) ->
@@ -1524,9 +1192,7 @@ let visit_stmt t (stmt : Nast.stmt) =
   let facts0 = t.facts_consumed in
   let edges0 = Graph.edge_count t.graph in
   let copies0 = Idtbl.Pair.length t.copy_mem in
-  t.cur_stmt <- stmt.Nast.id;
   process t stmt;
-  t.cur_stmt <- -1;
   (* a visit that read facts but derived nothing (no graph edge,
      no copy edge) re-did work some earlier visit already did *)
   if
@@ -1540,11 +1206,8 @@ let visit_stmt t (stmt : Nast.stmt) =
     source's log; one left caught up by a merge of equal sets (the
     common case for a collapsed cycle) waits for this sweep, which runs
     at quiescence so a fixpoint holds none.
-    Dropping is safe: a class only dissolves through {!retract_cells},
-    which drops an affected class's whole [copy_out] list and replays
-    the statements that installed its edges (their install-time pairs
-    live in the attribution tables, not in these lists), and through
-    degradation, whose {!reset_deltas} clears every list. *)
+    Dropping is safe: classes never split, except through degradation,
+    whose {!reset_deltas} clears every list. *)
 let drop_intra_edges t =
   Itbl.iter
     (fun rid lst ->
@@ -1580,9 +1243,9 @@ let set_program t (prog : Nast.program) =
   List.iter (fun f -> Hashtbl.replace t.funcs f.Nast.fname f) prog.Nast.pfuncs
 
 (** Analyze [prog] with [strategy]; returns the solver state at fixpoint. *)
-let run ?layout ?arith ?budget ?engine ?track ~strategy (prog : Nast.program) :
-    t =
-  let t = create ?layout ?arith ?budget ?engine ?track ~strategy prog in
+let run ?layout ?arith ?budget ?engine ?track:_ ~strategy
+    (prog : Nast.program) : t =
+  let t = create ?layout ?arith ?budget ?engine ~strategy prog in
   solve t;
   t
 

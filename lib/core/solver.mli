@@ -123,38 +123,14 @@ type t = {
       (** the distinguished target of [`Unknown]-mode arithmetic *)
   mutable unknown_externs : string list;
       (** called external functions with neither a body nor a summary *)
-  track : bool;
-      (** record per-statement edge support so {!Incr} can retract the
-          facts a removed statement was the last to derive *)
-  mutable cur_stmt : int;
-      (** id of the statement being processed, [-1] between visits *)
-  stmt_edges : (int * int) list ref Itbl.t;
-      (** stmt id → direct (src, target) cell-id edges it derived *)
-  edge_stmt_mem : unit Idtbl.Triple.t;
-  edge_support : int ref Idtbl.Pair.t;
-      (** direct edge → number of distinct statements deriving it *)
-  stmt_copies : (int * int) list ref Itbl.t;
-      (** stmt id → copy edges it installed, as install-time class ids *)
-  copy_stmt_mem : unit Idtbl.Triple.t;
-  copy_support : int ref Idtbl.Pair.t;
-      (** copy edge → number of distinct statements installing it *)
-  stmt_externs : string list ref Itbl.t;
-      (** stmt id → unknown extern names the statement called, so
-          retraction drops exactly the externs whose last caller died *)
-  extern_support : (string, int ref) Hashtbl.t;
-      (** extern name → number of distinct statements calling it *)
   mutable incr_stmts_added : int;  (** statements added by the last edit *)
   mutable incr_stmts_removed : int;
-  mutable incr_facts_retracted : int;
-      (** facts cleared from affected cells before the replay *)
   mutable incr_warm_visits : int;
-      (** statement visits the warm-start resume performed *)
+      (** statement visits the last edit performed (a scratch solve's
+          visits when the edit was solved from scratch) *)
   mutable incr_stmts_replayed : int;
-      (** statements the targeted replay re-enqueued (the whole program
-          under a fallback scratch solve) *)
-  mutable incr_fallback_planned : int;
-      (** 1 when the incremental engine chose a scratch solve because
-          its cost estimate said retraction could not win *)
+      (** statements the last edit enqueued: the added ones on a warm
+          start, the whole program on a scratch solve *)
 }
 
 val collapse_sel : Cell.t -> Cell.t
@@ -166,12 +142,9 @@ val create :
   ?arith:[ `Spread | `Copy | `Stride | `Unknown ] ->
   ?budget:Budget.limits ->
   ?engine:engine ->
-  ?track:bool ->
   strategy:(module Strategy.S) ->
   Nast.program ->
   t
-(** [track] (default [false]) switches on per-statement support
-    recording, the prerequisite for incremental retraction. *)
 
 val collapse_object : t -> reason:Budget.reason -> Cvar.t -> unit
 (** Degrade one object to a single cell now (idempotent): merge its
@@ -209,34 +182,8 @@ val set_program : t -> Nast.program -> unit
 
 val reset_deltas : t -> unit
 (** Discard all delta-engine state (cursors, copy edges, worklists,
-    union-find sharing) and attribution tables. Used on degradation
-    collapses, where cells themselves change meaning. *)
-
-val mark_dirty : t -> Nast.stmt -> unit
-(** Reset the statement's cursors at its next visit, so it re-reads the
-    full sets it consumes — the incremental engine marks every replayed
-    statement dirty, because retraction may have cleared cells whose
-    logs its cursors indexed. *)
-
-val retract_cells :
-  t ->
-  affected:unit Itbl.t ->
-  removed:unit Itbl.t ->
-  invalidated:unit Itbl.t ->
-  int
-(** Targeted overdelete (delete-and-rederive, the selective counterpart
-    of {!reset_deltas}): clear exactly the [affected] cells' facts —
-    [affected] must be class-closed; the affected classes dissolve —
-    purge the [removed] statements from every solver table, and drop the
-    attribution of [invalidated] (surviving but input-changed)
-    statements, while keeping cursors, copy edges, and attribution for
-    everything else. Copy edges into or out of an affected class are
-    dropped wholesale; the caller must replay their installing
-    statements (plus the invalidated ones, marked dirty) to re-derive
-    what still holds. Dead copy edges elsewhere are removed only when no
-    aliasing install-time pair still supports them. Returns the
-    member-expanded number of facts retracted. Requires a quiescent
-    solver. *)
+    union-find sharing). Used on degradation collapses, where cells
+    themselves change meaning. *)
 
 val run :
   ?layout:Layout.config ->
@@ -247,7 +194,8 @@ val run :
   strategy:(module Strategy.S) ->
   Nast.program ->
   t
-(** {!create} followed by {!solve}. *)
+(** {!create} followed by {!solve}. [track] is ignored; it is kept only
+    because perfbench/tool/pbtool.ml passes it. *)
 
 val degradations : t -> Budget.event list
 (** Degradation events recorded during [solve], oldest first. *)

@@ -57,12 +57,3 @@ let reset t =
     p.(i) <- i
   done
 
-(** Dissolve one class: every listed member becomes its own root again,
-    leaving all other classes untouched. The caller must pass the class
-    in full (every member, the representative included) — resetting a
-    strict subset would leave the remaining members parented on ids that
-    are no longer in their class. Ids beyond the allocated prefix are
-    already implicit roots. *)
-let dissolve t (members : int list) : unit =
-  let n = Array.length t.parent in
-  List.iter (fun m -> if m >= 0 && m < n then t.parent.(m) <- m) members

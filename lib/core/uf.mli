@@ -22,9 +22,3 @@ val reset : t -> unit
 (** Dissolve every class — degradation rebuilds the constraint system
     over a coarser cell space, so stale classes must not survive it. *)
 
-val dissolve : t -> int list -> unit
-(** Dissolve one class, leaving every other class intact: each listed id
-    becomes its own root again. The list must be the complete class
-    (targeted retraction clears a class whose justifying cycle may have
-    died with the edit; the surviving statements re-prove any cycle that
-    still holds). Passing a strict subset of a class is unsound. *)

@@ -8,8 +8,7 @@
       statements pair up positionally, so an edit that deletes one of
       two identical stores removes exactly one.
     - Matched statements keep the {e base} statement value — its id is
-      what the solver's cursors, subscriptions and support tables are
-      keyed by.
+      what the solver's cursors and subscriptions are keyed by.
     - [var_key] is invariant under the remapping it drives (a base
       variable and its edited counterpart render the same key), so keys
       can be computed on the raw edited statements. *)
@@ -40,7 +39,8 @@ let add_kind_part b : Cvar.kind -> unit = function
      only shifts lines above the allocation site must not invalidate
      the heap object (inserting/removing an {e allocation} earlier in
      the program still shifts later ordinals — those objects are
-     treated as removed + re-added, which retraction handles) *)
+     treated as removed + re-added, and the edit is solved from
+     scratch) *)
   | Cvar.Heap (_, site) ->
       Buffer.add_string b "h:";
       Buffer.add_string b (string_of_int site)
@@ -54,17 +54,63 @@ let add_kind_part b : Cvar.kind -> unit = function
       Buffer.add_string b "v:";
       Buffer.add_string b f
 
-(* name|kind|type *)
-let add_var_key b (v : Cvar.t) =
+(* A struct/union in a variable key: its tag, then '#' and a digest of
+   the member lists (names, types, bit widths) of every struct/union it
+   reaches, itself first and then depth-first in member order, each
+   once. Inside a member list a struct/union is named by its tag, which
+   ends the recursion on self-referential types. A definition edit thus
+   re-keys every variable whose type reaches the edited definition. *)
+let comp_digest (c : Ctype.comp) : string =
+  let seen = Idtbl.Int.create 8 in
+  let b = Buffer.create 256 in
+  let rec visit (c : Ctype.comp) =
+    if not (Idtbl.Int.mem seen c.Ctype.cid) then begin
+      Idtbl.Int.replace seen c.Ctype.cid ();
+      Ctype.add_comp_tag b c;
+      match c.Ctype.cfields with
+      | None -> Buffer.add_string b "?"
+      | Some fields ->
+          let reached = ref [] in
+          let comp b c =
+            reached := c :: !reached;
+            Ctype.add_comp_tag b c
+          in
+          Buffer.add_char b '{';
+          List.iter
+            (fun (f : Ctype.field) ->
+              Buffer.add_string b f.Ctype.fname;
+              Buffer.add_char b ':';
+              Ctype.add_to_buffer ~comp b f.Ctype.fty;
+              Option.iter
+                (fun n ->
+                  Buffer.add_char b ':';
+                  Buffer.add_string b (string_of_int n))
+                f.Ctype.fbits;
+              Buffer.add_char b ';')
+            fields;
+          Buffer.add_char b '}';
+          List.iter visit (List.rev !reached)
+    end
+  in
+  visit c;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* name|kind|type, each struct/union of the type as tag#digest *)
+let add_var_key ~(digest : Ctype.comp -> string) b (v : Cvar.t) =
   Buffer.add_string b v.Cvar.vname;
   Buffer.add_char b '|';
   add_kind_part b v.Cvar.vkind;
   Buffer.add_char b '|';
-  Buffer.add_string b (Ctype.to_string v.Cvar.vty)
+  Ctype.add_to_buffer
+    ~comp:(fun b c ->
+      Ctype.add_comp_tag b c;
+      Buffer.add_char b '#';
+      Buffer.add_string b (digest c))
+    b v.Cvar.vty
 
 let var_key (v : Cvar.t) : string =
   let b = Buffer.create 64 in
-  add_var_key b v;
+  add_var_key ~digest:comp_digest b v;
   Buffer.contents b
 
 let interface_key_with var (f : Nast.func) : string =
@@ -176,21 +222,32 @@ let stmt_key ~iface ~(scope : string) (s : Nast.stmt) : string =
   exact_key ~scope s (kind_key ~iface s.Nast.kind)
 
 module Keyer = struct
-  (* [var_key] memoized by [vid]. Sound because a [Cvar.t] is immutable
-     and only built by [Cvar.fresh], so one [vid] is one value for the
-     whole process. The table lives as long as the keyer, which callers
-     keep to one call: nothing outlives the program versions it keys. *)
+  (* [var_key] memoized by [vid], and each struct/union's digest by
+     [cid]. Sound because a [Cvar.t] is immutable and only built by
+     [Cvar.fresh], so one [vid] is one value for the whole process, and
+     a struct/union's member list is final once its program is lowered.
+     The tables live as long as the keyer, which callers keep to one
+     call: nothing outlives the program versions it keys. *)
   type t = { var : Cvar.t -> string; buf : Buffer.t }
 
   let create ?(size = 256) () : t =
     let memo = Cvar.Tbl.create size in
+    let digests = Idtbl.Int.create 16 in
+    let digest (c : Ctype.comp) =
+      match Idtbl.Int.find_opt digests c.Ctype.cid with
+      | Some d -> d
+      | None ->
+          let d = comp_digest c in
+          Idtbl.Int.replace digests c.Ctype.cid d;
+          d
+    in
     let vb = Buffer.create 64 in
     let var v =
       match Cvar.Tbl.find_opt memo v with
       | Some k -> k
       | None ->
           Buffer.clear vb;
-          add_var_key vb v;
+          add_var_key ~digest vb v;
           let k = Buffer.contents vb in
           Cvar.Tbl.add memo v k;
           k
@@ -309,13 +366,17 @@ let index (p : Nast.program) : index =
 (* An edited statement on its way through the two matching passes. *)
 type pending = {
   stmt : Nast.stmt;
+  scope : string;
+  kk : string;  (** its kind key *)
   base_bucket : bucket option;  (** the base multiset of its scope and key *)
   new_bucket : bucket;  (** its multiset in the aligned program's index *)
   mutable match_ : Nast.stmt option;  (** the base statement it pairs with *)
   mutable aligned : Nast.stmt;  (** what the aligned program holds *)
 }
 
-let align ~(base : index) (edited : Nast.program) : index * t =
+type alignment = { aligned : index; delta : t; edited : index Lazy.t }
+
+let align ~(base : index) (edited : Nast.program) : alignment =
   (* Only the edited version is keyed here: the base's keys, buckets
      and variable map come with [base]. A variable's key does not depend
      on the program it is in, so every key below is also the key of its
@@ -391,6 +452,8 @@ let align ~(base : index) (edited : Nast.program) : index * t =
           pending :=
             {
               stmt = s;
+              scope;
+              kk;
               base_bucket;
               new_bucket = bucket_in tbl kk;
               match_ = None;
@@ -405,11 +468,11 @@ let align ~(base : index) (edited : Nast.program) : index * t =
      the [is_source_deref] flag: the flag feeds only deref diagnostics,
      never a derived constraint, so a mutation that merely flips it is
      equivalent after alignment — the base statement (and with it the
-     solver's cursors, subscriptions and support) is kept, the edited
-     flag is taken, and the diff stays empty instead of forcing a
-     retract-and-replay cycle. Running pass 2 only after pass 1 has
-     seen every edited statement keeps it from stealing a base
-     statement that still has an exact twin later in the program. *)
+     solver's cursors and subscriptions) is kept, the edited flag is
+     taken, and the diff stays empty instead of forcing a scratch
+     solve. Running pass 2 only after pass 1 has seen every edited
+     statement keeps it from stealing a base statement that still has
+     an exact twin later in the program. *)
   let claim p (m : Nast.stmt) =
     Idtbl.Int.replace matched m.Nast.id ();
     p.match_ <- Some m
@@ -539,10 +602,25 @@ let align ~(base : index) (edited : Nast.program) : index * t =
          (fun (v, k) -> if Stbl.mem ix.vmap k then None else Some v)
          base.vars)
   in
-  ( ix,
-    {
-      added = List.rev !added;
-      removed;
-      added_vars = List.rev !added_vars;
-      removed_vars;
-    } )
+  (* the edited program's own index, from the same keys *)
+  let edited_ix =
+    lazy
+      (let scopes = Stbl.create 16 in
+       build edited scopes
+         (Array.fold_left
+            (fun acc p ->
+              (bucket_in (scope_table scopes p.scope 16) p.kk, p.stmt) :: acc)
+            [] pending)
+         (List.map (fun v -> (v, var v)) edited.Nast.pall_vars))
+  in
+  {
+    aligned = ix;
+    delta =
+      {
+        added = List.rev !added;
+        removed;
+        added_vars = List.rev !added_vars;
+        removed_vars;
+      };
+    edited = edited_ix;
+  }

@@ -14,21 +14,27 @@
     base statement value verbatim (ids, and hence the solver's cursors
     and subscriptions, stay valid), and unmatched statements have their
     variables remapped to the base variable with the same key where one
-    exists. Solving the aligned program from scratch is therefore
-    directly comparable — cell by cell — with warm-starting the base
-    solver, which is the incremental engine's differential oracle.
+    exists. The incremental engine warm-starts only on an alignment
+    that removes no statement and adds or removes no variable; there,
+    every variable of the aligned program, and so every type the solver
+    compares, is the base compile's. Any other alignment is only a
+    delta to report: the engine solves the edited program as compiled,
+    and carries its {!alignment.edited} index to the next edit.
 
     Matching runs in two passes: exact keys first, then the leftovers
     re-matched with the [is_source_deref] flag ignored. The flag feeds
     only deref diagnostics — never a derived constraint — so a mutation
     that merely flips it is {e equivalent after alignment}: the base
-    statement is kept (with the edited flag), the diff stays empty, and
-    the incremental engine skips retraction entirely for such edits.
+    statement is kept (with the edited flag) and the diff stays empty.
 
     Call statements embed their callee's interface fingerprint in the
     key (indirect calls a fingerprint of {e all} defined interfaces), so
     a signature change or a function gaining/losing a body invalidates
     exactly the calls whose parameter/return bindings it alters.
+
+    A variable's key renders every struct/union its type reaches by tag
+    and a digest of its member list, so editing a definition re-keys its
+    variables (and their statements) even where the tag stays.
 
     Approximation: two distinct variables with the same name, kind,
     scope and type (shadowed block locals) share one key and are
@@ -46,8 +52,10 @@ open Norm
 
 val var_key : Cvar.t -> string
 (** Identity-free key: name, kind (with enclosing scope), and declared
-    type. A type change makes a different key — the variable is treated
-    as removed and re-added. *)
+    type, with each struct/union the type reaches rendered as
+    [struct T#digest] over the member lists it reaches. A type change,
+    or a change to a definition the type reaches, makes a different key
+    — the variable is treated as removed and re-added. *)
 
 val interface_key : Nast.func -> string
 (** Identity-free fingerprint of a function's calling interface: its
@@ -64,7 +72,8 @@ val iface_of_program : Nast.program -> string -> string
 (** The interface-fingerprint oracle of a program, for {!stmt_key}. *)
 
 (** Per-call key renderer. A keyer renders each variable's {!var_key}
-    once (memoized by [vid]) and gives exactly the bytes of the
+    once (memoized by [vid], struct/union digests by declaration) and
+    gives exactly the bytes of the
     one-shot functions above. A [Cvar.t] is immutable and only built by
     [Cvar.fresh], so a [vid] stands for one value for the life of the
     process and the memo can never go stale; it is still meant to live
@@ -110,9 +119,10 @@ type index
     {!align} returns for the program it builds holds exactly what
     [index] would build from that program (same buckets in the same
     order, same variable map, same largest statement id), from keys it
-    rendered for the edited version, so an edit session keys each
-    version once. An alignment leaves the index it reads as it found
-    it: aligning twice from one index gives the same result twice. A
+    rendered for the edited version, and so does the index of the
+    edited program itself, so an edit session keys each version once.
+    An alignment leaves the index it reads as it found it: aligning
+    twice from one index gives the same result twice. A
     cache of indexes is keyed by the program value itself (physical
     identity), as {!Engine.reanalyze} does. *)
 
@@ -122,7 +132,17 @@ val index : Nast.program -> index
 val program : index -> Nast.program
 (** The program an index describes. *)
 
-val align : base:index -> Nast.program -> index * t
-(** [align ~base edited] is the edited program rebuilt over [base]'s
-    variables and statement values (returned as the new index's
-    {!program}), plus the delta between the two. *)
+type alignment = {
+  aligned : index;
+      (** the edited program rebuilt over the base's variables and
+          statement values; its {!program} is the aligned program *)
+  delta : t;  (** the difference between the base and the edit *)
+  edited : index Lazy.t;
+      (** the index of the edited program as compiled, built on demand
+          from the keys the alignment rendered *)
+}
+
+val align : base:index -> Nast.program -> alignment
+(** [align ~base edited]: the edited program over [base]'s variables
+    and statement values, the delta between the two versions, and the
+    edited program's own index. *)

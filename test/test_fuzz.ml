@@ -157,7 +157,7 @@ let test_random_edit_scripts () =
             match
               let t =
                 ref
-                  (Core.Solver.run ~track:true ~strategy:(strategy id) base)
+                  (Core.Solver.run ~strategy:(strategy id) base)
               in
               for _edit = 1 to 4 do
                 match Incr.Edit.random_op ~rand !t.Core.Solver.prog with
@@ -168,8 +168,7 @@ let test_random_edit_scripts () =
                     t := t';
                     if not st.Incr.Engine.fallback then incr warms;
                     let scratch =
-                      Core.Solver.run ~strategy:(strategy id)
-                        !t.Core.Solver.prog
+                      Core.Solver.run ~strategy:(strategy id) edited
                     in
                     if
                       not

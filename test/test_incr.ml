@@ -1,11 +1,11 @@
 (** The incremental re-analysis engine's differential spine: for every
-    edit, warm-starting the solved base must land on exactly the
-    fixpoint a from-scratch solve of the (aligned) edited program
-    computes — {!Core.Graph.equal}, graph and copy-list audits clean, and
-    stats-free-JSON byte-identical — for all four framework instances
-    and both delta engines (naive is a scratch-only oracle with no warm
-    path). Plus unit coverage for the differ's keying and the retraction
-    fallback ladder. *)
+    edit, [reanalyze] must answer what a from-scratch solve of the edited
+    program answers — the stats-free JSON byte for byte and every
+    points-to fact by variable names, with the graph and copy-list
+    audits clean — for all four framework instances and both delta
+    engines (naive is a scratch-only oracle with no warm path). Plus
+    unit coverage for the differ's keying and for which edits
+    warm-start. *)
 
 open Cfront
 open Norm
@@ -32,26 +32,81 @@ let stats_free_json ~name (solver : Core.Solver.t) : string =
   Core.Report.json_of_result ~timing:false ~solver_stats:false ~name
     (mk_result solver)
 
-(** The oracle: [warm]'s state must be indistinguishable from a cold
-    solve of the program it ended on. *)
-let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t) =
-  let scratch =
-    Core.Solver.run ~engine ~strategy:(strategy id) warm.Core.Solver.prog
+(* A cell by names, as the points-to printer shows it, except that a
+   heap object is named by its allocation ordinal alone: a warm start
+   keeps the base's heap variable, whose source line an edit above the
+   allocation may have shifted. *)
+let cell_name (c : Core.Cell.t) : string =
+  let v = c.Core.Cell.base in
+  let base =
+    match v.Cvar.vkind with
+    | Cvar.Heap (_, i) -> Printf.sprintf "malloc_%d" i
+    | _ -> Cvar.qualified_name v
   in
-  if not (Core.Graph.equal warm.Core.Solver.graph scratch.Core.Solver.graph)
-  then
-    Alcotest.failf "%s / %s / %s: warm fixpoint (%d edges) <> scratch (%d)"
-      label id
-      (Core.Solver.engine_name engine)
-      (Core.Graph.edge_count warm.Core.Solver.graph)
-      (Core.Graph.edge_count scratch.Core.Solver.graph);
+  match c.Core.Cell.sel with
+  | Core.Cell.Path [] -> base
+  | Core.Cell.Path p -> base ^ "." ^ Ctype.path_to_string p
+  | Core.Cell.Off i -> Printf.sprintf "%s@%d" base i
+
+(** Every points-to fact by names, sorted: two compiles share no cell
+    ids, so this is how a warm answer meets a scratch one. *)
+let points_to_names (t : Core.Solver.t) : string list =
+  Core.Graph.fold_sources t.Core.Solver.graph
+    (fun c targets acc ->
+      Core.Cell.Set.fold
+        (fun w acc -> (cell_name c ^ " -> " ^ cell_name w) :: acc)
+        targets acc)
+    []
+  |> List.sort compare
+
+(** The oracle: [reanalyze]'s answer must be what a cold solve of the
+    edited program answers. *)
+let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t)
+    (edited : Nast.program) =
+  let scratch = Core.Solver.run ~engine ~strategy:(strategy id) edited in
   (match audit warm with
   | Some msg -> Alcotest.failf "%s / %s: after edit: %s" label id msg
   | None -> ());
   let jw = stats_free_json ~name:label warm in
   let js = stats_free_json ~name:label scratch in
   if jw <> js then
-    Alcotest.failf "%s / %s: stats-free report differs:\n%s\n%s" label id jw js
+    Alcotest.failf "%s / %s / %s: stats-free report differs:\n%s\n%s" label
+      id
+      (Core.Solver.engine_name engine)
+      jw js;
+  let pw = points_to_names warm and ps = points_to_names scratch in
+  if pw <> ps then
+    Alcotest.failf "%s / %s / %s: %d facts warm, %d from scratch; first \
+                    differences: %s | %s"
+      label id
+      (Core.Solver.engine_name engine)
+      (List.length pw) (List.length ps)
+      (String.concat "; "
+         (List.filteri (fun i _ -> i < 3)
+            (List.filter (fun f -> not (List.mem f ps)) pw)))
+      (String.concat "; "
+         (List.filteri (fun i _ -> i < 3)
+            (List.filter (fun f -> not (List.mem f pw)) ps)))
+
+(** [reanalyze] a solve of [base] with [edited] under every instance and
+    delta engine, checking each answer against scratch; [expect] is
+    whether the edit warm-starts. *)
+let check_edit ~label ?expect base edited =
+  List.iter
+    (fun id ->
+      List.iter
+        (fun (ename, engine) ->
+          let t = Core.Solver.run ~engine ~strategy:(strategy id) base in
+          let t, st = Incr.Engine.reanalyze t edited in
+          Option.iter
+            (fun warm ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s / %s / %s: warm start" label id ename)
+                warm (not st.Incr.Engine.fallback))
+            expect;
+          check_vs_scratch ~label ~engine ~id t edited)
+        engines)
+    all_ids
 
 (* ------------------------------------------------------------------ *)
 (* Progdiff units                                                      *)
@@ -59,8 +114,8 @@ let check_vs_scratch ~label ~engine ~id (warm : Core.Solver.t) =
 
 (* [Progdiff.align] from a freshly keyed base *)
 let align ~base edited =
-  let ix, d = Incr.Progdiff.align ~base:(Incr.Progdiff.index base) edited in
-  (Incr.Progdiff.program ix, d)
+  let a = Incr.Progdiff.align ~base:(Incr.Progdiff.index base) edited in
+  (Incr.Progdiff.program a.Incr.Progdiff.aligned, a.Incr.Progdiff.delta)
 
 let src_base =
   {|
@@ -184,11 +239,11 @@ let test_signature_change_every_function () =
     if not (List.exists is_indirect d.Incr.Progdiff.removed) then
       Alcotest.failf
         "signature change of f%02d left the indirect call un-invalidated" k;
-    let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
+    let t = Core.Solver.run ~strategy:(strategy "cis") base in
     let t, _ = Incr.Engine.reanalyze t edited in
     check_vs_scratch
       ~label:(Printf.sprintf "sig-change f%02d" k)
-      ~engine:`Delta ~id:"cis" t
+      ~engine:`Delta ~id:"cis" t edited
   done
 
 (** Heap objects key on their allocation ordinal, never on source
@@ -219,7 +274,7 @@ let test_heap_key_stable_under_line_shift () =
     (List.length d.Incr.Progdiff.removed_vars)
 
 (* ------------------------------------------------------------------ *)
-(* Warm start and retraction                                           *)
+(* Warm start and scratch solves                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_additive_warm_start () =
@@ -229,19 +284,19 @@ let test_additive_warm_start () =
     (fun id ->
       List.iter
         (fun (ename, engine) ->
-          let t =
-            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
-          in
+          let t = Core.Solver.run ~engine ~strategy:(strategy id) base in
           let t, st = Incr.Engine.reanalyze t edited in
           Alcotest.(check bool) (ename ^ " no fallback") false
             st.Incr.Engine.fallback;
           Alcotest.(check int) (ename ^ " removed") 0
             st.Incr.Engine.stmts_removed;
           Alcotest.(check int) (ename ^ " added") 1 st.Incr.Engine.stmts_added;
-          check_vs_scratch ~label:"additive" ~engine ~id t)
+          check_vs_scratch ~label:"additive" ~engine ~id t edited)
         engines)
     all_ids
 
+(* A removal is solved from scratch: a fresh solver of the edited
+   program, the base left as it was. *)
 let test_retraction () =
   let base = compile src_edited in
   let edited = compile src_base in
@@ -249,26 +304,26 @@ let test_retraction () =
     (fun id ->
       List.iter
         (fun (ename, engine) ->
-          let t =
-            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
-          in
-          let t, st = Incr.Engine.reanalyze t edited in
-          Alcotest.(check bool) (ename ^ " no fallback") false
+          let t0 = Core.Solver.run ~engine ~strategy:(strategy id) base in
+          let edges0 = Core.Graph.edge_count t0.Core.Solver.graph in
+          let t, st = Incr.Engine.reanalyze t0 edited in
+          Alcotest.(check bool) (ename ^ " solved from scratch") true
             st.Incr.Engine.fallback;
+          Alcotest.(check bool) (ename ^ " fresh solver") true (t != t0);
+          Alcotest.(check bool) (ename ^ " on the edited program") true
+            (t.Core.Solver.prog == edited);
+          Alcotest.(check int) (ename ^ " base untouched") edges0
+            (Core.Graph.edge_count t0.Core.Solver.graph);
           Alcotest.(check int) (ename ^ " removed") 1
             st.Incr.Engine.stmts_removed;
-          if st.Incr.Engine.facts_retracted <= 0 then
-            Alcotest.failf "%s/%s: removing q = &&x retracted nothing" id
-              ename;
-          check_vs_scratch ~label:"retraction" ~engine ~id t)
+          Alcotest.(check int) (ename ^ " nothing retracted") 0
+            st.Incr.Engine.facts_retracted;
+          check_vs_scratch ~label:"retraction" ~engine ~id t edited)
         engines)
     all_ids
 
-(* A collapsed 3-cell copy cycle loses one of its statements. The
-   drain dropped the class's intra-class copy edges, so only the
-   retraction's dissolve-and-replay can rebuild the surviving chain
-   a ⊆ b ⊆ c: y must leave a and b, and the warm fixpoint must equal
-   scratch. *)
+(* A collapsed 3-cell copy cycle loses one of its statements: y must
+   leave a and b, as it does from scratch. *)
 let test_retract_collapsed_cycle () =
   let cycle back_edge =
     Printf.sprintf
@@ -291,17 +346,13 @@ let test_retract_collapsed_cycle () =
     (fun id ->
       List.iter
         (fun (ename, engine) ->
-          let t =
-            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
-          in
+          let t = Core.Solver.run ~engine ~strategy:(strategy id) base in
           if engine = `Delta && t.Core.Solver.cycles_found = 0 then
             Alcotest.failf "%s/%s: the base cycle was not collapsed" id ename;
           let t, st = Incr.Engine.reanalyze t edited in
-          Alcotest.(check bool) (ename ^ " no fallback") false
-            st.Incr.Engine.fallback;
           Alcotest.(check int) (ename ^ " removed") 1
             st.Incr.Engine.stmts_removed;
-          check_vs_scratch ~label:"collapsed cycle" ~engine ~id t)
+          check_vs_scratch ~label:"collapsed cycle" ~engine ~id t edited)
         engines)
     all_ids
 
@@ -313,11 +364,7 @@ let test_edit_chain () =
     (fun id ->
       List.iter
         (fun (_, engine) ->
-          let t =
-            ref
-              (Core.Solver.run ~engine ~track:true ~strategy:(strategy id)
-                 base)
-          in
+          let t = ref (Core.Solver.run ~engine ~strategy:(strategy id) base) in
           let rand = Random.State.make [| base_seed; 7 |] in
           for step = 1 to 4 do
             match Incr.Edit.random_op ~rand !t.Core.Solver.prog with
@@ -328,126 +375,28 @@ let test_edit_chain () =
                 t := t';
                 check_vs_scratch
                   ~label:(Printf.sprintf "chain step %d" step)
-                  ~engine ~id !t
+                  ~engine ~id !t edited
           done)
         engines)
     all_ids
 
-(* ------------------------------------------------------------------ *)
-(* Fallback ladder                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let removal_pair () = (compile src_edited, compile src_base)
-
-let test_fallback_budget () =
-  let base, edited = removal_pair () in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
-  let diags = Diag.create () in
-  let t, st = Incr.Engine.reanalyze ~retract_budget:0 ~diags t edited in
-  Alcotest.(check bool) "fell back" true st.Incr.Engine.fallback;
-  Alcotest.(check bool) "warning reported" true
-    (List.exists
-       (fun (p : Diag.payload) ->
-         p.Diag.severity = Diag.Warning
-         && String.length p.Diag.message >= 20
-         && String.sub p.Diag.message 0 20 = "degraded-incremental")
-       (Diag.warnings diags));
-  Alcotest.(check bool) "not an error" false (Diag.has_errors diags);
-  check_vs_scratch ~label:"fallback-budget" ~engine:`Delta ~id:"cis" t
-
-(** Aborting the retraction closure (Too_wide) must leave the base
-    solver pristine — support counters included — so it can be
-    re-analyzed later with a larger budget. *)
-let test_fallback_preserves_base () =
-  let base, edited = removal_pair () in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
-  let snap tbl =
-    Cfront.Idtbl.Pair.fold (fun k r acc -> (k, !r) :: acc) tbl []
-    |> List.sort compare
-  in
-  let edges0 = snap t.Core.Solver.edge_support in
-  let copies0 = snap t.Core.Solver.copy_support in
-  let t', st = Incr.Engine.reanalyze ~retract_budget:0 t edited in
-  Alcotest.(check bool) "fell back" true st.Incr.Engine.fallback;
-  Alcotest.(check bool) "fresh solver returned" true (t != t');
-  Alcotest.(check bool) "edge support untouched" true
-    (edges0 = snap t.Core.Solver.edge_support);
-  Alcotest.(check bool) "copy support untouched" true
-    (copies0 = snap t.Core.Solver.copy_support);
-  (* retrying the abandoned base with a real budget warm-starts *)
-  let t2, st2 = Incr.Engine.reanalyze t edited in
-  Alcotest.(check bool) "no fallback on retry" false st2.Incr.Engine.fallback;
-  check_vs_scratch ~label:"fallback-retry" ~engine:`Delta ~id:"cis" t2
-
-let test_fallback_untracked () =
-  let base, edited = removal_pair () in
-  let t = Core.Solver.run ~strategy:(strategy "cis") base in
-  let t, st = Incr.Engine.reanalyze t edited in
-  Alcotest.(check bool) "fell back" true st.Incr.Engine.fallback;
-  check_vs_scratch ~label:"fallback-untracked" ~engine:`Delta ~id:"cis" t
-
 let test_fallback_degraded_base () =
-  let base, edited = removal_pair () in
+  let base, edited = compile src_base, compile src_edited in
   let budget = { Core.Budget.unlimited with Core.Budget.max_steps = Some 1 } in
-  let t = Core.Solver.run ~budget ~track:true ~strategy:(strategy "cis") base in
+  let t = Core.Solver.run ~budget ~strategy:(strategy "cis") base in
   Alcotest.(check bool) "base degraded" true (Core.Solver.degraded t);
-  let t', st = Incr.Engine.reanalyze t edited in
-  Alcotest.(check bool) "fell back" true st.Incr.Engine.fallback;
-  ignore t'
-
-(** The cost guard: when the removed statements derived a quarter of
-    everything attributed, the engine {e plans} a scratch solve instead
-    of computing a retraction closure that would cover most of the
-    graph. A plan is not a degradation — no [degraded-incremental]
-    warning — and it surfaces as the [fallback_planned] stat and the
-    [incr_fallback_planned] metric. Small edits stay on the retraction
-    path. *)
-let test_fallback_planned_large_removal () =
-  let src keep =
-    let buf = Buffer.create 4096 in
-    for i = 0 to 79 do
-      Buffer.add_string buf (Printf.sprintf "int x%d; int *p%d;\n" i i)
-    done;
-    Buffer.add_string buf "void main(void) {\n";
-    for i = 0 to 79 do
-      if i < keep then
-        Buffer.add_string buf (Printf.sprintf "  p%d = &x%d;\n" i i)
-    done;
-    Buffer.add_string buf "}\n";
-    compile (Buffer.contents buf)
-  in
-  let base = src 80 in
-  let edited = src 20 in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
   let diags = Diag.create () in
-  let t, st = Incr.Engine.reanalyze ~diags t edited in
-  Alcotest.(check bool) "planned" true st.Incr.Engine.fallback_planned;
-  Alcotest.(check bool) "a plan is a fallback" true st.Incr.Engine.fallback;
-  Alcotest.(check bool) "no degradation warning" false
-    (List.exists
-       (fun (p : Diag.payload) ->
-         String.length p.Diag.message >= 20
-         && String.sub p.Diag.message 0 20 = "degraded-incremental")
-       (Diag.warnings diags));
-  Alcotest.(check int) "metric set" 1
-    (Core.Metrics.summarize t).Core.Metrics.incr_fallback_planned;
-  check_vs_scratch ~label:"planned-fallback" ~engine:`Delta ~id:"cis" t;
-  (* below the planning floor the retraction path still runs *)
-  let base, edited = removal_pair () in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
-  let t, st = Incr.Engine.reanalyze t edited in
-  Alcotest.(check bool) "small edit: not planned" false
-    st.Incr.Engine.fallback_planned;
-  Alcotest.(check bool) "small edit: retraction ran" false
+  let _, st = Incr.Engine.reanalyze ~diags t edited in
+  Alcotest.(check bool) "an additive edit of a degraded base: scratch" true
     st.Incr.Engine.fallback;
-  check_vs_scratch ~label:"small-removal" ~engine:`Delta ~id:"cis" t
+  Alcotest.(check int) "no warning" 0 (List.length (Diag.warnings diags))
 
 (** The warm solver's incr counters surface through metrics and the
     stats JSON. *)
 let test_incr_metrics_reported () =
   let base = compile src_base in
   let edited = compile src_edited in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
+  let t = Core.Solver.run ~strategy:(strategy "cis") base in
   let t, st = Incr.Engine.reanalyze t edited in
   let m = Core.Metrics.summarize t in
   Alcotest.(check int) "added" st.Incr.Engine.stmts_added
@@ -457,13 +406,18 @@ let test_incr_metrics_reported () =
   let j =
     Core.Report.json_of_result ~timing:false ~name:"m" (mk_result t)
   in
+  let contains needle =
+    let rec find i =
+      i + String.length needle <= String.length j
+      && (String.sub j i (String.length needle) = needle || find (i + 1))
+    in
+    find 0
+  in
   Alcotest.(check bool) "stats json carries the counters" true
-    (let needle = "\"incr_stmts_added\":1" in
-     let rec find i =
-       i + String.length needle <= String.length j
-       && (String.sub j i (String.length needle) = needle || find (i + 1))
-     in
-     find 0);
+    (contains "\"incr_stmts_added\":1");
+  Alcotest.(check bool) "retired counters stay on the wire at 0" true
+    (contains "\"incr_facts_retracted\":0"
+    && contains "\"incr_fallback_planned\":0");
   (* the stats-free rendering must NOT leak engine-dependent counters *)
   let j' = stats_free_json ~name:"m" t in
   Alcotest.(check bool) "stats-free json omits them" false
@@ -474,120 +428,52 @@ let test_incr_metrics_reported () =
      in
      find 0)
 
-(** A [Queries.t] built before a warm re-analysis must see the edited
-    program: [reanalyze] swaps [solver.prog] in place, and the name
-    index follows it. *)
+(** A [Queries.t] built before a warm re-analysis answers for the edited
+    program: [reanalyze] warm-starts the solver in place, and the
+    query's name index follows its program. *)
 let test_queries_index_follows_reanalyze () =
   let base = compile src_base in
-  let edited =
-    compile
-      {|
-        struct S { int *f; int *g; } s;
-        int x, y;
-        int *p, *q;
-        int *nz;
-        void main(void) {
-          s.f = &x;
-          p = s.f;
-          q = &y;
-          nz = &x;
-        }
-      |}
-  in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
+  let edited = compile src_edited in
+  let t = Core.Solver.run ~strategy:(strategy "cis") base in
   let q = Clients.Queries.of_solver t in
-  Alcotest.(check bool) "nz absent before the edit" true
-    (Clients.Queries.find_var q "nz" = None);
+  let targets_of name =
+    match Clients.Queries.find_var q name with
+    | None -> Alcotest.failf "%s not found" name
+    | Some v ->
+        List.map cell_name
+          (Core.Cell.Set.elements (Clients.Queries.points_to_expanded q v))
+  in
+  Alcotest.(check (list string)) "q before the edit" [ "y" ] (targets_of "q");
   let t', st = Incr.Engine.reanalyze t edited in
   Alcotest.(check bool) "warm start, in place" true (t == t');
   Alcotest.(check bool) "no fallback" false st.Incr.Engine.fallback;
-  match Clients.Queries.find_var q "nz" with
-  | None -> Alcotest.fail "stale index: nz not found after reanalyze"
-  | Some v -> Alcotest.(check string) "found the added var" "nz" v.Cvar.vname
+  Alcotest.(check (list string)) "q after the edit" [ "x"; "y" ]
+    (List.sort compare (targets_of "q"))
 
 (* ------------------------------------------------------------------ *)
-(* Targeted retraction (DRed) properties                               *)
+(* Removals answer like scratch                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** The delete-and-rederive narrowing on diamond-derivation programs: a
-    fact with a surviving alternate derivation is never cleared, so
-    [facts_retracted] stays at zero when one arm of a diamond goes away
-    and is tightly bounded when the last arm does. *)
+(** Removing one arm of a derivation diamond keeps the fact, removing
+    the last arm drops it, exactly as from scratch. *)
 let test_dred_diamond () =
-  (* two identical stores keep the direct edge's support at 2; removing
-     one leaves the fact justified and nothing is retracted *)
   let two = compile {| int x; int *p, *q;
                        void main(void) { p = &x; p = &x; q = p; } |} in
   let one = compile {| int x; int *p, *q;
                        void main(void) { p = &x; q = p; } |} in
-  List.iter
-    (fun id ->
-      let t = Core.Solver.run ~track:true ~strategy:(strategy id) two in
-      let t, st = Incr.Engine.reanalyze t one in
-      Alcotest.(check bool) (id ^ " no fallback") false st.Incr.Engine.fallback;
-      Alcotest.(check int) (id ^ " one removed") 1 st.Incr.Engine.stmts_removed;
-      Alcotest.(check int) (id ^ " nothing retracted") 0
-        st.Incr.Engine.facts_retracted;
-      Alcotest.(check int) (id ^ " nothing affected") 0
-        st.Incr.Engine.affected_cells;
-      check_vs_scratch ~label:"dred-direct-diamond" ~engine:`Delta ~id t)
-    all_ids;
-  (* copy diamond: [d] receives [x] through both [a] and [b]; removing
-     the [a] arm keeps the fact justified through the surviving inflow
-     from [b] (whose own facts all have direct support), so the cascade
-     never reaches [d] *)
+  check_edit ~label:"direct diamond" ~expect:false two one;
   let both = compile {| int x; int *a, *b, *d;
                         void main(void) { a = &x; b = &x; d = a; d = b; } |} in
   let left = compile {| int x; int *a, *b, *d;
                         void main(void) { a = &x; b = &x; d = b; } |} in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") both in
-  let t, st = Incr.Engine.reanalyze t left in
-  Alcotest.(check bool) "copy diamond: no fallback" false
-    st.Incr.Engine.fallback;
-  Alcotest.(check int) "copy diamond: nothing retracted" 0
-    st.Incr.Engine.facts_retracted;
-  check_vs_scratch ~label:"dred-copy-diamond" ~engine:`Delta ~id:"cis" t;
-  (* severing the last arm must retract — but only [d]'s one fact, not
-     anything upstream of it *)
   let none = compile {| int x; int *a, *b, *d;
                         void main(void) { a = &x; b = &x; } |} in
-  let t2, st2 = Incr.Engine.reanalyze t none in
-  Alcotest.(check bool) "last arm: no fallback" false
-    st2.Incr.Engine.fallback;
-  if st2.Incr.Engine.facts_retracted < 1 then
-    Alcotest.fail "severing the last derivation retracted nothing";
-  if st2.Incr.Engine.facts_retracted > 2 then
-    Alcotest.failf "last arm: retracted %d facts, expected at most d's own"
-      st2.Incr.Engine.facts_retracted;
-  check_vs_scratch ~label:"dred-last-arm" ~engine:`Delta ~id:"cis" t2
-
-(* Retraction must drop an affected class's outgoing copy list, not
-   keep it: its cursors index the cleared log, so once the replay
-   re-derives facts into that log a kept entry would resume mid-way —
-   here pushing [z], the second re-derived fact of [a], into [d] along
-   a copy whose statement is gone. *)
-let test_retract_drops_copy_lists () =
-  let base = compile {| int x, y, z; int *a, *d;
-                        void main(void) { a = &x; d = a; } |} in
-  let edited = compile {| int x, y, z; int *a, *d;
-                          void main(void) { a = &y; a = &z; } |} in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun (ename, engine) ->
-          let t =
-            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
-          in
-          let t, st = Incr.Engine.reanalyze t edited in
-          Alcotest.(check bool) (ename ^ " no fallback") false
-            st.Incr.Engine.fallback;
-          check_vs_scratch ~label:"dropped copy list" ~engine ~id t)
-        engines)
-    all_ids
+  check_edit ~label:"copy diamond" ~expect:false both left;
+  check_edit ~label:"last arm" ~expect:false left none
 
 (** A mutation that only flips [is_source_deref] derives the same
     constraints; the differ pairs it with the base statement (keeping
-    the id, taking the flag) and the engine skips retraction. *)
+    the id, taking the flag) and the edit warm-starts. *)
 let test_mutate_equivalence () =
   let base = compile src_base in
   let f =
@@ -608,16 +494,15 @@ let test_mutate_equivalence () =
   in
   Alcotest.(check bool) "base id kept, edited flag taken"
     (not s.Nast.is_source_deref) s'.Nast.is_source_deref;
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
+  let t = Core.Solver.run ~strategy:(strategy "cis") base in
   let t, st = Incr.Engine.reanalyze t edited in
   Alcotest.(check bool) "no fallback" false st.Incr.Engine.fallback;
   Alcotest.(check int) "no removal" 0 st.Incr.Engine.stmts_removed;
-  Alcotest.(check int) "nothing retracted" 0 st.Incr.Engine.facts_retracted;
   check_vs_scratch ~label:"mutate-equivalence" ~engine:`Delta ~id:"cis" t
+    edited
 
-(** Externs are attributed per statement: removing one of two calls to
-    an extern keeps it reported, removing the last caller drops it —
-    without replaying the surviving calls. *)
+(** Removing one of two calls to an extern keeps it reported, removing
+    the last caller drops it. *)
 let test_extern_retraction () =
   let base =
     compile
@@ -637,12 +522,11 @@ let test_extern_retraction () =
         void main(void) { mystery_a(&x); }
       |}
   in
-  let t = Core.Solver.run ~track:true ~strategy:(strategy "cis") base in
+  let t = Core.Solver.run ~strategy:(strategy "cis") base in
   Alcotest.(check (list string)) "both externs before the edit"
     [ "mystery_a"; "mystery_b" ]
     (List.sort compare (Core.Metrics.summarize t).Core.Metrics.unknown_externs);
   let t, st = Incr.Engine.reanalyze t edited in
-  Alcotest.(check bool) "no fallback" false st.Incr.Engine.fallback;
   (* each source call lowers to an argument binding plus the call *)
   Alcotest.(check bool) "statements removed" true
     (st.Incr.Engine.stmts_removed > 0);
@@ -650,6 +534,7 @@ let test_extern_retraction () =
     [ "mystery_a" ]
     (List.sort compare (Core.Metrics.summarize t).Core.Metrics.unknown_externs);
   check_vs_scratch ~label:"extern-retraction" ~engine:`Delta ~id:"cis" t
+    edited
 
 (** Removal-edit fuzz: chained remove/mutate scripts over a generated
     program, every engine and instance, scratch-checked at each step. *)
@@ -675,11 +560,7 @@ let test_removal_fuzz () =
     (fun id ->
       List.iter
         (fun (ename, engine) ->
-          let t =
-            ref
-              (Core.Solver.run ~engine ~track:true ~strategy:(strategy id)
-                 base)
-          in
+          let t = ref (Core.Solver.run ~engine ~strategy:(strategy id) base) in
           let rand = Random.State.make [| base_seed; 23 |] in
           for step = 1 to 3 do
             match next_removal ~rand !t.Core.Solver.prog with
@@ -691,7 +572,7 @@ let test_removal_fuzz () =
                 check_vs_scratch
                   ~label:
                     (Printf.sprintf "removal-fuzz %s step %d" ename step)
-                  ~engine ~id !t
+                  ~engine ~id !t edited
           done)
         engines)
     all_ids
@@ -701,9 +582,8 @@ let test_removal_fuzz () =
 (* ------------------------------------------------------------------ *)
 
 (** Every corpus program, all four instances: two random edits each,
-    incremental vs scratch after every edit. Fallbacks are legal (the
-    cascade budget is policy, not correctness) but must not be the
-    rule. *)
+    incremental vs scratch after every edit. Additive edits over the
+    base's variables warm-start, so some edits must. *)
 let test_corpus_differential () =
   let fallbacks = ref 0 and warms = ref 0 in
   List.iter
@@ -711,9 +591,7 @@ let test_corpus_differential () =
       let base = Lower.compile ~file:p.Suite.name p.Suite.source in
       List.iter
         (fun id ->
-          let t =
-            ref (Core.Solver.run ~track:true ~strategy:(strategy id) base)
-          in
+          let t = ref (Core.Solver.run ~strategy:(strategy id) base) in
           let rand = Random.State.make [| base_seed; Hashtbl.hash p.Suite.name |] in
           for _step = 1 to 2 do
             match Incr.Edit.random_op ~rand !t.Core.Solver.prog with
@@ -724,15 +602,17 @@ let test_corpus_differential () =
                 t := t';
                 if st.Incr.Engine.fallback then incr fallbacks else incr warms;
                 check_vs_scratch ~label:p.Suite.name ~engine:`Delta ~id !t
+                  edited
           done)
         all_ids)
     Suite.programs;
   if !warms = 0 then
-    Alcotest.failf "every corpus edit fell back to scratch (%d)" !fallbacks
+    Alcotest.failf "every corpus edit was solved from scratch (%d)" !fallbacks
 
 (* Keys are durable identities — store keys and the ancestor match
    both hash them — so their bytes are pinned here, taken from the
-   Format-based renderer they replaced. *)
+   Format-based renderer they replaced; a struct/union type carries the
+   digest of the member lists it reaches. *)
 let test_golden_var_keys () =
   let loc = { Srcloc.dummy with Srcloc.line = 12 } in
   List.iter
@@ -773,26 +653,26 @@ let golden_stmt_keys =
     "main|false|C|$t21facdf7_0_0|t:main|int*|$tde8e5c8e_0_0|t:main|char*|ε";
     "main|false|K|$t6ab55b24_0_0|t:main|int*|d:id~id(q|p:id|int*)->$ret|r:id|int*~$varargs|v:id|void*|$t21facdf7_0_0|t:main|int*";
     "main|false|C|r|l:main|int*|$t6ab55b24_0_0|t:main|int*|ε";
-    "main|false|A|$t34e85790_0_0|t:main|int**|g|g|struct pair|a";
+    "main|false|A|$t34e85790_0_0|t:main|int**|g|g|struct pair#0e7b384c8104ed00a88aa162815153ee|a";
     "main|false|S|$t34e85790_0_0|t:main|int**|r|l:main|int*";
     "main|true|S|r|l:main|int*|$tb3d0d396_0_1|t:main|int";
     "main|false|R|$t909b6b5b_0_0|t:main|int*|r|l:main|int*";
     "main|false|R|$t909b6b5b_0_0|t:main|int*|$t4da316b0_0_1|t:main|int";
     "main|false|C|r|l:main|int*|$t909b6b5b_0_0|t:main|int*|ε";
-    "main|false|C|$t0e72fbc4_0_0|t:main|int*|g|g|struct pair|a";
-    "main|false|A|$tfce19b53_0_0|t:main|int**|v|l:main|union u|p";
+    "main|false|C|$t0e72fbc4_0_0|t:main|int*|g|g|struct pair#0e7b384c8104ed00a88aa162815153ee|a";
+    "main|false|A|$tfce19b53_0_0|t:main|int**|v|l:main|union u#fa2691a1f491ae5a300fd6881bb734bd|p";
     "main|false|S|$tfce19b53_0_0|t:main|int**|$t0e72fbc4_0_0|t:main|int*";
     "main|false|K|$t82a708c8_0_0|t:main|int|d:malloc~undef|$t82a708c8_0_1|t:main|int";
     "main|false|A|$t82a708c8_0_0|t:main|int|$malloc1|h:1|int|ε";
     "main|false|C|$t415a8d2b_0_0|t:main|int*|$t82a708c8_0_0|t:main|int|ε";
     "main|false|C|r|l:main|int*|$t415a8d2b_0_0|t:main|int*|ε";
     "main|false|A|$t94463502_0_0|t:main|char*|$str0|s:0|char[3]|ε";
-    "main|false|A|$t512c3c21_0_0|t:main|char**|g|g|struct pair|b";
+    "main|false|A|$t512c3c21_0_0|t:main|char**|g|g|struct pair#0e7b384c8104ed00a88aa162815153ee|b";
     "main|false|S|$t512c3c21_0_0|t:main|char**|$t94463502_0_0|t:main|char*";
     "main|false|A|pp|l:main|int**|r|l:main|int*|ε";
     "main|true|L|r|l:main|int*|pp|l:main|int**";
-    "main|false|A|sp|l:main|struct pair*|g|g|struct pair|ε";
-    "main|true|D|pp|l:main|int**|sp|l:main|struct pair*|a";
+    "main|false|A|sp|l:main|struct pair#0e7b384c8104ed00a88aa162815153ee*|g|g|struct pair#0e7b384c8104ed00a88aa162815153ee|ε";
+    "main|true|D|pp|l:main|int**|sp|l:main|struct pair#0e7b384c8104ed00a88aa162815153ee*|a";
   ]
 
 let program_keys ~iface ~interface ~stmt (p : Nast.program) =
@@ -860,24 +740,19 @@ let test_keyer_agrees_on_corpus () =
       done)
     Suite.programs
 
-(* The naive engine's retraction kept stale facts; it is a scratch-only
-   oracle, and the warm path refuses it outright. *)
+(* The naive engine is a scratch-only oracle, and the warm path refuses
+   it outright. *)
 let test_rejects_naive () =
   let base = compile src_base in
-  let t =
-    Core.Solver.run ~engine:`Naive ~track:true ~strategy:(strategy "cis") base
-  in
+  let t = Core.Solver.run ~engine:`Naive ~strategy:(strategy "cis") base in
   match Incr.Engine.reanalyze t (compile src_edited) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reanalyze accepted a naive solver"
 
-(* Known defect: a copy cycle through pointer arithmetic keeps a stale
-   fact. Deleting [p = &x;] leaves [p] and [q] supporting each other
-   through [p = q + 1], so warm retraction clears nothing and keeps the 3
-   edges a scratch solve of the edited program does not derive. Pinned
-   as today's answer under every instance and delta engine: the warm
-   answer must not move under a change of alignment, and a well-founded
-   retraction must flip this test on purpose. *)
+(* A copy cycle through pointer arithmetic: deleting [p = &x;] leaves
+   [p] and [q] feeding each other through [p = q + 1], and nothing
+   points anywhere. A support-counting retraction kept 3 stale edges
+   here; the edit must answer the 0 edges a scratch solve derives. *)
 let arith_cycle_base =
   {|
     int x; int y;
@@ -901,30 +776,145 @@ let arith_cycle_edited =
     }
   |}
 
-let test_known_defect_arith_cycle_stale () =
-  let base = compile arith_cycle_base in
+let test_arith_cycle_removal () =
+  let edited = compile arith_cycle_edited in
+  check_edit ~label:"arith cycle" ~expect:false (compile arith_cycle_base)
+    edited;
+  let t =
+    Core.Solver.run ~strategy:(strategy "cis") (compile arith_cycle_base)
+  in
+  let t, _ = Incr.Engine.reanalyze t edited in
+  Alcotest.(check int) "no edge left" 0
+    (Core.Graph.edge_count t.Core.Solver.graph)
+
+(* The class-path case: under collapse-always, deleting the first line
+   of [main] breaks the copy cycle g0_a -> g1_b -> g1_a -> g0_a that
+   [set_g3] stores into through [pg3]. A retraction that cleared the
+   cycle's class answered 33 edges where a scratch solve derives 34. *)
+let class_path_src ~first =
+  String.concat "\n"
+    [
+      "struct G0 { char * f0; int * f1; char * f2; double f3; double f4; };";
+      "struct G1 { int f0; char f1; char f2; struct G0 f3; };";
+      "struct G2 { struct G0 f0; struct G1 * f1; };";
+      "struct G3 { int f0; int f1; int f2; int * f3; };";
+      "struct G0 g0_a; struct G1 g1_a; struct G1 g1_b;";
+      "struct G2 g2_a; struct G2 g2_b; struct G3 g3_b; struct G3 * pg3;";
+      "void set_g3(struct G3 *g, int *v) { g->f3 = v; }";
+      "void main(void) {";
+      (if first then "  g0_a = *(struct G0 *)&g1_a.f3;" else "");
+      "  set_g3(pg3, &g3_b.f1);";
+      "  g1_a.f3.f1 = g1_b.f3.f1;";
+      "  g3_b = *(struct G3 *)&g1_b.f3;";
+      "  g2_a.f1 = (struct G1 *)(&g3_b.f1);";
+      "  g0_a.f0 = (char *)(&g2_b.f0.f0);";
+      "  g1_b = *(struct G1 *)&g0_a;";
+      "  pg3 = (struct G3 *)(&g1_b.f0);";
+      "  g1_b.f2 = g2_a.f1->f2;";
+      "  g0_a = *(struct G0 *)&g3_b;";
+      "}";
+    ]
+
+let test_class_path_removal () =
+  let edited = compile (class_path_src ~first:false) in
+  check_edit ~label:"class path" (compile (class_path_src ~first:true)) edited;
+  let t =
+    Core.Solver.run ~strategy:(strategy "collapse-always")
+      (compile (class_path_src ~first:true))
+  in
+  let t, _ = Incr.Engine.reanalyze t edited in
+  Alcotest.(check int) "collapse-always: 34 edges, as from scratch" 34
+    (Core.Graph.edge_count t.Core.Solver.graph)
+
+(* [src] with the first line equal to [line] (after trimming) deleted,
+   or duplicated *)
+let edit_line ~dup ~line src =
+  let found = ref false in
+  let lines =
+    List.concat_map
+      (fun l ->
+        if (not !found) && String.trim l = line then begin
+          found := true;
+          if dup then [ l; l ] else []
+        end
+        else [ l ])
+      (String.split_on_char '\n' src)
+  in
+  if not !found then Alcotest.failf "no line %S" line;
+  String.concat "\n" lines
+
+let corpus_source name = (Option.get (Suite.find name)).Suite.source
+
+(* Duplicating ft's [v->parent = v;] adds only statements, but over a
+   fresh temporary whose struct type came from the edited compile: a
+   warm start on it answered 240 edges under collapse-on-cast where a
+   scratch solve derives 56. *)
+let test_ft_parent_duplication () =
+  let src = corpus_source "ft" in
+  let compile_ft s = Lower.compile ~file:"ft" s in
+  check_edit ~label:"ft v->parent = v; twice" (compile_ft src)
+    (compile_ft (edit_line ~dup:true ~line:"v->parent = v;" src))
+
+(* The struct-definition reproducer: only a member's type changes, so
+   every variable keeps its name and tag. Variable keys digest the
+   member lists, so the edit re-keys [s] and is solved from scratch. *)
+let struct_def_src member =
+  Printf.sprintf
+    "struct S { %s *a; int *b; } s; int x; int **q;\n\
+     void main(void) { q = (int **)&s; *q = &x; }\n"
+    member
+
+let test_struct_definition_edit () =
+  let base = compile (struct_def_src "int") in
+  let edited = compile (struct_def_src "char") in
+  let _, d = align ~base edited in
+  Alcotest.(check bool) "s re-keyed" true
+    (List.exists
+       (fun (v : Cvar.t) -> v.Cvar.vname = "s")
+       d.Incr.Progdiff.added_vars);
+  check_edit ~label:"struct definition" ~expect:false base edited;
+  List.iter
+    (fun id ->
+      let t = Core.Solver.run ~strategy:(strategy id) base in
+      let t, _ = Incr.Engine.reanalyze t edited in
+      if id = "collapse-on-cast" || id = "cis" then
+        Alcotest.(check int) (id ^ ": 4 edges, as from scratch") 4
+          (Core.Graph.edge_count t.Core.Solver.graph))
+    all_ids
+
+(* Known defect: two block locals of one name and type share a key
+   (see [Progdiff]), so a nested block that declares a second [n] is
+   aligned onto the first. The edit then looks additive, and the warm
+   start merges the two variables' facts: 4 edges, where a scratch
+   solve of the edited program derives 3. Pinned as today's answer;
+   keying shadowed locals apart must flip it on purpose. *)
+let shadow_src second =
+  Printf.sprintf
+    "int x, y; int *p;\n\
+     void main(void) {\n\
+    \  { int *n; n = &x; p = n; }\n\
+    \  %s\n\
+     }\n"
+    (if second then "{ int *n; n = &y; }" else "")
+
+let test_known_defect_shadowed_key () =
+  let base = compile (shadow_src false) in
+  let edited = compile (shadow_src true) in
   List.iter
     (fun id ->
       List.iter
         (fun (ename, engine) ->
           let label = Printf.sprintf "%s / %s" id ename in
-          let t =
-            Core.Solver.run ~engine ~track:true ~strategy:(strategy id) base
-          in
-          let t, st = Incr.Engine.reanalyze t (compile arith_cycle_edited) in
-          Alcotest.(check bool) (label ^ ": warm, no fallback") false
+          let t = Core.Solver.run ~engine ~strategy:(strategy id) base in
+          let t, st = Incr.Engine.reanalyze t edited in
+          Alcotest.(check bool) (label ^ ": warm") false
             st.Incr.Engine.fallback;
-          Alcotest.(check int) (label ^ ": one statement removed") 1
-            st.Incr.Engine.stmts_removed;
-          Alcotest.(check int) (label ^ ": 0 facts retracted") 0
-            st.Incr.Engine.facts_retracted;
-          Alcotest.(check int) (label ^ ": warm keeps 3 edges") 3
+          Alcotest.(check int) (label ^ ": warm keeps 4 edges") 4
             (Core.Graph.edge_count t.Core.Solver.graph);
           let scratch =
-            Core.Solver.run ~engine ~strategy:(strategy id)
-              (compile arith_cycle_edited)
+            Core.Solver.run ~engine ~strategy:(strategy id) edited
           in
-          Alcotest.(check int) (label ^ ": scratch derives 0 edges") 0
+          Alcotest.(check int) (label ^ ": scratch derives 3 edges") 3
             (Core.Graph.edge_count scratch.Core.Solver.graph))
         engines)
     all_ids
@@ -979,8 +969,9 @@ let program_sig (p : Nast.program) : string list =
         :: List.map stmt_sig f.Nast.fstmts)
       p.Nast.pfuncs
 
-let alignment_sig ((ix, d) : Incr.Progdiff.index * Incr.Progdiff.t) =
-  program_sig (Incr.Progdiff.program ix)
+let alignment_sig (a : Incr.Progdiff.alignment) =
+  let d = a.Incr.Progdiff.delta in
+  program_sig (Incr.Progdiff.program a.Incr.Progdiff.aligned)
   @ List.map (( ^ ) "added ") (List.map stmt_sig d.Incr.Progdiff.added)
   @ List.map (( ^ ) "removed ") (List.map stmt_sig d.Incr.Progdiff.removed)
   @ [
@@ -990,7 +981,9 @@ let alignment_sig ((ix, d) : Incr.Progdiff.index * Incr.Progdiff.t) =
 
 (* One step of a carried chain: align [edited] on the carried index, on
    an index keyed afresh from the same program, and on the carried
-   index again; all three must agree. Returns the next carried index. *)
+   index again; all three must agree. The edited program's own index,
+   built from the alignment's keys, must align like one keyed afresh.
+   Returns the next carried index. *)
 let carried_step ~label (carried : Incr.Progdiff.index) edited =
   let c = Incr.Progdiff.align ~base:carried edited in
   let f =
@@ -1003,7 +996,13 @@ let carried_step ~label (carried : Incr.Progdiff.index) edited =
   Alcotest.(check (list string)) (label ^ ": the carried index is unchanged")
     (alignment_sig c)
     (alignment_sig (Incr.Progdiff.align ~base:carried edited));
-  fst c
+  let next = Incr.Progdiff.program carried in
+  Alcotest.(check (list string)) (label ^ ": edited index == fresh")
+    (alignment_sig
+       (Incr.Progdiff.align ~base:(Incr.Progdiff.index edited) next))
+    (alignment_sig
+       (Incr.Progdiff.align ~base:(Lazy.force c.Incr.Progdiff.edited) next));
+  c.Incr.Progdiff.aligned
 
 (* The warm answer with every counter, along a chain of edits: once with
    every step keyed on the index the previous step carried, once with
@@ -1011,10 +1010,7 @@ let carried_step ~label (carried : Incr.Progdiff.index) edited =
    of the solver's program misses the engine's carried index). *)
 let warm_jsons ~fresh ~id (base : Nast.program)
     (edits : (Nast.program -> Nast.program) list) =
-  let t =
-    ref
-      (Core.Solver.run ~engine:`Delta ~track:true ~strategy:(strategy id) base)
-  in
+  let t = ref (Core.Solver.run ~engine:`Delta ~strategy:(strategy id) base) in
   List.mapi
     (fun i edit ->
       let prog = !t.Core.Solver.prog in
@@ -1126,6 +1122,108 @@ let test_carried_index_equals_fresh () =
         (List.map (fun v _ -> compile_v v) versions))
     [ "bc"; "li"; "less"; "gzip"; "tbl" ]
 
+(* ------------------------------------------------------------------ *)
+(* Corpus line edits                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A [… = …;] line: an assignment, or a declaration with an
+   initializer, alone on its line *)
+let is_assignment_line l =
+  let t = String.trim l in
+  let n = String.length t in
+  let rec has_eq i =
+    i + 3 <= n && (String.sub t i 3 = " = " || has_eq (i + 1))
+  in
+  n > 0 && t.[n - 1] = ';' && has_eq 0
+  && not (String.contains t '{' || String.contains t '}')
+
+(* The lines that broke an edit path once: deleting the malloc lines
+   anagram:78, tbl:56 and tbl:158, duplicating ft's [v->parent = v;],
+   and the arithmetic and list-link stores of li and yacr. *)
+let named_lines =
+  [
+    ("anagram", "c = malloc(sizeof(struct anagram_class));");
+    ("tbl", "e = malloc(sizeof(struct tbl_entry));");
+    ("tbl", "sym = malloc(sizeof(struct symbol));");
+    ("ft", "v->parent = v;");
+    ("yacr", "t->nets = n;");
+    ("li", "c->tag = c->tag & ~TAG_MARK_BIT;");
+  ]
+
+(** The edits of [p]'s source: every [stride]-th [… = …;] line (from
+    [offset]) and every named line, each deleted and duplicated, as
+    (label, edited source), keeping only edits that compile without
+    errors — a duplicated declaration, or a deleted one still in use,
+    does not. *)
+let line_edits_of ~stride ~offset (p : Suite.program) =
+  let lines = Array.of_list (String.split_on_char '\n' p.Suite.source) in
+  let named l =
+    List.exists
+      (fun (n, text) -> n = p.Suite.name && String.trim l = text)
+      named_lines
+  in
+  let k = ref 0 in
+  let picked = ref [] in
+  Array.iteri
+    (fun i l ->
+      if is_assignment_line l then begin
+        if !k mod stride = offset || named l then picked := i :: !picked;
+        incr k
+      end)
+    lines;
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun dup ->
+          let src =
+            String.concat "\n"
+              (List.concat
+                 (List.mapi
+                    (fun j l ->
+                      if j <> i then [ l ] else if dup then [ l; l ] else [])
+                    (Array.to_list lines)))
+          in
+          let diags = Diag.create () in
+          match Lower.compile ~diags ~file:p.Suite.name src with
+          | prog when not (Diag.has_errors diags) ->
+              Some
+                ( Printf.sprintf "%s:%d %s" p.Suite.name (i + 1)
+                    (if dup then "duplicated" else "deleted"),
+                  prog )
+          | _ -> None
+          | exception Diag.Error _ -> None)
+        [ false; true ])
+    (List.rev !picked)
+
+(** Delete or duplicate single [… = …;] lines of the 20 corpus programs
+    and compare [reanalyze] with a scratch solve of the edited source,
+    under cis and collapse-on-cast. All 935 such lines take minutes; a
+    seeded sample of one line in 12, plus the named lines, keeps the
+    run to a few seconds. *)
+let test_corpus_line_edits () =
+  let stride = 12 in
+  let offset = base_seed mod stride in
+  let cases = ref 0 in
+  List.iter
+    (fun (p : Suite.program) ->
+      let base = Lower.compile ~file:p.Suite.name p.Suite.source in
+      let edits = line_edits_of ~stride ~offset p in
+      List.iter
+        (fun id ->
+          let fresh () = Core.Solver.run ~strategy:(strategy id) base in
+          let t = ref (fresh ()) in
+          List.iter
+            (fun (label, edited) ->
+              incr cases;
+              let t', _ = Incr.Engine.reanalyze !t edited in
+              check_vs_scratch ~label ~engine:`Delta ~id t' edited;
+              (* a warm start moved the base solver on *)
+              if t' == !t then t := fresh ())
+            edits)
+        [ "cis"; "collapse-on-cast" ])
+    Suite.programs;
+  if !cases < 100 then Alcotest.failf "only %d line edits ran" !cases
+
 let suite =
   [
     tc "progdiff: identical compiles diff empty" test_diff_identity;
@@ -1140,12 +1238,7 @@ let suite =
     tc "retraction == scratch (all engines x instances)" test_retraction;
     tc "random edit chain == scratch (all engines x instances)"
       test_edit_chain;
-    tc "fallback: retraction budget" test_fallback_budget;
-    tc "fallback leaves the base solver reusable" test_fallback_preserves_base;
-    tc "fallback: untracked solver" test_fallback_untracked;
     tc "fallback: degraded base" test_fallback_degraded_base;
-    tc "planned fallback: large removal, no warning"
-      test_fallback_planned_large_removal;
     tc "dred: alternate derivations survive removal" test_dred_diamond;
     tc "mutate that only flips the deref flag skips retraction"
       test_mutate_equivalence;
@@ -1156,18 +1249,22 @@ let suite =
       test_incr_metrics_reported;
     tc "queries index follows in-place reanalyze"
       test_queries_index_follows_reanalyze;
+    tc "arithmetic cycle: removal == scratch" test_arith_cycle_removal;
+    tc "class-path removal == scratch" test_class_path_removal;
+    tc "ft parent duplication == scratch" test_ft_parent_duplication;
+    tc "struct definition edit == scratch" test_struct_definition_edit;
     tc "corpus differential: 2 random edits x 4 instances"
       test_corpus_differential;
     tc "retraction breaks a collapsed copy cycle == scratch"
       test_retract_collapsed_cycle;
-    tc "retraction drops an affected class's copy list"
-      test_retract_drops_copy_lists;
     tc "progdiff: golden variable keys" test_golden_var_keys;
     tc "progdiff: golden statement keys" test_golden_stmt_keys;
     tc "progdiff: keyer agrees on the corpus" test_keyer_agrees_on_corpus;
     tc "reanalyze rejects a naive solver" test_rejects_naive;
-      tc "known defect: arithmetic cycle keeps stale facts"
-      test_known_defect_arith_cycle_stale;
-      tc "progdiff: a carried index aligns like a fresh one"
+    tc "known defect: shadowed block locals share a key"
+      test_known_defect_shadowed_key;
+    tc "progdiff: a carried index aligns like a fresh one"
       test_carried_index_equals_fresh;
+    tc "corpus line edits: delete or duplicate == scratch"
+      test_corpus_line_edits;
   ]

@@ -148,6 +148,40 @@ let test_errors () =
   expect_error "call of non-function" "int x; void main(void){ x(); }";
   expect_error "conflicting globals" "int x; char *x;"
 
+(* C11 6.7p3: an identifier without linkage is declared once per scope,
+   and a function's parameters share the scope of its body's outermost
+   block. Two locals under one name and scope would otherwise lower to
+   two distinct variables that only differ by identity. *)
+let test_redeclaration () =
+  expect_error "local redeclared in one block"
+    "int x; void main(void){ int *a = &x; int *a = &x; }";
+  expect_error "local redeclares a parameter" "void f(int *p){ int *p; }";
+  expect_error "redeclared in a nested block"
+    "void main(void){ { int a; char a; } }";
+  (* nested, sibling and loop-body blocks each open a scope *)
+  ignore
+    (check_program
+       "void main(void){ int a; { int a; } { int a; }\n\
+       \ for (int i = 0; i < 1; i++) { int i; } }");
+  (* with a context the error is a diagnostic on the declaration's line,
+     and the rest of the function still checks *)
+  let diags = Diag.create () in
+  ignore
+    (Typecheck.check ~diags ~file:"<tc>"
+       (Parser.parse_string ~file:"<tc>"
+          "int x; int *q;\n\
+           void main(void) {\n\
+          \  int *a = &x;\n\
+          \  int *a = &x;\n\
+          \  q = a;\n\
+           }\n"));
+  match Diag.errors diags with
+  | [ p ] ->
+      Alcotest.(check string) "message"
+        "redeclaration of 'a' in the same scope" p.Diag.message;
+      Alcotest.(check int) "line" 4 p.Diag.loc.Srcloc.line
+  | ps -> Alcotest.failf "%d errors, expected 1" (List.length ps)
+
 let suite =
   [
     Helpers.tc "arithmetic types" test_arith_types;
@@ -158,4 +192,5 @@ let suite =
     Helpers.tc "implicit function declarations warn" test_implicit_function_warns;
     Helpers.tc "scoping" test_scopes;
     Helpers.tc "type errors" test_errors;
+    Helpers.tc "same-scope redeclarations are errors" test_redeclaration;
   ]
